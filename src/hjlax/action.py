@@ -13,6 +13,11 @@ in two phases:
      (Hermite) representation, seeded with the phase-1 polyline and
      three-point finite-difference node velocities.
 
+Each minimizer comes from one collocation solve, certified by the
+Euler-Lagrange residual of the collocation spline; a failed solve, a
+residual above tolerance, or an arc whose action exceeds the phase-1 value
+raises NoConvergence.
+
 The dual arc p(tau) = L_v(tau, xi(tau), xidot(tau)) comes out exactly
 Hermite-consistent, and the endpoint gradients are read off the minimizer:
 D_y A = L_v at time t, D_x A = -L_v at time s.
@@ -134,6 +139,22 @@ def dual_arc(fs: FundamentalSolution) -> DualArc:
 # phase 1: polyline descent
 
 
+def _polyline_samples(times: Array, nodes: Array
+                      ) -> tuple[Array, Array, Array, Array]:
+    """Gauss-3 quadrature samples of piecewise-linear arcs.
+
+    nodes has shape (..., N+1, n); returns the segment lengths (N,) and the
+    sample times, positions and velocities, each shaped (..., N, 3[, n])."""
+    h = np.diff(times)                              # (N,)
+    seg_lo = nodes[..., :-1, :]
+    step = nodes[..., 1:, :] - seg_lo
+    vel = step / h[:, None]                         # (..., N, n)
+    pos = seg_lo[..., None, :] + _GAUSS3_NODES[:, None] * step[..., None, :]
+    tq = times[:-1, None] + _GAUSS3_NODES[None, :] * h[:, None]   # (N, 3)
+    return (h, np.broadcast_to(tq, pos.shape[:-1]), pos,
+            np.broadcast_to(vel[..., None, :], pos.shape))
+
+
 def _polyline_action_grad(L: TonelliLagrangian, times: Array, nodes: Array
                           ) -> tuple[float, Array]:
     """Action and its gradient w.r.t. all nodes of a piecewise-linear arc.
@@ -141,26 +162,17 @@ def _polyline_action_grad(L: TonelliLagrangian, times: Array, nodes: Array
     nodes has shape (..., N+1, n); returns (sum of actions, gradient of the
     sum), which keeps independent arcs separable for batched descent.
     """
-    h = np.diff(times)                              # (N,)
-    seg_lo = nodes[..., :-1, :]
-    seg_hi = nodes[..., 1:, :]
-    vel = (seg_hi - seg_lo) / h[:, None]            # (..., N, n)
-    sig = _GAUSS3_NODES
-    pos = seg_lo[..., None, :] + sig[:, None] * (seg_hi - seg_lo)[..., None, :]
-    tq = times[:-1, None] + sig[None, :] * h[:, None]        # (N, 3)
-    velq = np.broadcast_to(vel[..., None, :], pos.shape)
-
-    lead = pos.shape[:-3]
-    tq_full = np.broadcast_to(tq, lead + tq.shape)
-    lvals = L.eval(tq_full, pos, velq)              # (..., N, 3)
-    gx = L.grad_x(tq_full, pos, velq)               # (..., N, 3, n)
-    gv = L.grad_v(tq_full, pos, velq)
+    h, tq, pos, velq = _polyline_samples(times, nodes)
+    lvals = L.eval(tq, pos, velq)                   # (..., N, 3)
+    gx = L.grad_x(tq, pos, velq)                    # (..., N, 3, n)
+    gv = L.grad_v(tq, pos, velq)
 
     w = _GAUSS3_WEIGHTS
     action = float((((lvals * w).sum(axis=-1)) * h).sum())
 
     # d(action)/d(node k) = sum over adjacent segments of the chain rule
     # through position (weights sig / 1-sig) and velocity (+-1/h)
+    sig = _GAUSS3_NODES
     wl = (w * (1.0 - sig))[:, None]
     wr = (w * sig)[:, None]
     gpos_lo = np.sum(gx * wl, axis=-2) * h[:, None]          # (..., N, n)
@@ -178,7 +190,6 @@ def _phase1_descent(L: TonelliLagrangian, times: Array, init_nodes: Array,
     """L-BFGS on the interior nodes; init_nodes is (..., N+1, n) with fixed
     first/last nodes.  Batched arcs are optimized jointly (the objective is
     their sum, which is separable)."""
-    shape = init_nodes.shape
     interior = init_nodes[..., 1:-1, :]
 
     def fun(flat: Array) -> tuple[float, Array]:
@@ -199,17 +210,8 @@ def _phase1_descent(L: TonelliLagrangian, times: Array, init_nodes: Array,
 
 def _polyline_values(L: TonelliLagrangian, times: Array, nodes: Array) -> Array:
     """Per-arc actions of piecewise-linear arcs, shape (...,)."""
-    h = np.diff(times)
-    seg_lo = nodes[..., :-1, :]
-    seg_hi = nodes[..., 1:, :]
-    vel = (seg_hi - seg_lo) / h[:, None]
-    sig = _GAUSS3_NODES
-    pos = seg_lo[..., None, :] + sig[:, None] * (seg_hi - seg_lo)[..., None, :]
-    tq = times[:-1, None] + sig[None, :] * h[:, None]
-    velq = np.broadcast_to(vel[..., None, :], pos.shape)
-    lead = pos.shape[:-3]
-    tq_full = np.broadcast_to(tq, lead + tq.shape)
-    lvals = L.eval(tq_full, pos, velq)
+    h, tq, pos, velq = _polyline_samples(times, nodes)
+    lvals = L.eval(tq, pos, velq)
     return np.sum((lvals * _GAUSS3_WEIGHTS).sum(axis=-1) * h, axis=-1)
 
 
@@ -238,52 +240,26 @@ def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
 # phase 2: Euler-Lagrange collocation
 
 
-def _el_acceleration(L: TonelliLagrangian, tau: Array, pos: Array, vel: Array
-                     ) -> Array:
-    """xiddot from L_vv a = L_x - L_vt - L_vx xidot.
+def _el_terms(L: TonelliLagrangian, tau: Array, pos: Array, vel: Array
+              ) -> tuple[Array, Array]:
+    """(L_x - L_vt - L_vx xidot, L_vv) at sampled states, so that the
+    Euler-Lagrange equation reads L_vv xiddot = first term.
 
     The mixed second derivatives are directional central differences of
     grad_v, which keeps the Lagrangian interface at first derivatives plus
     L_vv.  Vectorised over trailing sample axes (pos, vel are (m, n))."""
-    gx = L.grad_x(tau, pos, vel)
-    rhs = gx
+    force = L.grad_x(tau, pos, vel)
     if L.time_dependent:
         dt = 1e-5 * (1.0 + np.abs(tau))
         gv_p = L.grad_v(tau + dt, pos, vel)
         gv_m = L.grad_v(tau - dt, pos, vel)
-        rhs = rhs - (gv_p - gv_m) / (2.0 * dt[..., None])
+        force = force - (gv_p - gv_m) / (2.0 * dt[..., None])
     speed = np.linalg.norm(vel, axis=-1, keepdims=True)
     dx = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1, keepdims=True)) / np.maximum(speed, 1.0)
     gv_p = L.grad_v(tau, pos + dx * vel, vel)
     gv_m = L.grad_v(tau, pos - dx * vel, vel)
-    rhs = rhs - (gv_p - gv_m) / (2.0 * dx)
-    hess = L.hess_vv(tau, pos, vel)
-    return np.linalg.solve(hess, rhs[..., None])[..., 0]
-
-
-def _el_defect(L: TonelliLagrangian, taus: Array, pos: Array, vel: Array,
-               acc: Array) -> float:
-    """Max |d/dtau L_v - L_x| given sampled positions, velocities and the
-    arc's actual acceleration."""
-    gx = L.grad_x(taus, pos, vel)
-    defect = -gx
-    if L.time_dependent:
-        dtt = 1e-5 * (1.0 + np.abs(taus))
-        defect = defect + (L.grad_v(taus + dtt, pos, vel)
-                           - L.grad_v(taus - dtt, pos, vel)) / (2.0 * dtt[:, None])
-    speed = np.linalg.norm(vel, axis=-1, keepdims=True)
-    dxx = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1, keepdims=True)) / np.maximum(speed, 1.0)
-    defect = defect + (L.grad_v(taus, pos + dxx * vel, vel)
-                       - L.grad_v(taus, pos - dxx * vel, vel)) / (2.0 * dxx)
-    hess = L.hess_vv(taus, pos, vel)
-    defect = defect + np.einsum("...ij,...j->...i", hess, acc)
-    return float(np.linalg.norm(defect, axis=-1).max())
-
-
-def _fd_node_velocities(times: Array, nodes: Array) -> Array:
-    """Three-point finite-difference velocities at polyline nodes."""
-    vel = np.gradient(nodes, times, axis=0, edge_order=2)
-    return vel
+    force = force - (gv_p - gv_m) / (2.0 * dx)
+    return force, L.hess_vv(tau, pos, vel)
 
 
 def _curve_action(L: TonelliLagrangian, curve: Curve) -> float:
@@ -337,8 +313,10 @@ def minimize_action(
     Default is a single straight-line start; when t - s > 0.5 and the
     Lagrangian has a multi-well potential, 4 randomized bent starts are added
     (override with multistart).  Ties within 1e-9 relative are broken by the
-    lexicographically smallest curve midpoint.  Raises NoConvergence when the
-    Euler-Lagrange residual cannot be brought below tol, OutOfWindow when
+    lexicographically smallest curve midpoint.  The best phase-1 polyline
+    seeds one collocation solve.  Raises NoConvergence when the collocation
+    fails, when its Euler-Lagrange residual is above tol, or when it lands
+    on an arc whose action exceeds the phase-1 value; OutOfWindow when
     [s, t] leaves the certified window.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -374,23 +352,21 @@ def minimize_action(
     phase1_value, nodes = best
 
     curve, residual = _refine_curve(L, times, nodes, tol)
-    value = _curve_action(L, curve)
-    if value > phase1_value + 1e-7 * (1.0 + abs(phase1_value)):
-        # collocation drifted to a worse stationary point; retry denser and
-        # keep whichever arc carries the smaller action
-        times2 = np.linspace(s, t, 2 * n_segments + 1)
-        dense = Curve(times, nodes, _fd_node_velocities(times, nodes)).at(times2)
-        nodes2, phase1_value2 = _phase1_descent(L, times2, dense)
-        curve2, residual2 = _refine_curve(L, times2, nodes2, tol)
-        value2 = _curve_action(L, curve2)
-        if value2 < value:
-            curve, residual, value = curve2, residual2, value2
-            phase1_value = phase1_value2
-
     taus = curve.times
     pos = curve.points
     vel = curve.velocities
     momenta = L.grad_v(taus, pos, vel)
+    if residual > tol * (1.0 + float(np.abs(momenta).max())):
+        raise NoConvergence(
+            f"Euler-Lagrange residual {residual:.3e} above tolerance {tol:.1e}"
+        )
+    value = _curve_action(L, curve)
+    if value > phase1_value + 1e-7 * (1.0 + abs(phase1_value)):
+        raise NoConvergence(
+            f"collocation converged to a worse stationary point: action "
+            f"{value:.10g} above the phase-1 value {phase1_value:.10g}"
+        )
+
     vel_norms = np.linalg.norm(vel, axis=-1)
     dv = np.linalg.norm(np.diff(vel, axis=0), axis=-1)
     dtau = np.diff(taus)
@@ -409,82 +385,55 @@ def minimize_action(
     )
 
 
+def _subdivide(mesh: Array, fractions: Sequence[float]) -> Array:
+    """mesh with extra points at the given fractions of every interval."""
+    return np.sort(np.concatenate(
+        [mesh] + [mesh[:-1] + f * np.diff(mesh) for f in fractions]))
+
+
 def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array, tol: float
                   ) -> tuple[Curve, float]:
+    """Collocation solve of the Euler-Lagrange system seeded with the
+    polyline nodes and three-point finite-difference node velocities.
+    Returns the arc and the Euler-Lagrange defect of the collocation spline
+    itself (exact spline derivatives, at nodes, midpoints and quarter
+    points)."""
     n = nodes.shape[1]
-    vel0 = _fd_node_velocities(times, nodes)
-    y_init = np.vstack([nodes.T, vel0.T])
+    vel0 = np.gradient(nodes, times, axis=0, edge_order=2)
     x0, y_end = nodes[0], nodes[-1]
 
     def rhs(tau, state):
-        pos = state[:n].T
-        vel = state[n:].T
-        acc = _el_acceleration(L, tau, pos, vel)
-        return np.vstack([vel.T, acc.T])
+        force, hess = _el_terms(L, tau, state[:n].T, state[n:].T)
+        acc = np.linalg.solve(hess, force[..., None])[..., 0]
+        return np.vstack([state[n:], acc.T])
 
     def bc(ya, yb):
         return np.concatenate([ya[:n] - x0, yb[:n] - y_end])
 
-    bvp_tol = max(tol * 0.1, 1e-9)
     try:
-        sol = solve_bvp(rhs, bc, times, y_init, tol=bvp_tol, max_nodes=4000)
+        sol = solve_bvp(rhs, bc, times, np.vstack([nodes.T, vel0.T]),
+                        tol=max(tol * 0.1, 1e-9), max_nodes=4000)
     except Exception as exc:  # singular Jacobian etc.
         raise NoConvergence(f"collocation refinement failed: {exc}") from exc
     if sol.status != 0:
-        # retry from a denser polyline
-        times2 = np.linspace(times[0], times[-1], 2 * (len(times) - 1) + 1)
-        hermite = Curve(times, nodes, vel0)
-        nodes2 = hermite.at(times2)
-        vel2 = _fd_node_velocities(times2, nodes2)
-        sol = solve_bvp(rhs, bc, times2, np.vstack([nodes2.T, vel2.T]),
-                        tol=bvp_tol, max_nodes=8000)
-        if sol.status != 0:
-            raise NoConvergence(f"collocation refinement: {sol.message}")
+        raise NoConvergence(f"collocation refinement: {sol.message}")
 
-    def measure(sol_obj):
-        # Euler-Lagrange defect of the collocation spline itself (exact
-        # spline derivatives), at nodes, midpoints and quarter points
-        mesh = sol_obj.x
-        offsets = (0.25, 0.5, 0.75)
-        taus = np.sort(np.concatenate(
-            [mesh] + [mesh[:-1] + f * np.diff(mesh) for f in offsets]))
-        state = sol_obj.sol(taus)
-        dstate = sol_obj.sol(taus, 1)
-        res = _el_defect(L, taus, state[:n].T, state[n:].T, dstate[n:].T)
-        consistency = float(np.linalg.norm(dstate[:n] - state[n:], axis=0).max())
-        return max(res, consistency)
+    mesh = sol.x
+    taus = _subdivide(mesh, (0.25, 0.5, 0.75))
+    state = sol.sol(taus)
+    dstate = sol.sol(taus, 1)
+    force, hess = _el_terms(L, taus, state[:n].T, state[n:].T)
+    defect = np.einsum("...ij,...j->...i", hess, dstate[n:].T) - force
+    consistency = np.linalg.norm(dstate[:n] - state[n:], axis=0)
+    residual = float(max(np.linalg.norm(defect, axis=-1).max(),
+                         consistency.max()))
 
-    def pack(sol_obj):
-        # store the arc on a 3x-refined mesh so downstream Hermite
-        # evaluation keeps the collocation accuracy
-        mesh = sol_obj.x
-        if len(mesh) <= 400:
-            fine = np.sort(np.concatenate(
-                [mesh] + [mesh[:-1] + f * np.diff(mesh) for f in (1 / 3, 2 / 3)]))
-        else:
-            fine = mesh
-        state_f = sol_obj.sol(fine)
-        return Curve(times=fine, points=state_f[:n].T.copy(),
-                     velocities=state_f[n:].T.copy())
-
-    residual = measure(sol)
-    curve = pack(sol)
-    scale = 1.0 + float(np.abs(L.grad_v(curve.times, curve.points,
-                                        curve.velocities)).max())
-    if residual > tol * scale:
-        # one tighter pass, warm-started from the converged mesh
-        sol = solve_bvp(rhs, bc, sol.x, sol.y, tol=bvp_tol * 0.1,
-                        max_nodes=8000)
-        if sol.status == 0:
-            residual = measure(sol)
-            curve = pack(sol)
-            scale = 1.0 + float(np.abs(L.grad_v(curve.times, curve.points,
-                                                curve.velocities)).max())
-    if residual > tol * scale:
-        raise NoConvergence(
-            f"Euler-Lagrange residual {residual:.3e} above tolerance {tol:.1e}"
-        )
-    return curve, residual
+    # store the arc on a 3x-refined mesh so downstream Hermite evaluation
+    # keeps the collocation accuracy
+    fine = _subdivide(mesh, (1 / 3, 2 / 3)) if len(mesh) <= 400 else mesh
+    state = sol.sol(fine)
+    return Curve(times=fine, points=state[:n].T.copy(),
+                 velocities=state[n:].T.copy()), residual
 
 
 def gradients_A(fs: FundamentalSolution,

@@ -8,15 +8,16 @@ fails, and it carries no wall-clock data so same-seed runs are
 byte-identical.  Elapsed time goes to timing.txt instead.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 assertion or violation present.
+4 assertion or violation present, 5 internal error (any other exception;
+its traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+import traceback
 from typing import Any, Callable
 
 import numpy as np
@@ -38,43 +39,27 @@ from .lasrylions import (convergence_sweep, gradient_limit_vs_qx,
                          lambda_sweep_problem_probe, trace_singularity)
 from .laxoleinik import lax_minus, lax_plus
 from .regularity import singular_set
+from .report import dump_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
+EXIT_INTERNAL = 5
 
 _CONFIG_ERRORS = (ConfigError, InvalidHorizon, OutOfWindow)
 _SOLVER_ERRORS = (NonConvergence, NonContraction, BoxExhausted,
                   SearchBallClipped)
 
 
-def _exit_code_for(exc: BaseException) -> int:
+def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, _CONFIG_ERRORS):
         return EXIT_CONFIG
     if isinstance(exc, _SOLVER_ERRORS):
         return EXIT_SOLVER
     if isinstance(exc, HJLaxError):
         return EXIT_VIOLATION
-    raise exc
-
-
-def _clean(obj: Any) -> Any:
-    """JSON-safe copy: arrays to lists, non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    return obj
+    return EXIT_INTERNAL
 
 
 class Workspace:
@@ -91,9 +76,7 @@ class Workspace:
         return os.path.join(self.out_dir, name)
 
     def write_json(self, name: str, obj: Any) -> None:
-        blob = json.dumps(_clean(obj), sort_keys=True, indent=2)
-        with open(self.path(name), "w") as fh:
-            fh.write(blob + "\n")
+        dump_json(obj, self.path(name))
 
     def write_csv(self, name: str, header: list[str],
                   rows: list[list[Any]]) -> None:
@@ -627,19 +610,6 @@ _RUNNERS: dict[str, Callable[[dict, Workspace], int]] = {
 }
 
 
-def _cap_threads(n: int | None) -> None:
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hjlax",
@@ -651,11 +621,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--tol", action="append", default=[],
                        metavar="K=V", help="dotted-path config override")
     args = parser.parse_args(argv)
-    _cap_threads(args.threads)
 
     t_start = time.perf_counter()
     cfg: dict = {}
@@ -674,16 +642,18 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or cfg.get("out") or "."
         ws = Workspace(out_dir)
         code = _RUNNERS[args.kind](cfg, ws)
-    except Exception as exc:  # noqa: BLE001 - classified right below
+    except Exception as exc:  # noqa: BLE001 - every failure gets a manifest
         ws = Workspace(out_dir)
         code = _exit_code_for(exc)
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()
         status = "error"
         error_class = type(exc).__name__
         error_message = str(exc)
 
     manifest = {
         "kind": args.kind,
-        "config": _clean(cfg),
+        "config": cfg,
         "seed": cfg.get("seed", 0),
         "status": status,
         "error_class": error_class,
@@ -696,12 +666,9 @@ def main(argv: list[str] | None = None) -> int:
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
-    blob = json.dumps(manifest, sort_keys=True, indent=2)
-    with open(os.path.join(ws.out_dir, "manifest.json"), "w") as fh:
-        fh.write(blob + "\n")
+    dump_json(manifest, os.path.join(ws.out_dir, "manifest.json"))
     with open(os.path.join(ws.out_dir, "timing.txt"), "w") as fh:
         fh.write(f"wall_seconds={time.perf_counter() - t_start:.3f}\n")
-        fh.write(f"threads={args.threads}\n")
     return code
 
 

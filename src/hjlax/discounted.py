@@ -29,17 +29,13 @@ from typing import Any
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import Curve
+from .action import _GAUSS5_NODES, _GAUSS5_WEIGHTS, Curve
 from .errors import (BoxExhausted, ConfigError, NonContraction,
                      NonConvergence, OutOfWindow, SingularStart)
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
 
 Array = np.ndarray
-
-_GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GAUSS5_NODES = 0.5 * (_GAUSS5_NODES + 1.0)
-_GAUSS5_WEIGHTS = 0.5 * _GAUSS5_WEIGHTS
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ class NonConvergence(HJLaxError):
 
 
 class NoConvergence(NonConvergence):
-    """Action minimization stalled above the Euler-Lagrange residual tolerance."""
+    """Action minimization found no certified minimizer: the collocation
+    failed, stalled above the Euler-Lagrange residual tolerance, or landed
+    above the phase-1 action."""
 
 
 class SearchBallClipped(HJLaxError):

@@ -146,7 +146,9 @@ def estimate_kappa0(
 
 
 def _grid_candidates(u: GridFunction, x: Array, radius: float,
-                     cap: int = 600) -> tuple[Array, Array]:
+                     cap: int = 600) -> tuple[Array, Array, int]:
+    """Grid nodes within the search ball and their values, evenly
+    subsampled down to cap, plus the count found before subsampling."""
     nodes = u.nodes()
     vals = u.values.ravel()
     delta = nodes - x[None, :]
@@ -160,9 +162,10 @@ def _grid_candidates(u: GridFunction, x: Array, radius: float,
         idx = np.array([int(np.argmin(dist))])
     else:
         idx = np.nonzero(mask)[0]
-    if len(idx) > cap:
-        idx = idx[np.linspace(0, len(idx) - 1, cap).astype(int)]
-    return x[None, :] + delta[idx], vals[idx]
+    found = len(idx)
+    if found > cap:
+        idx = idx[np.linspace(0, found - 1, cap).astype(int)]
+    return x[None, :] + delta[idx], vals[idx], found
 
 
 def _clusters(points: Array, scores: Array, top_gap: float, sep: float
@@ -199,14 +202,18 @@ def _apply_pointwise(
     candidate_cap: int,
     value_tol: float,
     n_segments: int,
+    notes: list[str],
 ) -> MaximizerRecord:
     """One node of T+ (sign=+1) or T- (sign=-1).
 
     Internally always maximizes phi(y) = sign*u(y) - A(arc), where for T-
     the arc runs y -> x and phi = -(u(y) + A); the record stores the
-    operator's value sign*phi.
+    operator's value sign*phi.  A candidate-cap hit is appended to notes.
     """
-    ys, uvals = _grid_candidates(u, x, radius, cap=candidate_cap)
+    ys, uvals, found = _grid_candidates(u, x, radius, cap=candidate_cap)
+    if found > candidate_cap:
+        notes.append(f"candidate cap {candidate_cap} hit at {x.tolist()}: "
+                     f"{found} nodes in the ball")
     if use_kernel:
         acts = _kernel_pair_actions(L, s, t, x, ys, sign)
     else:
@@ -323,12 +330,12 @@ def _apply_operator(
     for x in pts:
         rec = _apply_pointwise(L, u, s, t, x, sign, radius, use_kernel,
                                solver_kwargs, candidate_cap, value_tol,
-                               n_segments)
+                               n_segments, notes)
         if rec.clipped:
             # expand once; superlinearity makes a larger ball conclusive
             rec = _apply_pointwise(L, u, s, t, x, sign, 1.5 * radius,
                                    use_kernel, solver_kwargs, candidate_cap,
-                                   value_tol, n_segments)
+                                   value_tol, n_segments, notes)
             notes.append(f"ball expanded at {x.tolist()}")
         records.append(rec)
 

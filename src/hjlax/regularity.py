@@ -68,9 +68,11 @@ def grid_classification(u: GridFunction) -> tuple[Array, Array, Array]:
         grad[..., a] = (planes[3] - planes[1]) / (2.0 * h)
         jump = np.abs((planes[3] - planes[2]) - (planes[2] - planes[1])) / h
         spread = np.maximum(spread, jump / (5.0 * h))
-        r = np.abs(np.tensordot(_RESIDUAL_PROJ, stack, axes=(1, 0))).max(axis=0)
-        with np.errstate(invalid="ignore"):
-            resid = np.maximum(resid, r / (10.0 * h * h))
+        # fit only full stencils; those reaching past the rim keep +inf
+        full = np.isfinite(stack).all(axis=0)
+        r = np.full(vals.shape, np.inf)
+        r[full] = np.abs(_RESIDUAL_PROJ @ stack[:, full]).max(axis=0)
+        resid = np.maximum(resid, r / (10.0 * h * h))
     bad = ~np.isfinite(spread) | ~np.isfinite(resid)
     spread[bad] = np.inf
     resid[bad] = np.inf

@@ -6,24 +6,33 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 
 def _jsonable(obj: Any) -> Any:
-    # numpy scalars/arrays to plain python, recursively
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
+    """Strict-JSON copy: numpy values to Python values, non-finite floats to
+    None, recursively through dicts, lists and tuples."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:  # NaN
-        return None
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     return obj
 
 
 def dump_json(obj: Any, path: str) -> None:
-    """Deterministic JSON: sorted keys, stable float repr, trailing newline."""
+    """Deterministic strict JSON: sorted keys, stable float repr, trailing
+    newline."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -56,15 +65,15 @@ class ProbeReport:
             self.violations.append({"slack": slack, **_jsonable(context)})
 
     def as_dict(self) -> dict[str, Any]:
-        return {
+        return _jsonable({
             "name": self.name,
             "samples": self.samples,
-            "constants": _jsonable(self.constants),
+            "constants": self.constants,
             "worst_slack": self.worst_slack,
-            "violations": _jsonable(self.violations),
-            "notes": list(self.notes),
+            "violations": self.violations,
+            "notes": self.notes,
             "passed": self.passed,
-        }
+        })
 
     def to_json(self, path: str) -> None:
         dump_json(self.as_dict(), path)

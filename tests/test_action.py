@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import hjlax as hj
-from hjlax.errors import ConeViolation, ConfigError, OutOfWindow
+import hjlax.action
+from hjlax.errors import ConeViolation, ConfigError, NoConvergence, OutOfWindow
 
 # frozen closed form: minimal discounted free action at lam=1, s=0, t=0.5,
 # |y-x| = 1, equal to lam |y-x|^2 / (2 (e^{-lam s} - e^{-lam t}))
@@ -160,6 +161,29 @@ def test_window_and_ordering_validation(lifted_free):
         hj.minimize_action(lifted_free, -0.2, 0.5, np.zeros(1), np.ones(1))
     with pytest.raises(ConfigError):
         hj.minimize_action(lifted_free, 0.5, 0.5, np.zeros(1), np.ones(1))
+
+
+def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
+    # mean speed 20 on the anisotropic metric: the collocation either
+    # certifies the arc or the solve fails with NoConvergence, with no
+    # re-solve in between
+    calls = []
+    real = hjlax.action.solve_bvp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjlax.action, "solve_bvp", counting)
+    tol = 1e-8
+    try:
+        fs = hj.minimize_action(aniso2, 0.0, 0.1, np.array([1.0, 0.0]),
+                                np.array([-1.0, 0.0]), tol=tol)
+    except NoConvergence:
+        pass
+    else:
+        assert fs.residual <= tol * (1.0 + fs.momentum_sup)
+    assert len(calls) == 1
 
 
 def test_cone_check_on_gradients(free1):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
-from hjlax.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _parse_override,
-                       _set_dotted, _t_grid, main)
+from hjlax.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION,
+                       Workspace, _parse_override, _set_dotted, _t_grid, main)
 from hjlax.errors import ConfigError
+from hjlax.report import ProbeReport
 
 
 def write_config(path, tree):
@@ -87,6 +88,38 @@ def test_missing_config_writes_error_manifest(tmp_path):
     assert manifest["status"] == "error"
     assert manifest["error_class"] == "ConfigError"
     assert manifest["exit_code"] == EXIT_CONFIG
+
+
+def test_unclassified_exception_writes_internal_error_manifest(tmp_path,
+                                                               capsys):
+    cfg = write_config(tmp_path / "c.yaml", FREE_FUNDAMENTAL)
+    out = tmp_path / "out"
+    code = main(["fundamental", "--config", cfg, "--out", str(out),
+                 "--tol", "n_samples=abc"])
+    assert code == EXIT_INTERNAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error_class"] == "ValueError"
+    assert manifest["exit_code"] == EXIT_INTERNAL
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_json_outputs_are_strict(tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    empty = tmp_path / "empty.json"
+    ProbeReport(name="empty").to_json(str(empty))
+    blob = json.loads(empty.read_text(), parse_constant=refuse)
+    assert blob["worst_slack"] is None
+
+    ws = Workspace(str(tmp_path / "ws"))
+    ws.write_json("r.json", {"bound": np.inf, "table": np.array([1.0, np.nan]),
+                             "count": np.int64(3), "flag": np.bool_(True)})
+    blob = json.loads((tmp_path / "ws" / "r.json").read_text(),
+                      parse_constant=refuse)
+    assert blob == {"bound": None, "table": [1.0, None], "count": 3,
+                    "flag": True}
 
 
 def test_unknown_keys_rejected(tmp_path):

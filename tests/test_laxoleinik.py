@@ -143,6 +143,14 @@ def test_strict_domain_raises_when_ball_leaves_box(free1, vee_grid):
     assert res.records[0].value == pytest.approx(0.0, abs=1e-9)
 
 
+def test_candidate_cap_hits_are_noted(free1, vee_grid):
+    x = np.array([[0.0]])
+    assert not hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=x).notes
+    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=x, candidate_cap=8)
+    assert len(res.notes) == 1
+    assert res.notes[0].startswith("candidate cap 8 hit at [0.0]")
+
+
 def test_condition_m_flags_symmetric_double_maximizer(free1):
     uV = hj.GridSpec(box=[(-6.0, 6.0)], num=[241]).build(
         lambda X: np.abs(X[..., 0]) - 1.0)

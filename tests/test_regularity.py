@@ -254,6 +254,18 @@ def test_singular_set_of_kink_is_one_node(vee):
     assert not sing.contains(np.array([0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_classification_of_constant_boundary_grid_is_warning_free():
+    u = GridSpec(box=[(-1.0, 1.0)] * 2, num=[21, 21],
+                 boundary="constant").build(lambda x: -np.abs(x[..., 0]))
+    _, spread, resid = grid_classification(u)
+    rim = np.ones(u.values.shape, dtype=bool)
+    rim[2:-2, 2:-2] = False
+    assert np.all(np.isinf(spread[rim])) and np.all(np.isinf(resid[rim]))
+    assert np.all(np.isfinite(resid[~rim]))
+    assert {i for i, _ in singular_set(u).indices} == {10}
+
+
 def test_singular_set_smooth_is_empty():
     u = grid1d(lambda x: np.sin(x[..., 0]))
     sing = singular_set(u)
