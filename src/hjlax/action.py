@@ -30,7 +30,7 @@ compact containment, semiconcavity in (t, y), local uniform convexity in y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -38,7 +38,7 @@ from scipy.optimize import minimize
 
 from .errors import ConeViolation, ConfigError, NoConvergence
 from .lagrangian import TonelliLagrangian
-from .report import ProbeReport
+from .report import ProbeReport, write_csv
 
 Array = np.ndarray
 
@@ -123,12 +123,8 @@ class FundamentalSolution:
         """Rows (tau, x_1..x_n, p_1..p_n) at the stored curve nodes."""
         n = self.curve.points.shape[1]
         cols = ["tau"] + [f"x{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for tau, pos, mom in zip(self.dual.times, self.dual.positions,
-                                     self.dual.momenta):
-                row = [tau, *pos, *mom]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, cols, ([tau, *pos, *mom] for tau, pos, mom in zip(
+            self.dual.times, self.dual.positions, self.dual.momenta)))
 
 
 def dual_arc(fs: FundamentalSolution) -> DualArc:
@@ -306,13 +302,12 @@ def minimize_action(
     n_segments: int = 16,
     tol: float = 1e-8,
     seed: int = 0,
-    multistart: int | None = None,
 ) -> FundamentalSolution:
     """Compute A_{s,t}(x, y) and its minimizing arc.
 
-    Default is a single straight-line start; when t - s > 0.5 and the
-    Lagrangian has a multi-well potential, 4 randomized bent starts are added
-    (override with multistart).  Ties within 1e-9 relative are broken by the
+    Every arc gets a straight-line start; when t - s > 0.5 and the
+    Lagrangian has a multi-well potential, 4 randomized bent starts (drawn
+    from seed) are added.  Ties within 1e-9 relative are broken by the
     lexicographically smallest curve midpoint.  The best phase-1 polyline
     seeds one collocation solve.  Raises NoConvergence when the collocation
     fails, when its Euler-Lagrange residual is above tol, or when it lands
@@ -327,17 +322,16 @@ def minimize_action(
         raise ConfigError("n_segments must be at least 2")
     L.check_window(s, t)
 
-    if multistart is None:
-        multistart = 4 if (t - s > 0.5 and is_multiwell(L)) else 0
+    n_bent = 4 if (t - s > 0.5 and is_multiwell(L)) else 0
 
     times = np.linspace(s, t, n_segments + 1)
     frac = np.linspace(0.0, 1.0, n_segments + 1)
     straight = x[None, :] + frac[:, None] * (y - x)[None, :]
     starts = [straight]
-    if multistart > 0:
+    if n_bent > 0:
         rng = np.random.default_rng(seed)
         scale = max(1.0, float(np.linalg.norm(y - x)))
-        starts.extend(_bent_inits(x, y, frac, multistart, rng, scale))
+        starts.extend(_bent_inits(x, y, frac, n_bent, rng, scale))
 
     best: tuple[float, Array] | None = None
     for init in starts:
@@ -479,7 +473,6 @@ def probe_velocity_bounds(
     time_pairs: Sequence[tuple[float, float]],
     n_samples: int = 200,
     seed: int = 0,
-    solver_kwargs: dict[str, Any] | None = None,
 ) -> ProbeReport:
     """Tabulate sup |xidot|, sup |p|, sup |xi - x| against r = R / (t - s).
 
@@ -488,14 +481,13 @@ def probe_velocity_bounds(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rng = np.random.default_rng(seed)
-    kw = solver_kwargs or {}
     rows = []
     for (s, t) in time_pairs:
         ratio = R / (t - s)
         vmax = pmax = dmax = 0.0
         ys = _ball_samples(rng, x, R, n_samples)
         for y in ys:
-            fs = minimize_action(L, s, t, x, y, **kw)
+            fs = minimize_action(L, s, t, x, y)
             vmax = max(vmax, fs.velocity_sup)
             pmax = max(pmax, fs.momentum_sup)
             dmax = max(dmax, float(np.linalg.norm(fs.curve.points - x,
@@ -529,7 +521,6 @@ def probe_compact_containment(
     lam_cone: float,
     n_samples: int = 200,
     seed: int = 0,
-    solver_kwargs: dict[str, Any] | None = None,
 ) -> ProbeReport:
     """Check that perturbed-endpoint minimizers stay in the compact set
     [s, s+1] x B(x, kappa(4 lam)) x B(0, kappa(4 lam)).
@@ -541,7 +532,6 @@ def probe_compact_containment(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     T = t - s
     rng = np.random.default_rng(seed)
-    kw = solver_kwargs or {}
 
     durations = [T / 2 * 1.01, T, min(1.0 - 1e-6, T * 1.5)]
     kappa4 = 0.0
@@ -549,7 +539,7 @@ def probe_compact_containment(
         R4 = 4.0 * lam_cone * d
         ys = _ball_samples(rng, x, R4, max(8, n_samples // 10))
         for y in ys:
-            fs = minimize_action(L, s, s + d, x, y, **kw)
+            fs = minimize_action(L, s, s + d, x, y)
             kappa4 = max(kappa4, fs.velocity_sup, fs.momentum_sup,
                          float(np.linalg.norm(fs.curve.points - x, axis=-1).max()))
     bound = kappa4 * 1.02 + 1e-9
@@ -570,7 +560,7 @@ def probe_compact_containment(
         t_end = t + h
         if not (t_end > s + 1e-9 and t_end <= b_win and t_end - s <= 1.0):
             continue
-        fs = minimize_action(L, s, t_end, x, y + z, **kw)
+        fs = minimize_action(L, s, t_end, x, y + z)
         pos_dev = float(np.linalg.norm(fs.curve.points - x, axis=-1).max())
         report.record_slack(bound - fs.velocity_sup, check="velocity_box",
                             h=h, duration=t_end - s)
@@ -597,6 +587,33 @@ def _perturbation_family(rng: np.random.Generator, dim: int, lamT: float,
     return zs, hs
 
 
+def _midpoint_defect_ratios(L: TonelliLagrangian, x: Array, s: float,
+                            T: float, lam_cone: float, n_samples: int,
+                            rng: np.random.Generator
+                            ) -> Iterator[tuple[bool, Array, float, float]]:
+    """Scaled midpoint defects of (t, y) -> A_{s,t}(x, y) around t = s + T.
+
+    Yields (with_time, z, h, T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)]
+    / (h^2 + |z|^2)) for seeded y in B(x, lam T) and |z| < lam T, first
+    with h = 0, then with |h| < T/2.  The draws from rng come in a fixed
+    order, so the semiconcavity and convexity probes see the same family.
+    """
+    n_y = max(4, n_samples // 8)
+    n_pert = max(2, n_samples // n_y)
+    t = s + T
+    ys = _ball_samples(rng, x, lam_cone * T, n_y, boundary_half=False)
+    for y in ys:
+        base = minimize_action(L, s, t, x, y).value
+        for with_time in (False, True):
+            zs, hs = _perturbation_family(rng, x.shape[0], lam_cone * T,
+                                          T / 2.0, n_pert, with_time)
+            for z, h in zip(zs, hs):
+                a_plus = minimize_action(L, s, t + h, x, y + z).value
+                a_minus = minimize_action(L, s, t - h, x, y - z).value
+                defect = a_plus + a_minus - 2.0 * base
+                yield with_time, z, h, T * defect / (h * h + float(z @ z))
+
+
 def probe_semiconcavity(
     L: TonelliLagrangian,
     x: Array,
@@ -605,7 +622,6 @@ def probe_semiconcavity(
     T_grid: Sequence[float] = (0.1, 0.2, 0.4),
     n_samples: int = 200,
     seed: int = 0,
-    solver_kwargs: dict[str, Any] | None = None,
 ) -> ProbeReport:
     """Empirical space-time semiconcavity constants of (t, y) -> A_{s,t}(x, y).
 
@@ -621,9 +637,6 @@ def probe_semiconcavity(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rng = np.random.default_rng(seed)
-    kw = solver_kwargs or {}
-    n_y = max(4, n_samples // 8)
-    n_pert = max(2, n_samples // n_y)
 
     report = ProbeReport(name="semiconcavity", samples=0)
     C_st: dict[float, float] = {}
@@ -631,30 +644,19 @@ def probe_semiconcavity(
     for T in T_grid:
         if not T < 2.0 / 3.0:
             raise ConfigError(f"semiconcavity window requires T < 2/3, got {T}")
-        t = s + T
         best_st = -np.inf
         best_sp = -np.inf
-        ys = _ball_samples(rng, x, lam_cone * T, n_y, boundary_half=False)
-        for y in ys:
-            base = minimize_action(L, s, t, x, y, **kw).value
-            for with_time in (False, True):
-                zs, hs = _perturbation_family(rng, x.shape[0], lam_cone * T,
-                                              T / 2.0, n_pert, with_time)
-                for z, h in zip(zs, hs):
-                    a_plus = minimize_action(L, s, t + h, x, y + z, **kw).value
-                    a_minus = minimize_action(L, s, t - h, x, y - z, **kw).value
-                    defect = a_plus + a_minus - 2.0 * base
-                    denom = h * h + float(z @ z)
-                    ratio = T * defect / denom
-                    report.samples += 1
-                    if not np.isfinite(ratio):
-                        report.violations.append(
-                            {"check": "finite_ratio", "T": T, "h": float(h),
-                             "z": z.tolist(), "slack": float("-inf")})
-                        continue
-                    best_st = max(best_st, ratio)
-                    if not with_time:
-                        best_sp = max(best_sp, ratio)
+        for with_time, z, h, ratio in _midpoint_defect_ratios(
+                L, x, s, T, lam_cone, n_samples, rng):
+            report.samples += 1
+            if not np.isfinite(ratio):
+                report.violations.append(
+                    {"check": "finite_ratio", "T": T, "h": float(h),
+                     "z": z.tolist(), "slack": float("-inf")})
+                continue
+            best_st = max(best_st, ratio)
+            if not with_time:
+                best_sp = max(best_sp, ratio)
         C_st[T] = best_st
         C_sp[T] = best_sp
 
@@ -681,7 +683,6 @@ def probe_convexity(
     T_grid: Sequence[float] = (0.05, 0.1, 0.2, 0.4),
     n_samples: int = 200,
     seed: int = 0,
-    solver_kwargs: dict[str, Any] | None = None,
 ) -> ProbeReport:
     """Semiconvexity and in-space uniform convexity of A near the diagonal.
 
@@ -695,34 +696,20 @@ def probe_convexity(
     degraded."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rng = np.random.default_rng(seed)
-    kw = solver_kwargs or {}
-    n_y = max(4, n_samples // 8)
-    n_pert = max(2, n_samples // n_y)
 
     report = ProbeReport(name="convexity", samples=0)
     C2: dict[float, float] = {}
     C3: dict[float, float] = {}
     for T in T_grid:
-        t = s + T
         worst_neg = 0.0
         best_sp = np.inf
-        ys = _ball_samples(rng, x, lam_cone * T, n_y, boundary_half=False)
-        for y in ys:
-            base = minimize_action(L, s, t, x, y, **kw).value
-            for with_time in (False, True):
-                zs, hs = _perturbation_family(rng, x.shape[0], lam_cone * T,
-                                              T / 2.0, n_pert, with_time)
-                for z, h in zip(zs, hs):
-                    a_plus = minimize_action(L, s, t + h, x, y + z, **kw).value
-                    a_minus = minimize_action(L, s, t - h, x, y - z, **kw).value
-                    defect = a_plus + a_minus - 2.0 * base
-                    report.samples += 1
-                    if with_time:
-                        ratio = T * defect / (h * h + float(z @ z))
-                        worst_neg = min(worst_neg, ratio)
-                    else:
-                        ratio = T * defect / float(z @ z)
-                        best_sp = min(best_sp, ratio)
+        for with_time, _, _, ratio in _midpoint_defect_ratios(
+                L, x, s, T, lam_cone, n_samples, rng):
+            report.samples += 1
+            if with_time:
+                worst_neg = min(worst_neg, ratio)
+            else:
+                best_sp = min(best_sp, ratio)
         C2[T] = max(0.0, -worst_neg)
         C3[T] = best_sp
 

@@ -39,7 +39,7 @@ from .lasrylions import (convergence_sweep, gradient_limit_vs_qx,
                          lambda_sweep_problem_probe, trace_singularity)
 from .laxoleinik import lax_minus, lax_plus
 from .regularity import singular_set
-from .report import dump_json
+from .report import dump_json, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,12 +80,7 @@ class Workspace:
 
     def write_csv(self, name: str, header: list[str],
                   rows: list[list[Any]]) -> None:
-        with open(self.path(name), "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                cells = [f"{c:.17g}" if isinstance(c, float) else str(c)
-                         for c in row]
-                fh.write(",".join(cells) + "\n")
+        write_csv(self.path(name), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +333,14 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
         kwargs["kappa0"] = float(cfg["kappa0"])
 
     sup_errors = {}
+    notes = {}
     max_ratio = 0.0
     kappa0_used = None
     code = EXIT_OK
     for tau in taus:
         res = op(L, u, 0.0, tau, **kwargs)
         kappa0_used = res.kappa0_ratio
+        notes[str(tau)] = res.notes
         nodes = u.nodes()
         header = ([f"x{i+1}" for i in range(u.dim)]
                   + ["u", "Tu"])
@@ -378,7 +375,7 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
               "sup_errors_vs_closed_form": sup_errors or None,
               "kappa0": kappa0_used, "max_distance_ratio": max_ratio,
               "localized": max_ratio <= (kappa0_used or np.inf),
-              "passed": code == EXIT_OK}
+              "notes": notes, "passed": code == EXIT_OK}
     ws.write_json("report.json", report)
     return code
 

@@ -34,6 +34,7 @@ from .errors import (BoxExhausted, ConfigError, NonContraction,
                      NonConvergence, OutOfWindow, SingularStart)
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
+from .report import write_csv
 
 Array = np.ndarray
 
@@ -90,12 +91,8 @@ class CalibratedCurve:
         """Rows (t, x_1..x_n, p_1..p_n) at the stored curve times."""
         n = self.curve.points.shape[1]
         cols = ["t"] + [f"x{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for t, pos, mom in zip(self.curve.times, self.curve.points,
-                                   self.momenta):
-                row = [t, *pos, *mom]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, cols, ([t, *pos, *mom] for t, pos, mom in zip(
+            self.curve.times, self.curve.points, self.momenta)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +226,18 @@ def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
 
 
 def discounted_step(L: TonelliLagrangian, lam: float, u: GridFunction,
-                    dt: float, ham: Hamiltonian | None = None,
-                    v_warm: Array | None = None) -> GridFunction:
+                    dt: float) -> GridFunction:
     """One application of the discounted dynamic-programming operator."""
     if lam <= 0 or dt <= 0:
         raise ConfigError(f"need lam > 0 and dt > 0, got lam={lam}, dt={dt}")
     if L.time_dependent:
         raise ConfigError("the discounted operator needs a time-independent Lagrangian")
-    ham = ham or hamiltonian_for(L)
+    ham = hamiltonian_for(L)
     st = _make_stage(lam, dt)
     x = u.nodes()
     reach = _velocity_reach(ham, x, st.beta * u.lipschitz() + 1e-9)
     offsets_v = _velocity_lattice(u.spacing, dt, reach)
-    vals, _, _ = _step(L, u, x, st, offsets_v, v_warm)
+    vals, _, _ = _step(L, u, x, st, offsets_v, None)
     return u.with_values(vals.reshape(u.values.shape))
 
 
@@ -298,17 +294,15 @@ def _central_gradient(values: Array, spacing: Array, periodic: bool) -> Array:
     return np.stack(grads, axis=-1)
 
 
-def differentiability_mask(u: GridFunction, slope_tol: float | None = None
-                           ) -> tuple[Array, Array]:
+def differentiability_mask(u: GridFunction) -> tuple[Array, Array]:
     """Boolean mask of nodes whose one-sided slopes agree (along every axis)
-    plus the slope-jump field itself.  The default threshold separates the
-    O(h*|u''|) jump of smooth profiles from the O(1) jump at a kink."""
+    plus the slope-jump field itself.  The threshold, six times the median
+    jump (at least 1e-10 * (1 + Lip u)), separates the O(h*|u''|) jump of
+    smooth profiles from the O(1) jump at a kink."""
     jump = _slope_jump(u.values, u.spacing, u.boundary == "periodic")
-    if slope_tol is None:
-        finite = jump[np.isfinite(jump)]
-        med = float(np.median(finite)) if finite.size else 0.0
-        slope_tol = max(6.0 * med, 1e-10 * (1.0 + u.lipschitz()))
-    return jump <= slope_tol, jump
+    finite = jump[np.isfinite(jump)]
+    med = float(np.median(finite)) if finite.size else 0.0
+    return jump <= max(6.0 * med, 1e-10 * (1.0 + u.lipschitz())), jump
 
 
 def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian

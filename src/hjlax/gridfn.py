@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .report import dump_json, write_csv
 
 Array = np.ndarray
 
@@ -181,14 +182,9 @@ class GridFunction:
     # -- serialization -----------------------------------------------------
 
     def to_csv(self, path: str) -> None:
-        pts = self.nodes()
-        vals = self.values.ravel()
-        cols = [f"x{k + 1}" for k in range(self.dim)] + ["value"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row, v in zip(pts, vals):
-                fields = [f"{c:.17g}" for c in row] + [f"{v:.17g}"]
-                fh.write(",".join(fields) + "\n")
+        write_csv(path, [f"x{k + 1}" for k in range(self.dim)] + ["value"],
+                  ([*row, v] for row, v in zip(self.nodes(),
+                                               self.values.ravel())))
 
     def header_dict(self) -> dict:
         return {
@@ -199,9 +195,7 @@ class GridFunction:
         }
 
     def to_json_header(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.header_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        dump_json(self.header_dict(), path)
 
     @classmethod
     def from_csv(cls, csv_path: str, header_path: str) -> "GridFunction":

@@ -24,6 +24,7 @@ from .lagrangian import (Hamiltonian, TonelliLagrangian, discount_lift,
 from .laxoleinik import (MaximizerRecord, estimate_kappa0, lax_plus,
                          require_unique_maximizer)
 from .action import action_values_batch, probe_convexity
+from .report import write_csv
 from .regularity import (SingularSet, min_H_over_superdiff,
                          semiconcavity_constant, singular_set,
                          superdifferential)
@@ -78,8 +79,8 @@ def _gradient_quotient_bound(u: GridFunction, grad: Array) -> float:
 
 
 def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
-                         t: float, probe_points: Array | None = None,
-                         **op_kwargs) -> RegularizedField:
+                         t: float, probe_points: Array | None = None
+                         ) -> RegularizedField:
     """Apply the scale-t sup-convolution to sol.u on the whole grid.
 
     Probe points are snapped to their nearest nodes; each probe's record
@@ -91,7 +92,7 @@ def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
     if not t > 0.0:
         raise ConfigError(f"regularization scale must be positive, got {t}")
     lifted = discount_lift(L, sol.lam, horizon=max(t, sol.dt))
-    res = lax_plus(lifted, sol.u, 0.0, t, **op_kwargs)
+    res = lax_plus(lifted, sol.u, 0.0, t)
     sup_error = float(np.abs(res.grid.values - sol.u.values).max())
     c11 = _gradient_quotient_bound(sol.u, res.gradient)
 
@@ -152,9 +153,8 @@ def aitken_extrapolants(seq: Array) -> Array:
     return out
 
 
-def default_probe_points(sol: DiscountedSolution, n_smooth: int = 8,
-                         seed: int = 0) -> Array:
-    """All detected singular nodes plus n_smooth seeded smooth nodes.
+def default_probe_points(sol: DiscountedSolution, seed: int = 0) -> Array:
+    """All detected singular nodes plus 8 seeded smooth nodes.
 
     Smooth candidates keep a margin of 6 spacings from every detected
     singular node (inside that halo the ball-based superdifferential sees
@@ -178,7 +178,7 @@ def default_probe_points(sol: DiscountedSolution, n_smooth: int = 8,
             continue
         interior.append(idx)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(interior), size=min(n_smooth, len(interior)),
+    chosen = rng.choice(len(interior), size=min(8, len(interior)),
                         replace=False)
     pts = [sing.points[k] for k in range(len(sing.points))]
     pts += [u.node_point(interior[int(k)]) for k in sorted(chosen)]
@@ -219,31 +219,25 @@ class RegularizationSweep:
         }
 
     def errors_to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,sup_error,c11_bound\n")
-            for t, e, c in zip(self.t_grid, self.sup_errors, self.c11_bounds):
-                fh.write(f"{t:.17g},{e:.17g},{c:.17g}\n")
+        write_csv(path, ["t", "sup_error", "c11_bound"],
+                  zip(self.t_grid, self.sup_errors, self.c11_bounds))
 
     def probes_to_csv(self, path: str) -> None:
         n = self.probe_points.shape[1]
         cols = (["t", "probe"] + [f"x{k+1}" for k in range(n)]
                 + [f"g{k+1}" for k in range(n)] + [f"v{k+1}" for k in range(n)])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.t_grid):
-                for j in range(len(self.probe_points)):
-                    row = ([f"{t:.17g}", str(j)]
-                           + [f"{c:.17g}" for c in self.probe_points[j]]
-                           + [f"{c:.17g}" for c in self.probe_gradients[i, j]]
-                           + [f"{c:.17g}" for c in self.probe_velocities[i, j]])
-                    fh.write(",".join(row) + "\n")
+        write_csv(path, cols, (
+            [t, j, *self.probe_points[j], *self.probe_gradients[i, j],
+             *self.probe_velocities[i, j]]
+            for i, t in enumerate(self.t_grid)
+            for j in range(len(self.probe_points))))
 
 
 def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
                       t_grid: Array | None = None,
                       probe_points: Array | None = None,
-                      seed: int = 0, cauchy_tol: float = 1e-3,
-                      **op_kwargs) -> RegularizationSweep:
+                      seed: int = 0, cauchy_tol: float = 1e-3
+                      ) -> RegularizationSweep:
     """Regularize along a geometric t-grid and extrapolate the gradients.
 
     Per probe point the gradient and velocity sequences are accelerated by
@@ -258,7 +252,7 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
     if probe_points is None:
         probe_points = default_probe_points(sol, seed=seed)
 
-    fields = [intrinsic_regularize(sol, L, float(t), probe_points, **op_kwargs)
+    fields = [intrinsic_regularize(sol, L, float(t), probe_points)
               for t in t_grid]
     pts = fields[0].probe_points
     grads = np.stack([f.probe_gradients for f in fields])
@@ -374,21 +368,16 @@ class SingularTrace:
         n = len(self.x0)
         cols = (["t"] + [f"y{k+1}" for k in range(n)]
                 + ["singular", "distance_ratio"])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for t, y, s, r in zip(self.t_grid, self.maximizers,
-                                  self.singular_flags, self.distance_ratios):
-                row = ([f"{t:.17g}"] + [f"{c:.17g}" for c in y]
-                       + ["1" if s else "0", f"{r:.17g}"])
-                fh.write(",".join(row) + "\n")
+        write_csv(path, cols, ([t, *y, int(s), r] for t, y, s, r in zip(
+            self.t_grid, self.maximizers, self.singular_flags,
+            self.distance_ratios)))
 
 
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
                       x0: Array, t_grid: Array | None = None,
                       strict: bool = True, sing: SingularSet | None = None,
                       window: tuple[float, float] | None = None,
-                      window_samples: int = 64,
-                      **op_kwargs) -> SingularTrace:
+                      window_samples: int = 64) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
     The start point must belong to the detected singular set.  With strict
@@ -420,17 +409,17 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     ys = []
     ratios = []
     flags = []
-    uniques = []
+    unique_flags = []
     for t in t_grid:
         res = lax_plus(lifted, sol.u, 0.0, float(t),
-                       points=x0[None, :], kappa0=kappa0, **op_kwargs)
+                       points=x0[None, :], kappa0=kappa0)
         rec = res.records[0]
         y = rec.y_star
         ys.append(y)
         ratios.append(rec.distance_ratio)
         is_sing = sing.contains(y)
         flags.append(is_sing)
-        uniques.append(rec.multiplicity <= 1)
+        unique_flags.append(rec.multiplicity <= 1)
         if strict and not is_sing:
             raise NotSingular(
                 f"maximizer {y.tolist()} at t={t} left the singular set")
@@ -450,17 +439,9 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     q, _ = min_H_over_superdiff(H, 0.0, x0, S)
     v0 = np.atleast_1d(np.asarray(H.grad_p(0.0, x0, q), dtype=float))
 
-    # uniqueness window: largest t below which every traced t is unique
-    order = np.argsort(t_grid)
-    t1 = 0.0
-    for k in order:
-        if not uniques[k]:
-            break
-        t1 = float(t_grid[k])
     if window is None:
-        _, t2 = strict_concavity_window(sol, L, x0, t_probe=t_grid,
-                                        n_samples=window_samples,
-                                        uniques=(t_grid, uniques))
+        t2 = _concavity_window(sol, _window_lift(sol, L, t_grid), x0, t_grid,
+                               window_samples, seed=0)
     else:
         _, t2 = window
     return SingularTrace(
@@ -468,58 +449,72 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
         singular_flags=np.array(flags, dtype=bool),
         distance_ratios=np.array(ratios), kappa0=float(kappa0),
         max_jump=max_jump, right_derivative=right, q_lambda=q, v0=v0,
-        t1=t1, t2=float(t2),
+        t1=_uniqueness_window(t_grid, unique_flags), t2=float(t2),
         meta={"ball_radius": est["ball_radius"]},
     )
 
 
-def strict_concavity_window(sol: DiscountedSolution, L: TonelliLagrangian,
-                            x0: Array, t_probe: Array | None = None,
-                            n_samples: int = 64, seed: int = 0,
-                            uniques: tuple[Array, list] | None = None,
-                            **op_kwargs) -> tuple[float, float]:
-    """(t1, t2) around x0.
+def _uniqueness_window(ts: Array, flags: list[bool]) -> float:
+    """Largest t in ts below which every t has a unique maximizer (0 when
+    the smallest does not)."""
+    t1 = 0.0
+    for k in np.argsort(ts):
+        if not flags[k]:
+            break
+        t1 = float(ts[k])
+    return t1
 
-    t2 is the largest probe t whose empirical in-space convexity constant
-    of the kernel beats the local curvature of u: C'''(t)/t > C2 makes
-    u(y) - A_{0,t}(x, y) strictly concave near the diagonal.  t1 is the
-    largest probe t below which the maximizer at x0 stays unique.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if t_probe is None:
-        t_probe = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
-    t_probe = np.asarray(t_probe, dtype=float)
 
+def _window_lift(sol: DiscountedSolution, L: TonelliLagrangian,
+                 t_probe: Array) -> TonelliLagrangian:
+    # convexity probes perturb the arrival time up to 1.5x the largest T
+    return discount_lift(L, sol.lam,
+                         horizon=1.5 * float(t_probe.max()) + sol.dt)
+
+
+def _concavity_window(sol: DiscountedSolution, lifted: TonelliLagrangian,
+                      x0: Array, t_probe: Array, n_samples: int,
+                      seed: int) -> float:
+    """Largest probe t whose empirical in-space convexity constant of the
+    kernel beats the local curvature of u: C'''(t)/t > C2 makes
+    u(y) - A_{0,t}(x, y) strictly concave near the diagonal (0 when no
+    probe t qualifies).  lifted comes from _window_lift."""
     h = float(sol.u.spacing.max())
     lo = np.maximum(x0 - 8.0 * h, sol.u.box[:, 0])
     hi = np.minimum(x0 + 8.0 * h, sol.u.box[:, 1])
     c2 = semiconcavity_constant(sol.u, region=np.stack([lo, hi], axis=1))
-
-    # convexity probes perturb the arrival time up to 1.5x the largest T
-    lifted = discount_lift(L, sol.lam,
-                           horizon=1.5 * float(t_probe.max()) + sol.dt)
     report = probe_convexity(lifted, x0, 0.0,
                              T_grid=tuple(float(t) for t in t_probe),
                              n_samples=n_samples, seed=seed)
     c3 = dict(zip(report.constants["T_grid"],
                   report.constants["C_tripleprime_table"]))
     qualifying = [t for t in t_probe if c3[float(t)] / t > c2]
-    t2 = float(max(qualifying)) if qualifying else 0.0
+    return float(max(qualifying)) if qualifying else 0.0
 
-    if uniques is None:
-        flags = []
-        for t in t_probe:
-            res = lax_plus(lifted, sol.u, 0.0, float(t), points=x0[None, :],
-                           **op_kwargs)
-            flags.append(res.records[0].multiplicity <= 1)
-        uniques = (t_probe, flags)
-    ts, flags = uniques
-    t1 = 0.0
-    for k in np.argsort(np.asarray(ts)):
-        if not flags[k]:
-            break
-        t1 = float(np.asarray(ts)[k])
-    return t1, t2
+
+def strict_concavity_window(sol: DiscountedSolution, L: TonelliLagrangian,
+                            x0: Array, t_probe: Array | None = None,
+                            n_samples: int = 64, seed: int = 0
+                            ) -> tuple[float, float]:
+    """(t1, t2) around x0.
+
+    t1 is the largest probe t below which the maximizer at x0 stays unique,
+    read off one pointwise lax_plus per probe t.  t2 is the largest probe t
+    whose empirical in-space convexity constant of the kernel beats the
+    local curvature of u.  trace_singularity computes t2 the same way and
+    takes t1 from the maximizers it has already traced.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if t_probe is None:
+        t_probe = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
+    t_probe = np.asarray(t_probe, dtype=float)
+
+    lifted = _window_lift(sol, L, t_probe)
+    t2 = _concavity_window(sol, lifted, x0, t_probe, n_samples, seed)
+    flags = [lax_plus(lifted, sol.u, 0.0, float(t),
+                      points=x0[None, :]).records[0].multiplicity <= 1
+             for t in t_probe]
+    return _uniqueness_window(t_probe, flags), t2
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +523,7 @@ def strict_concavity_window(sol: DiscountedSolution, L: TonelliLagrangian,
 
 def lambda_sweep_problem_probe(L: TonelliLagrangian, lam_grid: Array,
                                x_points: Array, grid, dt: float = 0.05,
-                               analytic_qx: Array | None = None,
-                               solve_kwargs: dict | None = None) -> dict:
+                               analytic_qx: Array | None = None) -> dict:
     """Tabulate q^lambda at the given points across discount rates.
 
     Exploratory: no pass/fail contract.  When the analytic stationary
@@ -541,11 +535,10 @@ def lambda_sweep_problem_probe(L: TonelliLagrangian, lam_grid: Array,
         raise ConfigError("lam_grid must decrease")
     pts = np.atleast_2d(np.asarray(x_points, dtype=float))
     H = hamiltonian_for(L)
-    kw = solve_kwargs or {}
 
     table = []
     for lam in lam_grid:
-        sol = solve_discounted(L, float(lam), grid, dt, **kw)
+        sol = solve_discounted(L, float(lam), grid, dt)
         row = []
         for x in pts:
             xn = sol.u.node_point(sol.u.nearest_node(x))

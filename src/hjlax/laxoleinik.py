@@ -44,6 +44,11 @@ from .report import ProbeReport
 
 Array = np.ndarray
 
+# search balls reach (1 + _BALL_MARGIN) * kappa0 * (t - s) from the node
+_BALL_MARGIN = 0.5
+# polished maximizers within this relative value gap count as ties
+_VALUE_TOL = 1e-7
+
 
 @dataclass
 class MaximizerRecord:
@@ -89,15 +94,14 @@ def estimate_kappa0(
     t: float,
     x_samples: Array,
     alphas: Sequence[float] = (1.0,),
-    margin: float = 0.5,
 ) -> dict[str, Any]:
     """Velocity-ratio bound kappa0 for maximizer localization.
 
     Solves theta(q) = lip q + c0 + M0 for its largest root, where M0 is the
     sampled sup of L(tau, x, 0) over x_samples and tau in [s, t].  The alphas
     entries rescale lip (the bound for alpha * u), exposing how the search
-    ball grows with the data.  Returns the roots and the ball radii
-    (1 + margin) * q * (t - s).
+    ball grows with the data.  Returns the roots and the ball radius
+    (1 + _BALL_MARGIN) * q * (t - s) of the base root.
     """
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     taus = np.linspace(s, t, 5)
@@ -140,8 +144,7 @@ def estimate_kappa0(
         "kappa0": base,
         "by_alpha": roots,
         "M0": M0,
-        "ball_radius": (1.0 + margin) * base * (t - s),
-        "margin": margin,
+        "ball_radius": (1.0 + _BALL_MARGIN) * base * (t - s),
     }
 
 
@@ -198,10 +201,7 @@ def _apply_pointwise(
     sign: int,
     radius: float,
     use_kernel: bool,
-    solver_kwargs: dict[str, Any],
     candidate_cap: int,
-    value_tol: float,
-    n_segments: int,
     notes: list[str],
 ) -> MaximizerRecord:
     """One node of T+ (sign=+1) or T- (sign=-1).
@@ -217,12 +217,11 @@ def _apply_pointwise(
     if use_kernel:
         acts = _kernel_pair_actions(L, s, t, x, ys, sign)
     else:
-        acts = action_values_batch(L, s, t, x, ys, n_segments=n_segments,
-                                   reverse=sign < 0)
+        acts = action_values_batch(L, s, t, x, ys, reverse=sign < 0)
     scores = sign * uvals - acts
 
     h_cand = float(np.max(u.spacing))
-    gap_tol = max(value_tol * 10.0, 1e-7 * (1.0 + float(np.abs(scores).max())))
+    gap_tol = max(_VALUE_TOL * 10.0, 1e-7 * (1.0 + float(np.abs(scores).max())))
     reps = _clusters(ys, scores, gap_tol, 2.0 * h_cand)
 
     def phi(yv: Array) -> float:
@@ -231,7 +230,6 @@ def _apply_pointwise(
             a = float(_kernel_pair_actions(L, s, t, x, yv[None, :], sign)[0])
         else:
             a = float(action_values_batch(L, s, t, x, yv[None, :],
-                                          n_segments=n_segments,
                                           reverse=sign < 0)[0])
         return sign * float(u(yv[None, :])[0]) - a
 
@@ -254,18 +252,18 @@ def _apply_pointwise(
 
     multiplicity = sum(
         1 for val, yy in polished
-        if best_phi - val <= value_tol * (1.0 + abs(best_phi))
+        if best_phi - val <= _VALUE_TOL * (1.0 + abs(best_phi))
         and (np.array_equal(yy, y_star)
              or np.linalg.norm(yy - y_star) > 2.0 * h_cand))
     runner_gap = (best_phi - polished[1][0]) if len(polished) > 1 else np.inf
 
     # certified action and gradient at the chosen maximizer
     if sign > 0:
-        fs = minimize_action(L, s, t, x, y_star, **solver_kwargs)
+        fs = minimize_action(L, s, t, x, y_star)
         action = fs.value
         gradient = -fs.grad_x            # = L_v(s, x, xidot(s))
     else:
-        fs = minimize_action(L, s, t, y_star, x, **solver_kwargs)
+        fs = minimize_action(L, s, t, y_star, x)
         action = fs.value
         gradient = fs.grad_y             # = L_v(t, x, xidot(t))
     value = sign * (sign * float(u(y_star[None, :])[0]) - action)
@@ -290,15 +288,11 @@ def _apply_operator(
     points: Array | None = None,
     kappa0: float | None = None,
     strict_domain: bool = False,
-    solver_kwargs: dict[str, Any] | None = None,
     candidate_cap: int = 600,
-    value_tol: float = 1e-7,
-    n_segments: int = 12,
 ) -> OperatorResult:
     if not t > s:
         raise ConfigError(f"need s < t, got s={s}, t={t}")
     L.check_window(s, t)
-    solver_kwargs = solver_kwargs or {}
 
     if kappa0 is None:
         est = estimate_kappa0(L, u.lipschitz(), s, t, u.nodes()[:: max(
@@ -306,7 +300,7 @@ def _apply_operator(
         kappa0 = est["kappa0"]
         radius = est["ball_radius"]
     else:
-        radius = 1.5 * kappa0 * (t - s)
+        radius = (1.0 + _BALL_MARGIN) * kappa0 * (t - s)
     # never search below the grid resolution
     radius = max(radius, 2.0 * float(np.max(u.spacing)))
 
@@ -329,13 +323,11 @@ def _apply_operator(
     records: list[MaximizerRecord] = []
     for x in pts:
         rec = _apply_pointwise(L, u, s, t, x, sign, radius, use_kernel,
-                               solver_kwargs, candidate_cap, value_tol,
-                               n_segments, notes)
+                               candidate_cap, notes)
         if rec.clipped:
             # expand once; superlinearity makes a larger ball conclusive
             rec = _apply_pointwise(L, u, s, t, x, sign, 1.5 * radius,
-                                   use_kernel, solver_kwargs, candidate_cap,
-                                   value_tol, n_segments, notes)
+                                   use_kernel, candidate_cap, notes)
             notes.append(f"ball expanded at {x.tolist()}")
         records.append(rec)
 
@@ -376,15 +368,14 @@ def check_condition_M(
     s: float,
     t: float,
     points: Array,
-    value_tol: float = 1e-7,
     **kwargs: Any,
 ) -> ProbeReport:
     """Uniqueness of the barrier maximizer at each probe point.
 
     Records a violation wherever two polished maximizers are separated by
-    more than twice the grid spacing yet agree in value to value_tol."""
-    res = _apply_operator(L, u, s, t, +1, points=points,
-                          value_tol=value_tol, **kwargs)
+    more than twice the grid spacing yet agree in value to the relative
+    tie tolerance _VALUE_TOL."""
+    res = _apply_operator(L, u, s, t, +1, points=points, **kwargs)
     report = ProbeReport(name="condition_M", samples=len(res.records))
     sep = 2.0 * float(np.max(u.spacing))
     for rec in res.records:
@@ -395,7 +386,7 @@ def check_condition_M(
                             multiplicity=rec.multiplicity,
                             separation_threshold=sep)
     report.constants = {
-        "value_tol": value_tol,
+        "value_tol": _VALUE_TOL,
         "max_multiplicity": max(r.multiplicity for r in res.records),
     }
     return report

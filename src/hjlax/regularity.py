@@ -12,6 +12,7 @@ cross-checked against dense sampling of the hull.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (ConfigError, InsufficientSamples, NonConvergence,
                      NotSemiconcave)
 from .gridfn import GridFunction
 from .lagrangian import Hamiltonian
+from .report import write_csv
 
 Array = np.ndarray
 
@@ -395,14 +397,14 @@ def _frank_wolfe(fval, fgrad, verts: Array, max_iter: int = 2000) -> Array:
 
 
 def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
-                         tol: float = 1e-8, max_iter: int = 1000,
-                         certify: bool = True) -> tuple[Array, float]:
+                         tol: float = 1e-8, max_iter: int = 1000
+                         ) -> tuple[Array, float]:
     """Unique minimizer of the convex p -> H(t, x, p) over the hull.
 
     Primary route: projected gradient on simplex weights over the hull
-    vertices.  An independent away-step Frank-Wolfe run must agree with it
-    to 1e-8 before the result is returned; either route failing raises
-    NonConvergence.
+    vertices.  An independent away-step Frank-Wolfe run always cross-checks
+    it and must agree to 1e-8 before the result is returned; either route
+    failing, or the two disagreeing, raises NonConvergence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     verts = np.atleast_2d(S.vertices)
@@ -420,12 +422,11 @@ def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
         return q.copy(), fval(q)
 
     q = _projected_gradient(fval, fgrad, verts, S.diameter, tol, max_iter)
-    if certify:
-        q_fw = _frank_wolfe(fval, fgrad, verts)
-        if float(np.linalg.norm(q - q_fw)) > 1e-8 * (1.0 + S.diameter):
-            raise NonConvergence(
-                f"route disagreement |q - q_fw| = "
-                f"{float(np.linalg.norm(q - q_fw)):.3e} exceeds 1e-8")
+    q_fw = _frank_wolfe(fval, fgrad, verts)
+    if float(np.linalg.norm(q - q_fw)) > 1e-8 * (1.0 + S.diameter):
+        raise NonConvergence(
+            f"route disagreement |q - q_fw| = "
+            f"{float(np.linalg.norm(q - q_fw)):.3e} exceeds 1e-8")
     return q, fval(q)
 
 
@@ -527,11 +528,8 @@ class SingularSet:
     def to_csv(self, path: str) -> None:
         n = self.points.shape[1] if len(self.points) else 1
         cols = [f"i{k+1}" for k in range(n)] + [f"x{k+1}" for k in range(n)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for idx, pt in zip(self.indices, self.points):
-                row = [str(i) for i in idx] + [f"{c:.17g}" for c in pt]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, cols, ([*idx, *pt] for idx, pt in zip(self.indices,
+                                                               self.points)))
 
 
 def singular_set(u: GridFunction, diam_threshold: float | None = None,
@@ -580,31 +578,26 @@ def singular_set(u: GridFunction, diam_threshold: float | None = None,
 
 def semiconcavity_constant(u: GridFunction, region: Array | None = None,
                            exclude_singular: bool = True,
-                           singular: SingularSet | None = None,
-                           max_offset: int = 2,
                            with_excluded: bool = False
                            ) -> float | tuple[float, float]:
     """Curvature magnitude max |u(x+z) + u(x-z) - 2 u(x)| / |z|^2 over node
-    pairs, z running over lattice offsets up to max_offset cells.  Samples
-    whose chord passes within half a cell of a detected singular node
+    pairs, z running over lattice offsets up to two cells per axis.  Samples
+    whose chord passes within half a cell of a node of singular_set(u)
     measure the kink, not the smooth constant; they are excluded unless
     exclude_singular is False.  with_excluded additionally returns the
     worst excluded-bucket ratio (0 when nothing was excluded)."""
-    if exclude_singular and singular is None:
-        singular = singular_set(u)
+    singular = singular_set(u) if exclude_singular else None
     periodic = u.boundary == "periodic"
     nodes = u.nodes().reshape(u.values.shape + (u.dim,))
     best = 0.0
     best_excluded = 0.0
-    offsets = [np.array(k) for k in np.ndindex(*([2 * max_offset + 1] * u.dim))]
     seen: set[tuple[int, ...]] = set()
-    for off in offsets:
-        k = off - max_offset
-        key = tuple(int(i) for i in k)
+    for key in itertools.product(range(-2, 3), repeat=u.dim):
         if key in seen or all(i == 0 for i in key):
             continue
         seen.add(key)
         seen.add(tuple(-i for i in key))
+        k = np.array(key)
         plus = u.values
         minus = u.values
         center = u.values

@@ -1,10 +1,11 @@
-"""Probe reports: constants, slacks, and violation lists with JSON export."""
+"""Probe reports (constants, slacks, violation lists) and the one JSON and
+one CSV writer every artifact goes through."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -34,6 +35,17 @@ def dump_json(obj: Any, path: str) -> None:
         json.dump(_jsonable(obj), fh, sort_keys=True, indent=2,
                   allow_nan=False)
         fh.write("\n")
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable[Any]]
+              ) -> None:
+    """Comma-separated table under one header line: floats (numpy float64
+    included) as .17g, every other cell through str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                              for c in row) + "\n")
 
 
 @dataclass

@@ -154,6 +154,8 @@ def test_operators_moreau_small_grid(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["sup_errors_vs_closed_form"]["0.2"] <= 1e-8
     assert report["localized"] is True
+    assert isinstance(report["notes"]["0.2"], list)
+    assert list(report["notes"]) == ["0.2"]
     lines = (out / "records_tau0.2.csv").read_text().splitlines()
     assert lines[0] == "x1,ystar1,value,distance_ratio,clipped,multiplicity"
     assert len(lines) == 162
