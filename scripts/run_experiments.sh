@@ -4,6 +4,8 @@
 set -u
 
 here="$(cd "$(dirname "$0")" && pwd)"
+# run this checkout's package, not an installed copy
+export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
 results="${1:-$here/../results}"
 mkdir -p "$results"
 

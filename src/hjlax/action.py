@@ -285,14 +285,6 @@ def _bent_inits(x: Array, y: Array, frac: Array, k: int, rng: np.random.Generato
     return np.stack(arcs, axis=0)
 
 
-def is_multiwell(L: TonelliLagrangian) -> bool:
-    params = L.params
-    if params.get("potential") == "double_well":
-        return True
-    base = params.get("base_params")
-    return bool(base and base.get("potential") == "double_well")
-
-
 def minimize_action(
     L: TonelliLagrangian,
     s: float,
@@ -305,14 +297,14 @@ def minimize_action(
 ) -> FundamentalSolution:
     """Compute A_{s,t}(x, y) and its minimizing arc.
 
-    Every arc gets a straight-line start; when t - s > 0.5 and the
-    Lagrangian has a multi-well potential, 4 randomized bent starts (drawn
-    from seed) are added.  Ties within 1e-9 relative are broken by the
-    lexicographically smallest curve midpoint.  The best phase-1 polyline
-    seeds one collocation solve.  Raises NoConvergence when the collocation
-    fails, when its Euler-Lagrange residual is above tol, or when it lands
-    on an arc whose action exceeds the phase-1 value; OutOfWindow when
-    [s, t] leaves the certified window.
+    Every arc gets a straight-line start; when t - s > 0.5 and L.multiwell
+    is set, 4 randomized bent starts (drawn from seed) are added.  Ties
+    within 1e-9 relative are broken by the lexicographically smallest curve
+    midpoint.  The best phase-1 polyline seeds one collocation solve.
+    Raises NoConvergence when the collocation fails, when its
+    Euler-Lagrange residual is above tol, or when it lands on an arc whose
+    action exceeds the phase-1 value; OutOfWindow when [s, t] leaves the
+    certified window.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -322,7 +314,7 @@ def minimize_action(
         raise ConfigError("n_segments must be at least 2")
     L.check_window(s, t)
 
-    n_bent = 4 if (t - s > 0.5 and is_multiwell(L)) else 0
+    n_bent = 4 if (t - s > 0.5 and L.multiwell) else 0
 
     times = np.linspace(s, t, n_segments + 1)
     frac = np.linspace(0.0, 1.0, n_segments + 1)

@@ -32,9 +32,7 @@ from .errors import (BoxExhausted, ConfigError, HJLaxError, InvalidHorizon,
                      NonContraction, NonConvergence, OutOfWindow,
                      SearchBallClipped)
 from .gridfn import GridSpec
-from .lagrangian import (anisotropic_lagrangian, discount_lift,
-                         free_lagrangian, hamiltonian_for,
-                         mechanical_lagrangian)
+from .lagrangian import catalog, discount_lift, hamiltonian_for
 from .lasrylions import (convergence_sweep, gradient_limit_vs_qx,
                          lambda_sweep_problem_probe, trace_singularity)
 from .laxoleinik import lax_minus, lax_plus
@@ -87,8 +85,10 @@ class Workspace:
 # config plumbing
 
 
-def _require_keys(cfg: dict, required: set[str], allowed: set[str],
+def _require_keys(cfg: Any, required: set[str], allowed: set[str],
                   where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a mapping")
     keys = set(cfg)
     missing = required - keys
     unknown = keys - allowed
@@ -96,6 +96,14 @@ def _require_keys(cfg: dict, required: set[str], allowed: set[str],
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _number(kind: type, value: Any, key: str) -> Any:
+    """kind(value) for the config entry at key; a bad value is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {value!r} is not a valid {kind.__name__}") from exc
 
 
 def _positive_tolerances(cfg: dict) -> dict:
@@ -155,25 +163,18 @@ def _build_lagrangian(spec: Any):
         raise ConfigError("lagrangian must be a mapping with a 'key'")
     spec = dict(spec)
     key = spec.pop("key")
-    dim = int(spec.pop("dim", 1))
+    dim = _number(int, spec.pop("dim", 1), "lagrangian.dim")
     try:
-        if key == "free":
-            return free_lagrangian(dim, **spec)
-        if key == "mechanical":
-            return mechanical_lagrangian(dim, **spec)
-        if key == "anisotropic":
-            return anisotropic_lagrangian(dim, **spec)
+        return catalog(key, dim=dim, **spec)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for lagrangian {key!r}: {exc}")
-    raise ConfigError(f"unknown lagrangian key {key!r}")
 
 
 def _build_grid(spec: Any) -> GridSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError("grid must be a mapping")
     _require_keys(spec, {"box", "num"}, {"box", "num", "boundary"}, "grid")
-    box = [tuple(map(float, pair)) for pair in spec["box"]]
-    num = [int(n) for n in spec["num"]]
+    box = [tuple(_number(float, v, "grid.box") for v in pair)
+           for pair in spec["box"]]
+    num = [_number(int, n, "grid.num") for n in spec["num"]]
     return GridSpec(box=box, num=num,
                     boundary=spec.get("boundary", "constant"))
 
@@ -190,7 +191,7 @@ def _build_field(spec: Any) -> tuple[Callable, str, float]:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("field must be a mapping with a 'kind'")
     kind = spec["kind"]
-    scale = float(spec.get("scale", 1.0))
+    scale = _number(float, spec.get("scale", 1.0), "field.scale")
     if kind not in _FIELDS:
         raise ConfigError(f"unknown field kind {kind!r}")
     return _FIELDS[kind](scale), kind, scale
@@ -198,13 +199,13 @@ def _build_field(spec: Any) -> tuple[Callable, str, float]:
 
 def _t_grid(spec: Any) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
-        return np.asarray([float(t) for t in spec])
+        return np.asarray([_number(float, t, "t_grid") for t in spec])
     if isinstance(spec, dict):
         _require_keys(spec, {"start", "count"},
                       {"start", "count", "factor"}, "t_grid")
-        start = float(spec["start"])
-        count = int(spec["count"])
-        factor = float(spec.get("factor", 2.0))
+        start = _number(float, spec["start"], "t_grid.start")
+        count = _number(int, spec["count"], "t_grid.count")
+        factor = _number(float, spec.get("factor", 2.0), "t_grid.factor")
         return start * factor ** (-np.arange(count, dtype=float))
     raise ConfigError("t_grid must be a list or {start, count, factor}")
 
@@ -221,29 +222,23 @@ def run_fundamental(cfg: dict, ws: Workspace) -> int:
     tols = _positive_tolerances(cfg)
     L0 = _build_lagrangian(cfg["lagrangian"])
     lam = cfg.get("lambda")
-    n = int(cfg.get("n_samples", 100))
-    wlo, whi = (float(v) for v in cfg.get("window", [0.05, 0.5]))
-    slo, shi = (float(v) for v in cfg.get("s_range", [0.0, 0.0]))
-    radius = float(cfg.get("box_radius", 1.0))
+    n = _number(int, cfg.get("n_samples", 100), "n_samples")
+    wlo, whi = (_number(float, v, "window")
+                for v in cfg.get("window", [0.05, 0.5]))
+    slo, shi = (_number(float, v, "s_range")
+                for v in cfg.get("s_range", [0.0, 0.0]))
+    radius = _number(float, cfg.get("box_radius", 1.0), "box_radius")
     grad_check = bool(cfg.get("gradient_check", False))
-    fd_step = float(cfg.get("fd_step", 1e-5))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    fd_step = _number(float, cfg.get("fd_step", 1e-5), "fd_step")
+    rng = np.random.default_rng(_number(int, cfg.get("seed", 0), "seed"))
 
     if lam is not None:
-        lam = float(lam)
+        lam = _number(float, lam, "lambda")
         L = discount_lift(L0, lam, horizon=shi + whi + 0.1)
     else:
         L = L0
 
-    closed = None
-    if L0.key == "free":
-        if lam is None:
-            def closed(s, t, x, y):
-                return float(np.sum((y - x) ** 2)) / (2.0 * (t - s))
-        else:
-            def closed(s, t, x, y):
-                den = 2.0 * (np.exp(-lam * s) - np.exp(-lam * t))
-                return lam * float(np.sum((y - x) ** 2)) / den
+    closed = L.kernel.value if L.kernel is not None else None
 
     dim = L0.dim
     header = (["s", "t"] + [f"x{i+1}" for i in range(dim)]
@@ -263,7 +258,7 @@ def run_fundamental(cfg: dict, ws: Workspace) -> int:
         fs = minimize_action(L, s, t, x, y)
         row = [s, t, *x.tolist(), *y.tolist(), fs.value]
         if closed:
-            ref = closed(s, t, x, y)
+            ref = float(closed(s, t, x, y))
             rel = abs(fs.value - ref) / max(abs(ref), 1e-12)
             max_rel = max(max_rel, rel)
             row += [ref, rel]
@@ -308,14 +303,15 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
     tols = _positive_tolerances(cfg)
     L0 = _build_lagrangian(cfg["lagrangian"])
     lam = cfg.get("lambda")
-    taus = [float(t) for t in cfg["taus"]]
+    taus = [_number(float, t, "taus") for t in cfg["taus"]]
     sign = cfg.get("sign", "plus")
     if sign not in ("plus", "minus"):
         raise ConfigError(f"sign must be plus or minus, got {sign!r}")
     fn, kind, scale = _build_field(cfg["field"])
     u = _build_grid(cfg["grid"]).build(fn)
     if lam is not None:
-        L = discount_lift(L0, float(lam), horizon=max(taus) + 0.1)
+        L = discount_lift(L0, _number(float, lam, "lambda"),
+                          horizon=max(taus) + 0.1)
     else:
         L = L0
     op = lax_plus if sign == "plus" else lax_minus
@@ -330,7 +326,7 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
 
     kwargs = {}
     if cfg.get("kappa0") is not None:
-        kwargs["kappa0"] = float(cfg["kappa0"])
+        kwargs["kappa0"] = _number(float, cfg["kappa0"], "kappa0")
 
     sup_errors = {}
     notes = {}
@@ -387,19 +383,25 @@ def run_discounted(cfg: dict, ws: Workspace) -> int:
                   "discounted")
     tols = _positive_tolerances(cfg)
     L = _build_lagrangian(cfg["lagrangian"])
-    lam = float(cfg["lambda"])
+    lam = _number(float, cfg["lambda"], "lambda")
     grid = _build_grid(cfg["grid"])
-    dt = float(cfg["dt"])
-    tol_fp = float(cfg.get("tol_fp", 1e-10))
+    dt = _number(float, cfg["dt"], "dt")
+    tol_fp = _number(float, cfg.get("tol_fp", 1e-10), "tol_fp")
+    ref_spec = cfg.get("reference")
+    if ref_spec:
+        _require_keys(ref_spec, set(), {"refine"}, "reference")
+        refine = _number(int, ref_spec.get("refine", 4), "reference.refine")
+    lift_spec = cfg.get("lift_check")
+    if lift_spec:
+        _require_keys(lift_spec, {"t"}, {"t"}, "lift_check")
+        t = _number(float, lift_spec["t"], "lift_check.t")
 
     sol = solve_discounted(L, lam, grid, dt, tol_fp=tol_fp)
     sol.u.to_csv(ws.path("u.csv"))
     report: dict[str, Any] = {"solution": sol.metadata()}
     code = EXIT_OK
 
-    ref_spec = cfg.get("reference")
     if ref_spec:
-        refine = int(ref_spec.get("refine", 4))
         spec2 = dict(cfg["grid"])
         if grid.boundary == "periodic":
             spec2["num"] = [n * refine for n in grid.num]
@@ -413,9 +415,7 @@ def run_discounted(cfg: dict, ws: Workspace) -> int:
         if diff > tols.get("sup_vs_reference", np.inf):
             code = EXIT_VIOLATION
 
-    lift_spec = cfg.get("lift_check")
     if lift_spec:
-        t = float(lift_spec["t"])
         lifted = discount_lift(L, lam, horizon=t)
         evo = lift_to_evolution(sol, t)
         res = lax_minus(lifted, sol.u, 0.0, t)
@@ -436,15 +436,16 @@ def run_regularize(cfg: dict, ws: Workspace) -> int:
                   "regularize")
     tols = _positive_tolerances(cfg)
     L = _build_lagrangian(cfg["lagrangian"])
-    lam = float(cfg["lambda"])
+    lam = _number(float, cfg["lambda"], "lambda")
     sol = solve_discounted(L, lam, _build_grid(cfg["grid"]),
-                           float(cfg["dt"]))
+                           _number(float, cfg["dt"], "dt"))
     t_grid = _t_grid(cfg["t_grid"])
     probes = cfg.get("probes", "default")
     probe_arr = None if probes == "default" else np.asarray(probes, float)
     sweep = convergence_sweep(sol, L, t_grid=t_grid, probe_points=probe_arr,
-                              seed=int(cfg.get("seed", 0)),
-                              cauchy_tol=float(cfg.get("cauchy_tol", 1e-3)))
+                              seed=_number(int, cfg.get("seed", 0), "seed"),
+                              cauchy_tol=_number(float, cfg.get("cauchy_tol", 1e-3),
+                                                 "cauchy_tol"))
     sweep.errors_to_csv(ws.path("errors.csv"))
     sweep.probes_to_csv(ws.path("probes.csv"))
     ws.write_json("sweep.json", sweep.as_dict())
@@ -486,9 +487,9 @@ def run_singularity(cfg: dict, ws: Workspace) -> int:
                   "singularity")
     tols = _positive_tolerances(cfg)
     L = _build_lagrangian(cfg["lagrangian"])
-    lam = float(cfg["lambda"])
+    lam = _number(float, cfg["lambda"], "lambda")
     sol = solve_discounted(L, lam, _build_grid(cfg["grid"]),
-                           float(cfg["dt"]))
+                           _number(float, cfg["dt"], "dt"))
     sing = singular_set(sol.u)
     x0_spec = cfg.get("x0", "auto")
     if x0_spec == "auto":
@@ -499,7 +500,8 @@ def run_singularity(cfg: dict, ws: Workspace) -> int:
         x0 = np.asarray(x0_spec, dtype=float)
     tr = trace_singularity(sol, L, x0, t_grid=_t_grid(cfg["t_grid"]),
                            strict=bool(cfg.get("strict", True)), sing=sing,
-                           window_samples=int(cfg.get("window_samples", 64)))
+                           window_samples=_number(int, cfg.get("window_samples", 64),
+                                                  "window_samples"))
     tr.to_csv(ws.path("trace.csv"))
     ws.write_json("trace.json", tr.as_dict())
 
@@ -530,13 +532,16 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
                    "lam_cone", "n_samples", "seed", "tolerances", "out"},
                   "propcheck")
     lam = cfg.get("lambda")
-    n_samples = int(cfg.get("n_samples", 200))
-    seed = int(cfg.get("seed", 0))
-    lam_cone = float(cfg.get("lam_cone", 1.0))
-    T_grid = tuple(float(t) for t in cfg.get("T_grid", [0.05, 0.1, 0.2, 0.4]))
-    time_pairs = [tuple(map(float, p))
+    n_samples = _number(int, cfg.get("n_samples", 200), "n_samples")
+    seed = _number(int, cfg.get("seed", 0), "seed")
+    lam_cone = _number(float, cfg.get("lam_cone", 1.0), "lam_cone")
+    T_grid = tuple(_number(float, t, "T_grid")
+                   for t in cfg.get("T_grid", [0.05, 0.1, 0.2, 0.4]))
+    time_pairs = [tuple(_number(float, t, "time_pairs") for t in p)
                   for p in cfg.get("time_pairs", [[0.0, 0.5], [0.0, 1.0]])]
-    R = float(cfg.get("R", 1.0))
+    R = _number(float, cfg.get("R", 1.0), "R")
+    if lam is not None:
+        lam = _number(float, lam, "lambda")
 
     T_semi = tuple(t for t in T_grid if t < 2.0 / 3.0)
     if not T_semi:
@@ -552,7 +557,7 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
     summary = {}
     for name, spec in zip(labels, specs):
         L0 = _build_lagrangian(spec)
-        L = (discount_lift(L0, float(lam), horizon=2.0 * max(T_grid) + 0.1)
+        L = (discount_lift(L0, lam, horizon=2.0 * max(T_grid) + 0.1)
              if lam is not None else L0)
         x = np.asarray(cfg.get("x", [0.0] * L0.dim), dtype=float)
         reports = {
@@ -590,7 +595,7 @@ def run_lambda_sweep(cfg: dict, ws: Workspace) -> int:
     out = lambda_sweep_problem_probe(
         L, np.asarray(cfg["lambda_grid"], float),
         np.asarray(cfg["points"], float), _build_grid(cfg["grid"]),
-        dt=float(cfg["dt"]),
+        dt=_number(float, cfg["dt"], "dt"),
         analytic_qx=None if analytic is None else np.asarray(analytic, float))
     ws.write_json("qtable.json", out)
     return EXIT_OK

@@ -48,6 +48,9 @@ class GridFunction:
             raise ConfigError(f"unknown boundary policy {self.boundary!r}")
         if self.box.shape[0] != self.values.ndim:
             raise ConfigError("box rank does not match value array rank")
+        if min(self.values.shape) < 2:
+            raise ConfigError(f"grid num {list(self.values.shape)} needs at least "
+                              "2 nodes per axis")
 
     # -- geometry ----------------------------------------------------------
 
@@ -127,9 +130,9 @@ class GridFunction:
                 w[:, k] = u - base
             else:
                 u = np.clip(u, 0.0, m - 1.0)
-                base = np.minimum(np.floor(u), m - 2) if m > 1 else np.zeros_like(u)
+                base = np.minimum(np.floor(u), m - 2)
                 i0[:, k] = base.astype(np.int64)
-                i1[:, k] = np.minimum(i0[:, k] + 1, m - 1)
+                i1[:, k] = i0[:, k] + 1
                 w[:, k] = u - base
         out = np.zeros(n)
         for corner in itertools.product((0, 1), repeat=self.dim):

@@ -54,13 +54,26 @@ class AnalyticKernel:
 
     value(s, t, x, y) accepts y of shape (..., dim) and returns (...);
     grad_x / grad_y match; curve(s, t, x, y, taus) returns the minimizing
-    arc sampled at taus as (positions, velocities).
+    arc sampled at taus as (positions, velocities).  lift(lam), when set,
+    returns the kernel of the discounted lift e^{lam t} L.
     """
 
     value: Callable[..., Array]
     grad_x: Callable[..., Array]
     grad_y: Callable[..., Array]
     curve: Callable[..., tuple[Array, Array]]
+    lift: Callable[[float], AnalyticKernel] | None = None
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """Convex dual H(t, x, p) with its p-gradient and a provenance tag."""
+
+    dim: int
+    eval: Callable[..., Array]
+    grad_p: Callable[..., Array]
+    provenance: str
+    time_dependent: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,11 @@ class TonelliLagrangian:
     """A Tonelli running cost with certified growth and time window.
 
     Operations reject times outside time_window: the certificates (and, for
-    discounted lifts, boundedness of e^{lam t}) only hold there.
+    discounted lifts, boundedness of e^{lam t}) only hold there.  key and
+    params are labels for reports.  The constructor attaches what it knows
+    in closed form: the dual (read it through hamiltonian_for), the
+    fundamental-solution kernel, and multiwell, which asks minimize_action
+    for extra starts on long horizons.
     """
 
     dim: int
@@ -83,6 +100,8 @@ class TonelliLagrangian:
     key: str = "custom"
     params: dict[str, Any] = field(default_factory=dict)
     kernel: AnalyticKernel | None = None
+    hamiltonian: Hamiltonian | None = None
+    multiwell: bool = False
 
     def check_window(self, *times: float) -> None:
         a, b = self.time_window
@@ -172,6 +191,14 @@ def _identity_hess(t: Any, x: Array, v: Array) -> Array:
     return out
 
 
+def _half_norm_sq(p: Array) -> Array:
+    return np.sum(np.asarray(p, float) ** 2, axis=-1) / 2.0
+
+
+def _identity_grad_p(t: Any, x: Array, p: Array) -> Array:
+    return np.asarray(p, float).copy()
+
+
 def _free_kernel() -> AnalyticKernel:
     def value(s, t, x, y):
         d = np.asarray(y, float) - np.asarray(x, float)
@@ -191,7 +218,8 @@ def _free_kernel() -> AnalyticKernel:
         vel = np.broadcast_to((y - x) / (t - s), pos.shape).copy()
         return pos, vel
 
-    return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, curve=curve)
+    return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, curve=curve,
+                          lift=_lifted_free_kernel)
 
 
 def free_lagrangian(dim: int = 1, window: tuple[float, float] = (-100.0, 100.0)) -> TonelliLagrangian:
@@ -220,6 +248,8 @@ def free_lagrangian(dim: int = 1, window: tuple[float, float] = (-100.0, 100.0))
         dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=_identity_hess,
         growth=growth, time_window=window, key="free", params={"dim": dim},
         kernel=_free_kernel(),
+        hamiltonian=Hamiltonian(dim=dim, eval=lambda t, x, p: _half_norm_sq(p),
+                                grad_p=_identity_grad_p, provenance="closed-form"),
     )
 
 
@@ -275,6 +305,9 @@ def mechanical_lagrangian(
         growth=growth, time_window=window, key="mechanical",
         params={"dim": dim, "potential": potential, "coeff": coeff, "shift": shift,
                 "cutoff": list(cutoff)},
+        hamiltonian=Hamiltonian(dim=dim, eval=lambda t, x, p: _half_norm_sq(p) + V(x),
+                                grad_p=_identity_grad_p, provenance="closed-form"),
+        multiwell=potential == "double_well",
     )
 
 
@@ -315,6 +348,12 @@ def anisotropic_lagrangian(
         out[..., idx, idx] = m
         return out
 
+    def H(t, x, p):
+        return np.sum(np.asarray(p, float) ** 2 / mass(x), axis=-1) / 2.0
+
+    def H_p(t, x, p):
+        return np.asarray(p, float) / mass(x)
+
     growth = GrowthRecord(
         theta=lambda r: (m0 - abs(m1)) * np.asarray(r, float) ** 2 / 2.0,
         theta_bar=lambda r: (m0 + abs(m1)) * np.asarray(r, float) ** 2 / 2.0,
@@ -325,6 +364,7 @@ def anisotropic_lagrangian(
         dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
         growth=growth, time_window=window, key="anisotropic",
         params={"dim": dim, "m0": m0, "m1": m1},
+        hamiltonian=Hamiltonian(dim=dim, eval=H, grad_p=H_p, provenance="closed-form"),
     )
 
 
@@ -339,9 +379,6 @@ def catalog(key: str, **params: Any) -> TonelliLagrangian:
     """Build a catalog Lagrangian by key with keyword parameters."""
     if key not in _CATALOG:
         raise ConfigError(f"unknown Lagrangian key {key!r}; have {sorted(_CATALOG)}")
-    params = dict(params)
-    if "cutoff" in params and params["cutoff"] is not None:
-        params["cutoff"] = tuple(params["cutoff"])
     return _CATALOG[key](**params)
 
 
@@ -383,7 +420,10 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
 
     Growth certificates are rescaled by e^{lam T}; the time-derivative
     constant is set to c = lam (1 + c0 e^{lam T}).  Only stationary inputs
-    are accepted: the lift is where the time dependence comes from.
+    are accepted: the lift is where the time dependence comes from.  The
+    lift keeps L's multiwell flag, carries the kernel's lift(lam) when L's
+    kernel has one, and has no attached dual: hamiltonian_for falls back to
+    the Legendre transform of the lifted L.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ConfigError(f"discount rate must be positive, got {lam}")
@@ -419,14 +459,14 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
         c0=base.c0 * amp,
         c=lam * (1.0 + base.c0 * amp),
     )
-    kernel = _lifted_free_kernel(lam) if (L.kernel is not None and L.key == "free") else None
+    lift = L.kernel.lift if L.kernel is not None else None
     return TonelliLagrangian(
         dim=L.dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
         growth=growth, time_window=(0.0, horizon), time_dependent=True,
         key=f"discounted({L.key})",
         params={"base": L.key, "base_params": dict(L.params), "lam": lam,
                 "horizon": horizon},
-        kernel=kernel,
+        kernel=lift(lam) if lift is not None else None, multiwell=L.multiwell,
     )
 
 
@@ -485,74 +525,27 @@ def legendre_transform(
     return LegendreResult(value=value, argmax=v, iterations=it, residual=rnorm)
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Convex dual H(t, x, p) with its p-gradient and a provenance tag."""
-
-    dim: int
-    eval: Callable[..., Array]
-    grad_p: Callable[..., Array]
-    provenance: str
-    time_dependent: bool = False
-
-
 def hamiltonian_for(L: TonelliLagrangian) -> Hamiltonian:
-    """Closed-form dual for catalog entries, Newton-backed dual otherwise."""
-    if L.key == "free":
-        return Hamiltonian(
-            dim=L.dim,
-            eval=lambda t, x, p: np.sum(np.asarray(p, float) ** 2, axis=-1) / 2.0,
-            grad_p=lambda t, x, p: np.asarray(p, float).copy(),
-            provenance="closed-form",
-        )
-    if L.key == "mechanical":
-        coeff = L.params["coeff"]
-        shift = L.params["shift"]
-        cut_lo, cut_hi = L.params["cutoff"]
-        shape = _SHAPES[L.params["potential"]]
+    """The dual its constructor attached to L, else a Newton-backed dual.
 
-        def ev(t, x, p):
-            f, _, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
-            V = coeff * np.sum(f, axis=-1) + shift
-            return np.sum(np.asarray(p, float) ** 2, axis=-1) / 2.0 + V
+    The fallback evaluates legendre_transform point by point, so any
+    Tonelli L gets a correct H whatever its key says.
+    """
+    if L.hamiltonian is not None:
+        return L.hamiltonian
 
-        return Hamiltonian(
-            dim=L.dim, eval=ev,
-            grad_p=lambda t, x, p: np.asarray(p, float).copy(),
-            provenance="closed-form",
-        )
-    if L.key == "anisotropic":
-        m0, m1 = L.params["m0"], L.params["m1"]
-
-        def ev(t, x, p):
-            m = m0 + m1 * np.cos(np.asarray(x, float))
-            return np.sum(np.asarray(p, float) ** 2 / m, axis=-1) / 2.0
-
-        def gp(t, x, p):
-            m = m0 + m1 * np.cos(np.asarray(x, float))
-            return np.asarray(p, float) / m
-
-        return Hamiltonian(dim=L.dim, eval=ev, grad_p=gp, provenance="closed-form")
+    def transforms(t, x, p):
+        flat_x = np.asarray(x, float).reshape(-1, L.dim)
+        flat_p = np.asarray(p, float).reshape(-1, L.dim)
+        return [legendre_transform(L, t, flat_x[i], flat_p[i])
+                for i in range(flat_p.shape[0])]
 
     def ev(t, x, p):
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_p = p.reshape(-1, p.shape[-1])
-        out = np.empty(flat_p.shape[0])
-        for i in range(flat_p.shape[0]):
-            out[i] = legendre_transform(L, t, flat_x[i], flat_p[i]).value
-        return out.reshape(p.shape[:-1])
+        shape = np.shape(p)[:-1]
+        return np.array([r.value for r in transforms(t, x, p)]).reshape(shape)
 
     def gp(t, x, p):
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_p = p.reshape(-1, p.shape[-1])
-        out = np.empty_like(flat_p)
-        for i in range(flat_p.shape[0]):
-            out[i] = legendre_transform(L, t, flat_x[i], flat_p[i]).argmax
-        return out.reshape(p.shape)
+        return np.array([r.argmax for r in transforms(t, x, p)]).reshape(np.shape(p))
 
     return Hamiltonian(dim=L.dim, eval=ev, grad_p=gp,
                        provenance="legendre-of-L", time_dependent=L.time_dependent)

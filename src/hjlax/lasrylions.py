@@ -402,8 +402,7 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
 
     lifted = discount_lift(L, sol.lam, horizon=float(t_grid.max()) + sol.dt)
     est = estimate_kappa0(lifted, sol.u.lipschitz(), 0.0,
-                          float(t_grid.max()),
-                          sol.u.nodes()[:: max(1, sol.u.values.size // 64)])
+                          float(t_grid.max()), sol.u.nodes())
     kappa0 = est["kappa0"]
 
     ys = []

@@ -9,8 +9,8 @@ slope, so maximizers of u(y) - A(x, y) satisfy
 
     theta(|y - x| / (t - s)) - Lip(u) |y - x| / (t - s) <= c0 + M0,
 
-with M0 a sampled bound on L(., ., 0).  estimate_kappa0 solves that
-inequality for the largest velocity ratio.  Each node is scanned over the
+with M0 the max of L(., ., 0) over the grid nodes.  estimate_kappa0 solves
+that inequality for the largest velocity ratio.  Each node is scanned over the
 candidate set (grid nodes inside the ball), the best candidates are polished
 continuously, and one accurate collocation solve at the chosen maximizer
 provides the certified action value and the operator gradient
@@ -295,8 +295,7 @@ def _apply_operator(
     L.check_window(s, t)
 
     if kappa0 is None:
-        est = estimate_kappa0(L, u.lipschitz(), s, t, u.nodes()[:: max(
-            1, u.values.size // 64)])
+        est = estimate_kappa0(L, u.lipschitz(), s, t, u.nodes())
         kappa0 = est["kappa0"]
         radius = est["ball_radius"]
     else:
@@ -329,6 +328,9 @@ def _apply_operator(
             rec = _apply_pointwise(L, u, s, t, x, sign, 1.5 * radius,
                                    use_kernel, candidate_cap, notes)
             notes.append(f"ball expanded at {x.tolist()}")
+            if rec.clipped:
+                notes.append(f"search ball of radius {1.5 * radius:.4g} still "
+                             f"clipped at {x.tolist()}")
         records.append(rec)
 
     values = np.array([r.value for r in records])

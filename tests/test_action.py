@@ -144,6 +144,9 @@ def test_multistart_triggers_on_long_multiwell_horizon(double_well):
     fs = hj.minimize_action(double_well, 0.0, 1.2, np.array([-1.0]),
                             np.array([1.0]))
     assert fs.n_starts == 5
+    lifted = hj.discount_lift(double_well, lam=0.5, horizon=1.5)
+    assert hj.minimize_action(lifted, 0.0, 1.2, np.array([-1.0]),
+                              np.array([1.0])).n_starts == 5
     again = hj.minimize_action(double_well, 0.0, 1.2, np.array([-1.0]),
                                np.array([1.0]))
     assert again.value == fs.value

@@ -91,17 +91,46 @@ def test_missing_config_writes_error_manifest(tmp_path):
 
 
 def test_unclassified_exception_writes_internal_error_manifest(tmp_path,
-                                                               capsys):
+                                                               capsys,
+                                                               monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("unclassified")
+
+    monkeypatch.setattr("hjlax.cli.minimize_action", fail)
     cfg = write_config(tmp_path / "c.yaml", FREE_FUNDAMENTAL)
     out = tmp_path / "out"
-    code = main(["fundamental", "--config", cfg, "--out", str(out),
-                 "--tol", "n_samples=abc"])
+    code = main(["fundamental", "--config", cfg, "--out", str(out)])
     assert code == EXIT_INTERNAL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
-    assert manifest["error_class"] == "ValueError"
+    assert manifest["error_class"] == "RuntimeError"
     assert manifest["exit_code"] == EXIT_INTERNAL
     assert "Traceback" in capsys.readouterr().err
+
+
+CONSTANT_DISCOUNTED = {
+    "lagrangian": {"key": "mechanical", "dim": 1, "potential": "cos",
+                   "coeff": 0.0, "shift": -0.8},
+    "lambda": 2.0,
+    "grid": {"box": [[-1.0, 1.0]], "num": [41], "boundary": "constant"},
+    "dt": 0.1,
+}
+
+
+@pytest.mark.parametrize("kind, tree, override, key", [
+    ("fundamental", FREE_FUNDAMENTAL, "n_samples=abc", "n_samples"),
+    ("discounted", CONSTANT_DISCOUNTED, "lift_check={tt: 0.25}", "lift_check"),
+    ("discounted", CONSTANT_DISCOUNTED, "grid.num=[0]", "num"),
+], ids=["n_samples", "lift_check", "grid_num"])
+def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
+                                                  override, key):
+    cfg = write_config(tmp_path / "c.yaml", tree)
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out),
+                 "--tol", override]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error_class"] == "ConfigError"
+    assert key in manifest["error_message"]
 
 
 def test_json_outputs_are_strict(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
+from hjlax.errors import ConfigError
 
 
 def kink(X):
@@ -105,3 +106,6 @@ def test_shape_mismatch_rejected():
     with pytest.raises(Exception):
         hj.GridFunction(box=np.array([[-1.0, 1.0]]), values=np.zeros((3, 3)),
                         boundary="constant")
+    for num in (0, 1):
+        with pytest.raises(ConfigError, match="at least 2 nodes"):
+            hj.GridSpec(box=[(-1.0, 1.0)], num=[num]).build(kink)

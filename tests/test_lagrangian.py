@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,9 +123,10 @@ def test_lifted_minus_cos_l3_certificate_fails_off_window():
     assert not rep.passed
 
 
-def test_hamiltonian_closed_forms_match_legendre(pendulum, aniso2):
+def test_hamiltonian_closed_forms_match_legendre(free2, pendulum, double_well,
+                                                 aniso2):
     rng = np.random.default_rng(0)
-    for L in (pendulum, aniso2):
+    for L in (free2, pendulum, double_well, aniso2):
         H = hj.hamiltonian_for(L)
         assert H.provenance == "closed-form"
         for _ in range(5):
@@ -146,13 +149,15 @@ def test_hamiltonian_generic_fallback_agrees():
                                c0=0.0, c=0.0),
         time_window=(-1.0, 1.0),
     )
-    H = hj.hamiltonian_for(L)
-    assert H.provenance == "legendre-of-L"
-    p = np.array([1.3])
-    x = np.array([0.5])
-    expect = 1.3 * np.arcsinh(1.3) - np.sqrt(1 + 1.3**2) + 1 - 0.1 * 0.25
-    assert abs(float(H.eval(0.0, x, p)) - expect) < 1e-9
-    assert abs(float(H.grad_p(0.0, x, p)[..., 0]) - np.arcsinh(1.3)) < 1e-8
+    # a catalog key is only a label: it does not pick the dual
+    for L in (L, dataclasses.replace(L, key="free")):
+        H = hj.hamiltonian_for(L)
+        assert H.provenance == "legendre-of-L"
+        p = np.array([1.3])
+        x = np.array([0.5])
+        expect = 1.3 * np.arcsinh(1.3) - np.sqrt(1 + 1.3**2) + 1 - 0.1 * 0.25
+        assert abs(float(H.eval(0.0, x, p)) - expect) < 1e-9
+        assert abs(float(H.grad_p(0.0, x, p)[..., 0]) - np.arcsinh(1.3)) < 1e-8
 
 
 def test_hamiltonian_lift_formula(pendulum):

@@ -151,6 +151,25 @@ def test_candidate_cap_hits_are_noted(free1, vee_grid):
     assert res.notes[0].startswith("candidate cap 8 hit at [0.0]")
 
 
+def test_ball_still_clipped_after_expansion_is_noted(free1, vee_grid):
+    # radius max(1.5 kappa0 t, 2 h) = 0.1, expanded to 0.15; y* is 0.4 away
+    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=np.array([[1.0]]),
+                      kappa0=1e-3)
+    assert res.notes == ["ball expanded at [1.0]",
+                         "search ball of radius 0.15 still clipped at [1.0]"]
+
+
+def test_kappa0_bound_reads_every_node(pendulum):
+    # L(., ., 0) = cos peaks at node 100 (x = 0); a stride of
+    # 200 // 64 = 3 nodes would skip it
+    u = hj.GridSpec(box=[(-4.0, 3.96)], num=[200]).build(
+        lambda X: -np.abs(X[..., 0]))
+    res = hj.lax_plus(pendulum, u, 0.0, 0.4, points=np.array([[0.0]]))
+    est = hj.estimate_kappa0(pendulum, u.lipschitz(), 0.0, 0.4, u.nodes())
+    assert est["M0"] == 1.0
+    assert res.kappa0_ratio == est["kappa0"]
+
+
 def test_condition_m_flags_symmetric_double_maximizer(free1):
     uV = hj.GridSpec(box=[(-6.0, 6.0)], num=[241]).build(
         lambda X: np.abs(X[..., 0]) - 1.0)
