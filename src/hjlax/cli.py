@@ -106,6 +106,18 @@ def _number(kind: type, value: Any, key: str) -> Any:
         raise ConfigError(f"{key}: {value!r} is not a valid {kind.__name__}") from exc
 
 
+def _numbers(value: Any, key: str, length: int | None = None) -> np.ndarray:
+    """Float array of the config entry at key, with length entries when
+    given; a non-numeric, ragged or wrongly sized value is a ConfigError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {value!r} is not a numeric array") from exc
+    if length is not None and arr.shape != (length,):
+        raise ConfigError(f"{key}: expected {length} numbers, got {value!r}")
+    return arr
+
+
 def _positive_tolerances(cfg: dict) -> dict:
     tols = cfg.get("tolerances", {}) or {}
     if not isinstance(tols, dict):
@@ -223,10 +235,8 @@ def run_fundamental(cfg: dict, ws: Workspace) -> int:
     L0 = _build_lagrangian(cfg["lagrangian"])
     lam = cfg.get("lambda")
     n = _number(int, cfg.get("n_samples", 100), "n_samples")
-    wlo, whi = (_number(float, v, "window")
-                for v in cfg.get("window", [0.05, 0.5]))
-    slo, shi = (_number(float, v, "s_range")
-                for v in cfg.get("s_range", [0.0, 0.0]))
+    wlo, whi = map(float, _numbers(cfg.get("window", [0.05, 0.5]), "window", 2))
+    slo, shi = map(float, _numbers(cfg.get("s_range", [0.0, 0.0]), "s_range", 2))
     radius = _number(float, cfg.get("box_radius", 1.0), "box_radius")
     grad_check = bool(cfg.get("gradient_check", False))
     fd_step = _number(float, cfg.get("fd_step", 1e-5), "fd_step")
@@ -441,7 +451,7 @@ def run_regularize(cfg: dict, ws: Workspace) -> int:
                            _number(float, cfg["dt"], "dt"))
     t_grid = _t_grid(cfg["t_grid"])
     probes = cfg.get("probes", "default")
-    probe_arr = None if probes == "default" else np.asarray(probes, float)
+    probe_arr = None if probes == "default" else _numbers(probes, "probes")
     sweep = convergence_sweep(sol, L, t_grid=t_grid, probe_points=probe_arr,
                               seed=_number(int, cfg.get("seed", 0), "seed"),
                               cauchy_tol=_number(float, cfg.get("cauchy_tol", 1e-3),
@@ -497,7 +507,7 @@ def run_singularity(cfg: dict, ws: Workspace) -> int:
             raise ConfigError("x0: auto requires a nonempty singular set")
         x0 = sing.points[0]
     else:
-        x0 = np.asarray(x0_spec, dtype=float)
+        x0 = _numbers(x0_spec, "x0")
     tr = trace_singularity(sol, L, x0, t_grid=_t_grid(cfg["t_grid"]),
                            strict=bool(cfg.get("strict", True)), sing=sing,
                            window_samples=_number(int, cfg.get("window_samples", 64),
@@ -559,7 +569,7 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
         L0 = _build_lagrangian(spec)
         L = (discount_lift(L0, lam, horizon=2.0 * max(T_grid) + 0.1)
              if lam is not None else L0)
-        x = np.asarray(cfg.get("x", [0.0] * L0.dim), dtype=float)
+        x = _numbers(cfg.get("x", [0.0] * L0.dim), "x")
         reports = {
             "velocity_bounds": probe_velocity_bounds(
                 L, x, R, time_pairs, n_samples=n_samples, seed=seed),
@@ -593,10 +603,11 @@ def run_lambda_sweep(cfg: dict, ws: Workspace) -> int:
     L = _build_lagrangian(cfg["lagrangian"])
     analytic = cfg.get("analytic_qx")
     out = lambda_sweep_problem_probe(
-        L, np.asarray(cfg["lambda_grid"], float),
-        np.asarray(cfg["points"], float), _build_grid(cfg["grid"]),
+        L, _numbers(cfg["lambda_grid"], "lambda_grid"),
+        _numbers(cfg["points"], "points"), _build_grid(cfg["grid"]),
         dt=_number(float, cfg["dt"], "dt"),
-        analytic_qx=None if analytic is None else np.asarray(analytic, float))
+        analytic_qx=None if analytic is None else _numbers(analytic,
+                                                           "analytic_qx"))
     ws.write_json("qtable.json", out)
     return EXIT_OK
 

@@ -117,11 +117,22 @@ CONSTANT_DISCOUNTED = {
 }
 
 
+CONSTANT_LAMBDA_SWEEP = {
+    "lagrangian": CONSTANT_DISCOUNTED["lagrangian"],
+    "lambda_grid": [2.0, 1.0],
+    "points": [[0.0]],
+    "grid": CONSTANT_DISCOUNTED["grid"],
+    "dt": 0.1,
+}
+
+
 @pytest.mark.parametrize("kind, tree, override, key", [
     ("fundamental", FREE_FUNDAMENTAL, "n_samples=abc", "n_samples"),
     ("discounted", CONSTANT_DISCOUNTED, "lift_check={tt: 0.25}", "lift_check"),
     ("discounted", CONSTANT_DISCOUNTED, "grid.num=[0]", "num"),
-], ids=["n_samples", "lift_check", "grid_num"])
+    ("fundamental", FREE_FUNDAMENTAL, "window=[0.1]", "window"),
+    ("lambda-sweep", CONSTANT_LAMBDA_SWEEP, "lambda_grid=[abc]", "lambda_grid"),
+], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):
     cfg = write_config(tmp_path / "c.yaml", tree)

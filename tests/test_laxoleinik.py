@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
 from hjlax.errors import NonUniqueMaximizer, SearchBallClipped
@@ -203,3 +204,88 @@ def test_kernel_and_direct_routes_agree(lifted_free):
     # the direct route localizes the argmax through phase-1 surfaces, whose
     # O(h^2) bias shifts it by ~1e-5; gradients inherit that resolution
     assert np.allclose(fast.gradient, slow.gradient, atol=2e-4)
+
+
+def _certified(L, s, t, rec, sign):
+    """Action and operator gradient of rec's arc from a collocation solve."""
+    if sign > 0:
+        fs = hj.minimize_action(L, s, t, rec.x, rec.y_star)
+        return fs.value, -fs.grad_x
+    fs = hj.minimize_action(L, s, t, rec.y_star, rec.x)
+    return fs.value, fs.grad_y
+
+
+@pytest.mark.parametrize("name, sign", [
+    ("free1", 1), ("free1", -1), ("free2", 1), ("free2", -1),
+    ("lifted_free", 1), ("lifted_free", -1)])
+def test_kernel_route_matches_collocation(name, sign, request):
+    # the kernel route reads action and gradient off the closed form; an
+    # independent minimize_action at the chosen maximizer must agree
+    L = request.getfixturevalue(name)
+    if L.dim == 1:
+        u = hj.GridSpec(box=[(-3.0, 3.0)], num=[121]).build(
+            lambda X: -sign * np.abs(X[..., 0]))
+        # y* of 0.1 and -0.15 sits on the kink of u at 0
+        pts = np.array([[0.1], [-0.15], [0.9]])
+    else:
+        u = hj.GridSpec(box=[(-1.5, 1.5)] * 2, num=[13, 13]).build(
+            lambda X: -sign * np.abs(X).sum(axis=-1))
+        pts = np.array([[0.05, -0.1], [0.6, 0.35]])
+    op = hj.lax_plus if sign > 0 else hj.lax_minus
+    res = op(L, u, 0.0, 0.3, points=pts)
+    assert res.records[0].y_star == pytest.approx(np.zeros(L.dim), abs=1e-12)
+    for rec in res.records:
+        action, gradient = _certified(L, 0.0, 0.3, rec, sign)
+        assert rec.action == pytest.approx(action, abs=1e-8)
+        assert np.abs(rec.gradient - gradient).max() <= 1e-7
+
+
+def test_kernel_route_calls_no_optimizer(free1, vee_grid, monkeypatch):
+    calls = []
+
+    def counting(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on the kernel route")
+        return refuse
+
+    for name in ("minimize_action", "minimize", "minimize_scalar"):
+        monkeypatch.setattr(hj.laxoleinik, name, counting(name))
+    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4)
+    assert len(res.records) == vee_grid.values.size
+    assert calls == []
+
+
+_LAW_GRIDS = {
+    1: hj.GridSpec(box=[(-1.5, 1.5)], num=[31]),
+    2: hj.GridSpec(box=[(-1.0, 1.0)] * 2, num=[7, 7]),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_operator_laws_on_random_fields(dim, sign, data):
+    # order (u <= w => T u <= T w) and constants (T(u + c) = T u + c) on
+    # random grid fields.  The scan sees nodes only, so a computed value can
+    # miss a cell's interior extremum by at most sum_k h_k^2 / (8 tau): the
+    # barrier is concave with curvature 1/tau along every axis of a cell.
+    L = hj.catalog("free", dim=dim)
+    spec = _LAW_GRIDS[dim]
+    n = int(np.prod(spec.num))
+    tau = 0.3
+    values = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    bumps = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    drawn = np.array(data.draw(values))
+    u = spec.build(lambda X: drawn)
+    w = u.with_values(u.values + np.reshape(data.draw(bumps), spec.num))
+    c = data.draw(st.floats(-5.0, 5.0))
+    op = hj.lax_plus if sign > 0 else hj.lax_minus
+
+    Tu = op(L, u, 0.0, tau).values
+    Tw = op(L, w, 0.0, tau).values
+    Tc = op(L, u.with_values(u.values + c), 0.0, tau).values
+    resolution = float(np.sum(u.spacing ** 2)) / (8.0 * tau)
+    assert np.all(Tw >= Tu - resolution - 1e-12)
+    assert np.abs(Tc - (Tu + c)).max() <= 1e-9
