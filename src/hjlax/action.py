@@ -212,22 +212,19 @@ def _polyline_values(L: TonelliLagrangian, times: Array, nodes: Array) -> Array:
 
 
 def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
-                        ys: Array, n_segments: int = 12,
-                        reverse: bool = False) -> Array:
-    """Phase-1-only action values for a batch of arcs sharing one endpoint:
-    A_{s,t}(x, y_b) by default, A_{s,t}(y_b, x) with reverse=True.
+                        y: Array, n_segments: int = 12) -> Array:
+    """Phase-1-only action values A_{s,t}(x_b, y_b) of a batch of arcs.
 
-    Used for ranking candidate maximizers inside operator scans; accuracy is
-    O((t-s)^2 / n_segments^2), refine the selected candidate afterwards.
+    x and y (..., n) broadcast against each other; the result has their
+    batch shape.  Used for ranking candidate maximizers inside operator
+    scans; accuracy is O((t-s)^2 / n_segments^2), refine the selected
+    candidate afterwards.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     times = np.linspace(s, t, n_segments + 1)
     frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
-    x = np.asarray(x, dtype=float)
-    if reverse:
-        init = ys[:, None, :] + frac[None, :, :] * (x[None, None, :] - ys[:, None, :])
-    else:
-        init = x[None, None, :] + frac[None, :, :] * (ys[:, None, :] - x[None, None, :])
+    init = x[..., None, :] + frac * (y - x)[..., None, :]
     nodes, _ = _phase1_descent(L, times, init, maxiter=400)
     return _polyline_values(L, times, nodes)
 

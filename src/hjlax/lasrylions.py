@@ -128,9 +128,9 @@ def diagonal_action(sol: DiscountedSolution, L: TonelliLagrangian,
     """A_{0,t}(x, x) at every node: the feasibility gap in the pointwise
     dominance bound field >= u - diagonal_action."""
     lifted = discount_lift(L, sol.lam, horizon=max(t, sol.dt))
-    vals = [action_values_batch(lifted, 0.0, t, x, x[None, :])[0]
-            for x in sol.u.nodes()]
-    return np.array(vals).reshape(sol.u.values.shape)
+    nodes = sol.u.nodes()
+    return action_values_batch(lifted, 0.0, t, nodes, nodes).reshape(
+        sol.u.values.shape)
 
 
 # ---------------------------------------------------------------------------

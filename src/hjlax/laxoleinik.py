@@ -10,22 +10,22 @@ slope, so maximizers of u(y) - A(x, y) satisfy
     theta(|y - x| / (t - s)) - Lip(u) |y - x| / (t - s) <= c0 + M0,
 
 with M0 the max of L(., ., 0) over the grid nodes.  estimate_kappa0 solves
-that inequality for the largest velocity ratio.  Each node is scanned over the
-candidate set (grid nodes inside the ball), the best candidates (one per
-cluster of near-optimal nodes) are polished continuously, and the action and
-operator gradient at the chosen maximizer are certified:
+that inequality for the largest velocity ratio.
+
+Every Lagrangian goes through one array pipeline over all points: gather
+the candidates (grid nodes inside the ball), scan the (points x candidates)
+actions in one call, cluster each point's near-optimal candidates, polish
+every member of every cluster in one bounded L-BFGS-B run over the grid
+cells around it, select the best polished maximizer, and certify the action
+and operator gradient there:
 
     D(T+ u)(x) = L_v(s, x, xidot(s)),    D(T- u)(x) = L_v(t, x, xidot(t)).
 
-Lagrangians carrying an analytic kernel (free and lifted free) take the
-kernel route, which handles all nodes at once in array operations: the scan
-evaluates the kernel on the whole (nodes x candidates) array, one batched
-Newton polish covers the grid cells around every near-optimal candidate, and
-the certified action and gradient are the kernel's closed forms.  Other
-Lagrangians take the direct route, node by node: a batched descent scan, a
-scalar or Nelder-Mead polish, and one accurate collocation solve at the
-maximizer.  Both routes share candidate gathering and selection, and the
-direct route never consults the kernel.
+L's closed-form kernel, when it has one, gives the scan values, the action
+term of the polish and the certificate.  Otherwise the scan is one batched
+polyline descent, the polish moves the polyline's interior nodes along with
+its free endpoint, and the certificate is one collocation minimize_action
+per point.
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import Bounds, brentq, minimize
+# bound but not called: bench/spans.py wraps this name until the tracer moves
+from scipy.optimize import minimize_scalar  # noqa: F401
 
-from .action import action_values_batch, minimize_action
+from .action import (
+    _polyline_action_grad,
+    _polyline_values,
+    action_values_batch,
+    minimize_action,
+)
 from .errors import (
     BoxExhausted,
     ConfigError,
@@ -54,9 +61,9 @@ Array = np.ndarray
 _BALL_MARGIN = 0.5
 # polished maximizers within this relative value gap count as ties
 _VALUE_TOL = 1e-7
-# kernel-route cell polish: Newton iterations and step tolerance (cell units)
-_NEWTON_ITERS = 20
-_NEWTON_STEP_TOL = 1e-12
+# cell polish: polyline segments of arcs without a kernel, L-BFGS-B options
+_SEGMENTS = 12
+_POLISH_OPTIONS = {"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-11}
 
 
 @dataclass
@@ -184,29 +191,23 @@ def _grid_candidates(u: GridFunction, nodes: Array, period: Array | None,
     return x[None, :] + delta[idx], u.values.ravel()[idx]
 
 
-def _clusters(points: Array, scores: Array, top_gap: float, sep: float
-              ) -> list[list[int]]:
-    """Clusters of near-optimal candidates, best first.  Each lists its
-    representative (the best candidate farther than sep from every earlier
-    representative), then the near-optimal candidates within sep of it."""
-    best = float(scores.max())
-    near = np.nonzero(scores >= best - top_gap)[0]
+def _near_clusters(ys: Array, scores: Array, sep: float) -> list[list[int]]:
+    """At most three clusters of one point's near-optimal candidates, best
+    first.  Each lists its representative (the best candidate farther than
+    sep from every earlier representative), then the near-optimal
+    candidates within sep of it."""
+    gap_tol = max(_VALUE_TOL * 10.0, 1e-7 * (1.0 + float(np.abs(scores).max())))
+    near = np.nonzero(scores >= float(scores.max()) - gap_tol)[0]
     near = near[np.argsort(-scores[near])]
     clusters: list[list[int]] = []
     for i in near:
         for members in clusters:
-            if np.linalg.norm(points[i] - points[members[0]]) <= sep:
+            if np.linalg.norm(ys[i] - ys[members[0]]) <= sep:
                 members.append(int(i))
                 break
         else:
             clusters.append([int(i)])
-    return clusters
-
-
-def _near_clusters(ys: Array, scores: Array, sep: float) -> list[list[int]]:
-    """At most three clusters of one point's near-optimal candidates."""
-    gap_tol = max(_VALUE_TOL * 10.0, 1e-7 * (1.0 + float(np.abs(scores).max())))
-    return _clusters(ys, scores, gap_tol, sep)[:3]
+    return clusters[:3]
 
 
 def _select(polished: list[tuple[float, Array]], sep: float
@@ -240,74 +241,6 @@ def _record(x: Array, y_star: Array, u_star: float, action: float,
     )
 
 
-def _apply_pointwise(
-    L: TonelliLagrangian,
-    u: GridFunction,
-    s: float,
-    t: float,
-    x: Array,
-    sign: int,
-    radius: float,
-    candidate_cap: int,
-    nodes: Array,
-    period: Array | None,
-    notes: list[str],
-) -> MaximizerRecord:
-    """One node of T+ (sign=+1) or T- (sign=-1) on the direct route.
-
-    Internally always maximizes phi(y) = sign*u(y) - A(arc), where for T-
-    the arc runs y -> x and phi = -(u(y) + A); the record stores the
-    operator's value sign*phi.  A candidate-cap hit is appended to notes.
-    """
-    ys, uvals = _grid_candidates(u, nodes, period, x, radius, candidate_cap,
-                                 notes)
-    scores = sign * uvals - action_values_batch(L, s, t, x, ys,
-                                                reverse=sign < 0)
-    h_cand = float(np.max(u.spacing))
-
-    def phi(yv: Array) -> float:
-        yv = np.atleast_1d(yv)
-        a = float(action_values_batch(L, s, t, x, yv[None, :],
-                                      reverse=sign < 0)[0])
-        return sign * float(u(yv[None, :])[0]) - a
-
-    polished: list[tuple[float, Array]] = []
-    for members in _near_clusters(ys, scores, 2.0 * h_cand):
-        y0 = ys[members[0]]
-        if L.dim == 1:
-            lo, hi = y0[0] - h_cand, y0[0] + h_cand
-            res = minimize_scalar(lambda z: -phi(np.array([z])),
-                                  bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-10})
-            polished.append((-res.fun, np.array([res.x])))
-        else:
-            res = minimize(lambda z: -phi(z), y0, method="Nelder-Mead",
-                           options={"xatol": 1e-9, "fatol": 1e-12,
-                                    "maxiter": 400})
-            polished.append((-res.fun, res.x))
-    y_star, multiplicity, runner_gap = _select(polished, 2.0 * h_cand)
-
-    # certified action and gradient at the chosen maximizer
-    if sign > 0:
-        fs = minimize_action(L, s, t, x, y_star)
-        gradient = -fs.grad_x            # = L_v(s, x, xidot(s))
-    else:
-        fs = minimize_action(L, s, t, y_star, x)
-        gradient = fs.grad_y             # = L_v(t, x, xidot(t))
-    return _record(x, y_star, float(u(y_star[None, :])[0]), fs.value,
-                   gradient, sign, t - s, radius, multiplicity, runner_gap)
-
-
-def _direct_records(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
-                    period) -> tuple[list[MaximizerRecord], list[list[str]]]:
-    """_apply_pointwise at every point; per-point records and notes."""
-    notes: list[list[str]] = [[] for _ in pts]
-    records = [_apply_pointwise(L, u, s, t, x, sign, radius, candidate_cap,
-                                nodes, period, node_notes)
-               for x, node_notes in zip(pts, notes)]
-    return records, notes
-
-
 def _corner_values(u: GridFunction, lower: Array) -> Array:
     """u at the 2^d corners of the cells whose lowest node has index lower
     (..., d), corners in itertools.product order.  Indices past the box
@@ -320,154 +253,163 @@ def _corner_values(u: GridFunction, lower: Array) -> Array:
     return u.values[tuple(np.moveaxis(idx, -1, 0))]
 
 
-def _multilinear(v: Array, w: Array) -> tuple[Array, Array, Array]:
-    """Value, gradient and Hessian at w (..., d) of the multilinear form on
-    the unit cell whose corner values are v (..., 2^d)."""
+def _multilinear(v: Array, w: Array) -> tuple[Array, Array]:
+    """Value and gradient at w (..., d) of the multilinear form on the unit
+    cell whose corner values are v (..., 2^d)."""
     d = w.shape[-1]
     val = np.zeros(w.shape[:-1])
     grad = np.zeros(w.shape)
-    hess = np.zeros(w.shape + (d,))
     for c, corner in enumerate(itertools.product((0, 1), repeat=d)):
         on = np.array(corner, dtype=bool)
         factors = np.where(on, w, 1.0 - w)          # one per axis
-        slopes = np.where(on, 1.0, -1.0)            # their w-derivatives
         vc = v[..., c]
         val += vc * np.prod(factors, axis=-1)
         for i in range(d):
             fi = factors.copy()
-            fi[..., i] = slopes[i]
+            fi[..., i] = 1.0 if on[i] else -1.0     # its w-derivative
             grad[..., i] += vc * np.prod(fi, axis=-1)
-            for j in range(i + 1, d):
-                fij = fi.copy()
-                fij[..., j] = slopes[j]
-                cross = vc * np.prod(fij, axis=-1)
-                hess[..., i, j] += cross
-                hess[..., j, i] += cross
-    return val, grad, hess
+    return val, grad
 
 
-def _polish_cells(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
-                  x: Array, y0: Array, sign: int) -> tuple[Array, Array]:
-    """Maximizer and maximum of sign*u(y) - k(y) over the 2^d grid cells
-    touching each node y0 (Q, d), i.e. over [y0 - h, y0 + h]^d, where
-    k(y) = kernel(x, y) for T+ and kernel(y, x) for T-.
+def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
+            x: Array, y0: Array, sign: int, notes: list[str]
+            ) -> tuple[Array, Array]:
+    """Maximizers and maxima of sign*u(y) - A(arc) over each of the 2^d grid
+    cells touching the node y0 (Q, d), shaped (Q, 2^d, d) and (Q, 2^d); the
+    arc runs from x (Q, d) to y for T+ and from y to x for T-.
 
-    Inside a cell u is multilinear and the kernel smooth, so the maximum
-    sits at a critical point of the barrier restricted to one face of the
-    cell (the cell itself, an edge, ..., a corner).  Newton's method runs on
-    every face at once (kernel Hessian by central differences of its
-    gradient), each face's point is clipped into the cell, and the best is
-    kept: a maximum on a face, such as a kink of u, is found exactly.
+    One L-BFGS-B run covers every (row, cell) pair.  The free endpoint y is
+    bounded to its cell, where u is multilinear, so a maximum on a kink of u
+    lies on a bound and is found exactly.  A is L's kernel when it has one,
+    else the action of a polyline arc whose interior nodes are variables
+    too.  A run that stops short of convergence appends a note.
     """
     d = u.dim
     h = u.spacing
     kern = L.kernel
-    k0 = np.rint((y0 - u.box[:, 0]) / h).astype(np.int64)
     cells = np.array(list(itertools.product((0, 1), repeat=d)))
-    faces = np.array(list(itertools.product((0, 1, 2), repeat=d)))
-    free = faces == 2                       # else fixed at 0 or 1
-    both_free = free[:, :, None] & free[:, None, :]
-    # axes (Q, cells, faces, d); y = y0 + (w + cell - 1) h, exact at y0
-    v = _corner_values(u, k0[:, None, :] + cells - 1)[:, :, None, :]
-    shift = (cells - 1)[None, :, None, :]
-    xb = x[:, None, None, :]
-    yb = y0[:, None, None, :]
+    k0 = np.rint((y0 - u.box[:, 0]) / h).astype(np.int64)
+    v = _corner_values(u, k0[:, None, :] + cells - 1)
+    # cell bounds, both exact at y0
+    lo = y0[:, None, :] + (cells - 1) * h
+    hi = y0[:, None, :] + cells * h
+    xb = np.broadcast_to(x[:, None, :], lo.shape)
+    yb = np.broadcast_to(y0[:, None, :], lo.shape)
+    end = -1 if sign > 0 else 0             # the arc node that is y
+    times = np.linspace(s, t, _SEGMENTS + 1)
+    if kern is None:
+        frac = np.linspace(0.0, 1.0, _SEGMENTS + 1)[:, None]
+        first, last = (xb, yb) if sign > 0 else (yb, xb)
+        arcs = first[..., None, :] + frac * (last - first)[..., None, :]
+        interior = arcs[..., 1:-1, :].ravel()
+    else:
+        interior = np.zeros(0)
+    n_y = lo.size
 
-    def k_value(y):
-        xs = np.broadcast_to(xb, y.shape)
-        return kern.value(s, t, xs, y) if sign > 0 else kern.value(s, t, y, xs)
+    def split(z):
+        y = z[:n_y].reshape(lo.shape)
+        if kern is not None:
+            return y, None
+        arcs[..., 1:-1, :] = z[n_y:].reshape(arcs[..., 1:-1, :].shape)
+        arcs[..., end, :] = y
+        return y, arcs
 
-    def k_grad(y):
-        xs = np.broadcast_to(xb, y.shape)
-        return kern.grad_y(s, t, xs, y) if sign > 0 else kern.grad_x(s, t, y, xs)
+    def kernel_terms(y):
+        if sign > 0:
+            return kern.value(s, t, xb, y), kern.grad_y(s, t, xb, y)
+        return kern.value(s, t, y, xb), kern.grad_x(s, t, y, xb)
 
-    def barrier(w):
-        y = yb + (w + shift) * h
-        uval, ugrad, uhess = _multilinear(v, w)
-        cols = []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1e-4 * h[j]
-            cols.append((k_grad(y + e) - k_grad(y - e)) / (2.0 * e[j]))
-        khess = np.stack(cols, axis=-1)
-        khess = 0.5 * (khess + np.swapaxes(khess, -1, -2))
-        return (sign * uval - k_value(y), sign * ugrad - h * k_grad(y),
-                sign * uhess - h[:, None] * khess * h[None, :])
+    def objective(z):
+        y, nodes = split(z)
+        uval, ugrad = _multilinear(v, (y - lo) / h)
+        if kern is None:
+            action, g = _polyline_action_grad(L, times, nodes)
+            g_y, g_rest = g[..., end, :], g[..., 1:-1, :].ravel()
+        else:
+            action, g_y = kernel_terms(y)
+            action, g_rest = action.sum(), interior
+        return (action - sign * uval.sum(),
+                np.concatenate([(g_y - sign * ugrad / h).ravel(), g_rest]))
 
-    eye = np.eye(d)
-    w = np.broadcast_to(np.where(free, 0.5, faces),
-                        (len(y0), len(cells)) + faces.shape).astype(float)
-    for _ in range(_NEWTON_ITERS):
-        _, g, hess = barrier(w)
-        hess = np.where(both_free, hess, -eye)
-        g = np.where(free, g, 0.0)
-        singular = np.linalg.det(hess) == 0.0
-        hess[singular] = -eye
-        g[singular] = 0.0
-        step = -np.linalg.solve(hess, g[..., None])[..., 0]
-        w, w_old = np.clip(w + step, -1.0, 2.0), w
-        if np.abs(w - w_old).max() <= _NEWTON_STEP_TOL:
-            break
-    w = np.clip(w, 0.0, 1.0)
-    f = barrier(w)[0].reshape(len(y0), -1)
-    best = np.argmax(f, axis=1)
-    rows = np.arange(len(y0))
-    offset = (w + shift).reshape(len(y0), -1, d)[rows, best]
-    return y0 + offset * h, f[rows, best]
+    free = np.full(interior.size, np.inf)
+    res = minimize(objective, np.concatenate([yb.ravel(), interior]),
+                   jac=True, method="L-BFGS-B",
+                   bounds=Bounds(np.concatenate([lo.ravel(), -free]),
+                                 np.concatenate([hi.ravel(), free])),
+                   options=_POLISH_OPTIONS)
+    if not res.success:
+        notes.append(f"cell polish stopped after {res.nit} iterations: "
+                     f"{res.message}")
+    y, nodes = split(res.x)
+    action = (_polyline_values(L, times, nodes) if kern is None
+              else kernel_terms(y)[0])
+    return y, sign * _multilinear(v, (y - lo) / h)[0] - action
 
 
-def _kernel_records(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
-                    period) -> tuple[list[MaximizerRecord], list[list[str]]]:
-    """Every point of T+ (sign=+1) or T- (sign=-1) under L's closed-form
-    kernel, in array operations: one scan of the (points x candidates)
-    kernel values, one batched cell polish of every near-optimal candidate,
-    and the certified action and gradient read off the kernel."""
+def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
+             y_star: Array, sign: int) -> tuple[Array, Array]:
+    """Action and operator gradient of the arcs between pts and their chosen
+    maximizers: D(T+ u)(x) = L_v(s, x, xidot(s)), D(T- u)(x) = L_v(t, x,
+    xidot(t)).  Closed forms under L's kernel, else one collocation
+    minimize_action per point."""
+    ends = (pts, y_star) if sign > 0 else (y_star, pts)
     kern = L.kernel
-    notes: list[list[str]] = [[] for _ in pts]
+    if kern is not None:
+        grad = -kern.grad_x(s, t, *ends) if sign > 0 else kern.grad_y(s, t, *ends)
+        return kern.value(s, t, *ends), grad
+    sols = [minimize_action(L, s, t, a, b) for a, b in zip(*ends)]
+    grads = [-fs.grad_x if sign > 0 else fs.grad_y for fs in sols]
+    return np.array([fs.value for fs in sols]), np.array(grads)
+
+
+def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
+                     period, notes) -> tuple[list[MaximizerRecord],
+                                             list[list[str]]]:
+    """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
+    scan of the (points x candidates) actions, one polish of every member
+    of every near-optimal cluster, selection, and the certificate.
+
+    Internally always maximizes sign*u(y) - A(arc), where for T- the arc
+    runs y -> x; the records store the operator's values.  Returns the
+    records and per-point notes (candidate-cap hits); notes of the whole
+    pass (an unconverged polish) go to notes."""
+    node_notes: list[list[str]] = [[] for _ in pts]
     gathered = [_grid_candidates(u, nodes, period, x, radius, candidate_cap,
-                                 node_notes)
-                for x, node_notes in zip(pts, notes)]
-    counts = np.array([len(ys) for ys, _ in gathered])
-    # pad every row to the widest ball with copies of x; row i is read up
-    # to its count only
-    ys = np.repeat(pts[:, None, :], counts.max(), axis=1)
-    uvals = np.zeros(ys.shape[:2])
-    for i, (yi, vi) in enumerate(gathered):
-        ys[i, :len(yi)] = yi
-        uvals[i, :len(vi)] = vi
-    xs = np.broadcast_to(pts[:, None, :], ys.shape)
-    acts = kern.value(s, t, xs, ys) if sign > 0 else kern.value(s, t, ys, xs)
-    scores = sign * uvals - acts
+                                 point_notes)
+                for x, point_notes in zip(pts, node_notes)]
+    counts = np.array([len(yi) for yi, _ in gathered])
+    starts = np.cumsum(counts) - counts
+    ys = np.concatenate([yi for yi, _ in gathered])
+    xs = np.repeat(pts, counts, axis=0)
+    ends = (xs, ys) if sign > 0 else (ys, xs)
+    acts = (L.kernel.value(s, t, *ends) if L.kernel is not None
+            else action_values_batch(L, s, t, *ends))
+    scores = sign * np.concatenate([vi for _, vi in gathered]) - acts
 
     sep = 2.0 * float(np.max(u.spacing))
-    clusters = [_near_clusters(ys[i, :n], scores[i, :n], sep)
-                for i, n in enumerate(counts)]
+    clusters = [_near_clusters(ys[a:a + n], scores[a:a + n], sep)
+                for a, n in zip(starts, counts)]
     # polish every member, so that which of several tied nodes represents a
-    # cluster cannot change the result; the best member stands for it
-    flat = np.array([(i, j) for i, cl in enumerate(clusters)
+    # cluster cannot change the result; the best member and cell stand for it
+    flat = np.array([(i, starts[i] + j) for i, cl in enumerate(clusters)
                      for members in cl for j in members])
-    y_pol, f_pol = _polish_cells(L, u, s, t, pts[flat[:, 0]],
-                                 ys[flat[:, 0], flat[:, 1]], sign)
-    sizes = [len(members) for cl in clusters for members in cl]
-    ends = np.cumsum(sizes)
-    best = [a + int(np.argmax(f_pol[a:b])) for a, b in zip(ends - sizes, ends)]
+    y_pol, f_pol = _polish(L, u, s, t, pts[flat[:, 0]], ys[flat[:, 1]], sign,
+                           notes)
+    y_pol, f_pol = y_pol.reshape(-1, L.dim), f_pol.ravel()
+    sizes = [len(members) * 2 ** L.dim for cl in clusters for members in cl]
+    stops = np.cumsum(sizes)
+    best = [a + int(np.argmax(f_pol[a:b])) for a, b in zip(stops - sizes, stops)]
     polished = iter((f_pol[k], y_pol[k]) for k in best)
     picks = [_select([next(polished) for _ in cl], sep) for cl in clusters]
 
-    # certified action and gradient at the chosen maximizers, in closed form
     y_star = np.array([p[0] for p in picks])
-    if sign > 0:
-        action = kern.value(s, t, pts, y_star)
-        gradient = -kern.grad_x(s, t, pts, y_star)   # = L_v(s, x, xidot(s))
-    else:
-        action = kern.value(s, t, y_star, pts)
-        gradient = kern.grad_y(s, t, y_star, pts)    # = L_v(t, x, xidot(t))
+    action, gradient = _certify(L, s, t, pts, y_star, sign)
     u_star = u(y_star)
     records = [_record(x, y, float(uy), float(a), g, sign, t - s, radius, m,
                        gap)
                for x, y, uy, a, g, (_, m, gap)
                in zip(pts, y_star, u_star, action, gradient, picks)]
-    return records, notes
+    return records, node_notes
 
 
 def _apply_operator(
@@ -511,18 +453,17 @@ def _apply_operator(
 
     period = ((u.box[:, 1] - u.box[:, 0])[None, :]
               if u.boundary == "periodic" else None)
-    route = _kernel_records if L.kernel is not None else _direct_records
-    records, node_notes = route(L, u, s, t, pts, sign, radius, candidate_cap,
-                                nodes, period)
+    notes: list[str] = []
+    records, node_notes = _apply_pointwise(L, u, s, t, pts, sign, radius,
+                                           candidate_cap, nodes, period, notes)
     # expand clipped balls once; superlinearity makes a larger ball conclusive
     redo = [i for i, rec in enumerate(records) if rec.clipped]
     wide = {}
     if redo:
-        wide_records, wide_notes = route(L, u, s, t, pts[redo], sign,
-                                         1.5 * radius, candidate_cap, nodes,
-                                         period)
+        wide_records, wide_notes = _apply_pointwise(
+            L, u, s, t, pts[redo], sign, 1.5 * radius, candidate_cap, nodes,
+            period, notes)
         wide = dict(zip(redo, zip(wide_records, wide_notes)))
-    notes: list[str] = []
     for i, x in enumerate(pts):
         notes += node_notes[i]
         if i in wide:
