@@ -6,6 +6,11 @@ set -u
 here="$(cd "$(dirname "$0")" && pwd)"
 # run this checkout's package, not an installed copy
 export PYTHONPATH="$here/../src${PYTHONPATH:+:$PYTHONPATH}"
+# single-threaded BLAS unless the caller sets a thread count: small scipy
+# solves run far slower under a multithreaded BLAS on a loaded machine
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS:-1}"
 results="${1:-$here/../results}"
 mkdir -p "$results"
 

@@ -8,7 +8,6 @@ from .errors import (
     HJLaxError,
     InsufficientSamples,
     InvalidHorizon,
-    NoConvergence,
     NonContraction,
     NonConvergence,
     NonUniqueMaximizer,
@@ -42,12 +41,10 @@ from .action import (
     DualArc,
     FundamentalSolution,
     action_values_batch,
-    dual_arc,
     gradients_A,
     minimize_action,
     probe_compact_containment,
-    probe_convexity,
-    probe_semiconcavity,
+    probe_midpoint_defects,
     probe_velocity_bounds,
 )
 from .laxoleinik import (

@@ -16,7 +16,7 @@ in two phases:
 Each minimizer comes from one collocation solve, certified by the
 Euler-Lagrange residual of the collocation spline; a failed solve, a
 residual above tolerance, or an arc whose action exceeds the phase-1 value
-raises NoConvergence.
+raises NonConvergence.
 
 The dual arc p(tau) = L_v(tau, xi(tau), xidot(tau)) comes out exactly
 Hermite-consistent, and the endpoint gradients are read off the minimizer:
@@ -24,19 +24,20 @@ D_y A = L_v at time t, D_x A = -L_v at time s.
 
 The probe_* functions sweep minimize_action over sampled endpoint families
 and tabulate the empirical regularity constants (velocity/momentum bounds,
-compact containment, semiconcavity in (t, y), local uniform convexity in y).
+compact containment, and, from one midpoint-defect family, semiconcavity
+in (t, y) and local uniform convexity in y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.optimize import minimize
 
-from .errors import ConeViolation, ConfigError, NoConvergence
+from .errors import ConeViolation, ConfigError, NonConvergence
 from .lagrangian import TonelliLagrangian
 from .report import ProbeReport, write_csv
 
@@ -125,10 +126,6 @@ class FundamentalSolution:
         cols = ["tau"] + [f"x{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)]
         write_csv(path, cols, ([tau, *pos, *mom] for tau, pos, mom in zip(
             self.dual.times, self.dual.positions, self.dual.momenta)))
-
-
-def dual_arc(fs: FundamentalSolution) -> DualArc:
-    return fs.dual
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,7 @@ def minimize_action(
     is set, 4 randomized bent starts (drawn from seed) are added.  Ties
     within 1e-9 relative are broken by the lexicographically smallest curve
     midpoint.  The best phase-1 polyline seeds one collocation solve.
-    Raises NoConvergence when the collocation fails, when its
+    Raises NonConvergence when the collocation fails, when its
     Euler-Lagrange residual is above tol, or when it lands on an arc whose
     action exceeds the phase-1 value; OutOfWindow when [s, t] leaves the
     certified window.
@@ -340,12 +337,12 @@ def minimize_action(
     vel = curve.velocities
     momenta = L.grad_v(taus, pos, vel)
     if residual > tol * (1.0 + float(np.abs(momenta).max())):
-        raise NoConvergence(
+        raise NonConvergence(
             f"Euler-Lagrange residual {residual:.3e} above tolerance {tol:.1e}"
         )
     value = _curve_action(L, curve)
     if value > phase1_value + 1e-7 * (1.0 + abs(phase1_value)):
-        raise NoConvergence(
+        raise NonConvergence(
             f"collocation converged to a worse stationary point: action "
             f"{value:.10g} above the phase-1 value {phase1_value:.10g}"
         )
@@ -397,9 +394,9 @@ def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array, tol: float
         sol = solve_bvp(rhs, bc, times, np.vstack([nodes.T, vel0.T]),
                         tol=max(tol * 0.1, 1e-9), max_nodes=4000)
     except Exception as exc:  # singular Jacobian etc.
-        raise NoConvergence(f"collocation refinement failed: {exc}") from exc
+        raise NonConvergence(f"collocation refinement failed: {exc}") from exc
     if sol.status != 0:
-        raise NoConvergence(f"collocation refinement: {sol.message}")
+        raise NonConvergence(f"collocation refinement: {sol.message}")
 
     mesh = sol.x
     taus = _subdivide(mesh, (0.25, 0.5, 0.75))
@@ -576,95 +573,44 @@ def _perturbation_family(rng: np.random.Generator, dim: int, lamT: float,
     return zs, hs
 
 
-def _midpoint_defect_ratios(L: TonelliLagrangian, x: Array, s: float,
-                            T: float, lam_cone: float, n_samples: int,
-                            rng: np.random.Generator
-                            ) -> Iterator[tuple[bool, Array, float, float]]:
+def _midpoint_family(L: TonelliLagrangian, x: Array, s: float, T: float,
+                     lam_cone: float, n_samples: int,
+                     rng: np.random.Generator, with_time: bool = True
+                     ) -> tuple[Array, Array, Array, Array]:
     """Scaled midpoint defects of (t, y) -> A_{s,t}(x, y) around t = s + T.
 
-    Yields (with_time, z, h, T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)]
-    / (h^2 + |z|^2)) for seeded y in B(x, lam T) and |z| < lam T, first
-    with h = 0, then with |h| < T/2.  The draws from rng come in a fixed
-    order, so the semiconcavity and convexity probes see the same family.
+    Returns per-sample arrays (timed, ratio, z, h) with ratio =
+    T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)] / (h^2 + |z|^2), for seeded
+    y in B(x, lam T) and |z| < lam T; per y, first the h = 0 samples, then
+    the timed ones with |h| < T/2.  Every draw from rng comes in this fixed
+    order; with_time=False skips the solves of the timed samples and
+    returns the h = 0 ones only.
     """
     n_y = max(4, n_samples // 8)
     n_pert = max(2, n_samples // n_y)
     t = s + T
     ys = _ball_samples(rng, x, lam_cone * T, n_y, boundary_half=False)
+    timed, ratio, zs, hs = [], [], [], []
     for y in ys:
         base = minimize_action(L, s, t, x, y).value
-        for with_time in (False, True):
-            zs, hs = _perturbation_family(rng, x.shape[0], lam_cone * T,
-                                          T / 2.0, n_pert, with_time)
-            for z, h in zip(zs, hs):
+        for half_timed in (False, True):
+            z_half, h_half = _perturbation_family(
+                rng, x.shape[0], lam_cone * T, T / 2.0, n_pert, half_timed)
+            if half_timed and not with_time:
+                continue
+            for z, h in zip(z_half, h_half):
                 a_plus = minimize_action(L, s, t + h, x, y + z).value
                 a_minus = minimize_action(L, s, t - h, x, y - z).value
                 defect = a_plus + a_minus - 2.0 * base
-                yield with_time, z, h, T * defect / (h * h + float(z @ z))
+                ratio.append(T * defect / (h * h + float(z @ z)))
+            timed.extend([half_timed] * n_pert)
+            zs.append(z_half)
+            hs.append(h_half)
+    return (np.array(timed, dtype=bool), np.array(ratio, dtype=float),
+            np.concatenate(zs), np.concatenate(hs))
 
 
-def probe_semiconcavity(
-    L: TonelliLagrangian,
-    x: Array,
-    s: float,
-    lam_cone: float = 1.0,
-    T_grid: Sequence[float] = (0.1, 0.2, 0.4),
-    n_samples: int = 200,
-    seed: int = 0,
-) -> ProbeReport:
-    """Empirical space-time semiconcavity constants of (t, y) -> A_{s,t}(x, y).
-
-    For each T < 2/3 the probe samples y in B(x, lam T), |z| < lam T,
-    |h| < T/2 and records
-
-        C(T) = max T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)] / (|h|^2 + |z|^2).
-
-    C_lambda is the space-time max; C_lambda_space restricts to h = 0 (for
-    the free particle that bucket equals 1 exactly, while the space-time
-    constant is larger).  Violations: non-finite ratios, or C(T) tables that
-    blow past 100x their minimum (loss of uniformity in the C/T scaling).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rng = np.random.default_rng(seed)
-
-    report = ProbeReport(name="semiconcavity", samples=0)
-    C_st: dict[float, float] = {}
-    C_sp: dict[float, float] = {}
-    for T in T_grid:
-        if not T < 2.0 / 3.0:
-            raise ConfigError(f"semiconcavity window requires T < 2/3, got {T}")
-        best_st = -np.inf
-        best_sp = -np.inf
-        for with_time, z, h, ratio in _midpoint_defect_ratios(
-                L, x, s, T, lam_cone, n_samples, rng):
-            report.samples += 1
-            if not np.isfinite(ratio):
-                report.violations.append(
-                    {"check": "finite_ratio", "T": T, "h": float(h),
-                     "z": z.tolist(), "slack": float("-inf")})
-                continue
-            best_st = max(best_st, ratio)
-            if not with_time:
-                best_sp = max(best_sp, ratio)
-        C_st[T] = best_st
-        C_sp[T] = best_sp
-
-    vals = np.array(list(C_st.values()))
-    report.constants = {
-        "T_grid": list(T_grid),
-        "C_lambda_table": [C_st[T] for T in T_grid],
-        "C_lambda_space_table": [C_sp[T] for T in T_grid],
-        "C_lambda": float(vals.max()),
-        "C_lambda_space": float(max(C_sp.values())),
-    }
-    spread_floor = max(float(np.abs(vals).max()), 1e-12)
-    report.record_slack(100.0 * max(float(vals.min()), spread_floor * 1e-2)
-                        - float(vals.max()),
-                        check="uniform_in_T")
-    return report
-
-
-def probe_convexity(
+def probe_midpoint_defects(
     L: TonelliLagrangian,
     x: Array,
     s: float,
@@ -672,41 +618,79 @@ def probe_convexity(
     T_grid: Sequence[float] = (0.05, 0.1, 0.2, 0.4),
     n_samples: int = 200,
     seed: int = 0,
-) -> ProbeReport:
-    """Semiconvexity and in-space uniform convexity of A near the diagonal.
+) -> tuple[ProbeReport, ProbeReport]:
+    """Semiconcavity and convexity reports of (t, y) -> A_{s,t}(x, y), both
+    read off one seeded midpoint-defect family per grid T.
 
-    Part (a): space-time midpoint defects bounded below,
-    C''(T) = max(0, -min T defect / (h^2 + |z|^2)).  Part (b): pure spatial
-    defects satisfy defect >= (C'''(T)/T) |z|^2 with C'''(T) > 0;
-    T''_lambda is the largest grid T where that still holds, and a violation
-    is recorded only when no grid T qualifies.  T'_lambda is the empirical
-    cone height: the largest grid T whose C''(T) stays within a factor 2 of
-    the smallest-T value (plus slack), i.e. where semiconvexity has not
-    degraded."""
+    Semiconcavity covers the grid T < 2/3 and records
+
+        C(T) = max T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)] / (|h|^2 + |z|^2).
+
+    C_lambda is the space-time max; C_lambda_space restricts to h = 0 (for
+    the free particle that bucket equals 1 exactly, while the space-time
+    constant is larger).  Violations: non-finite ratios, or C(T) tables that
+    blow past 100x their minimum (loss of uniformity in the C/T scaling).
+
+    Convexity covers the whole grid.  Part (a): space-time midpoint defects
+    bounded below, C''(T) = max(0, -min T defect / (h^2 + |z|^2)).  Part
+    (b): pure spatial defects satisfy defect >= (C'''(T)/T) |z|^2 with
+    C'''(T) > 0; T''_lambda is the largest grid T where that still holds,
+    and a violation is recorded only when no grid T qualifies.  T'_lambda
+    is the empirical cone height: the largest grid T whose C''(T) stays
+    within a factor 2 of the smallest-T value (plus slack), i.e. where
+    semiconvexity has not degraded.
+
+    Raises ConfigError when no grid T lies below 2/3.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    T_semi = [T for T in T_grid if T < 2.0 / 3.0]
+    if not T_semi:
+        raise ConfigError("T_grid needs an entry below 2/3 for the "
+                          "semiconcavity probe")
     rng = np.random.default_rng(seed)
 
-    report = ProbeReport(name="convexity", samples=0)
+    semi = ProbeReport(name="semiconcavity", samples=0)
+    conv = ProbeReport(name="convexity", samples=0)
+    C_st: dict[float, float] = {}
+    C_sp: dict[float, float] = {}
     C2: dict[float, float] = {}
     C3: dict[float, float] = {}
     for T in T_grid:
-        worst_neg = 0.0
-        best_sp = np.inf
-        for with_time, _, _, ratio in _midpoint_defect_ratios(
-                L, x, s, T, lam_cone, n_samples, rng):
-            report.samples += 1
-            if with_time:
-                worst_neg = min(worst_neg, ratio)
-            else:
-                best_sp = min(best_sp, ratio)
-        C2[T] = max(0.0, -worst_neg)
-        C3[T] = best_sp
+        timed, ratio, z, h = _midpoint_family(L, x, s, T, lam_cone,
+                                              n_samples, rng)
+        conv.samples += len(ratio)
+        # fmin skips NaN ratios, as the running min of a scan would
+        C2[T] = max(0.0, -float(np.fmin.reduce(ratio[timed], initial=0.0)))
+        C3[T] = float(np.fmin.reduce(ratio[~timed], initial=np.inf))
+        if not T < 2.0 / 3.0:
+            continue
+        semi.samples += len(ratio)
+        finite = np.isfinite(ratio)
+        for k in np.flatnonzero(~finite):
+            semi.violations.append(
+                {"check": "finite_ratio", "T": T, "h": float(h[k]),
+                 "z": z[k].tolist(), "slack": float("-inf")})
+        C_st[T] = float(ratio[finite].max(initial=-np.inf))
+        C_sp[T] = float(ratio[finite & ~timed].max(initial=-np.inf))
+
+    vals = np.array(list(C_st.values()))
+    semi.constants = {
+        "T_grid": T_semi,
+        "C_lambda_table": [C_st[T] for T in T_semi],
+        "C_lambda_space_table": [C_sp[T] for T in T_semi],
+        "C_lambda": float(vals.max()),
+        "C_lambda_space": float(max(C_sp.values())),
+    }
+    spread_floor = max(float(np.abs(vals).max()), 1e-12)
+    semi.record_slack(100.0 * max(float(vals.min()), spread_floor * 1e-2)
+                      - float(vals.max()),
+                      check="uniform_in_T")
 
     T_second = max((T for T in T_grid if C3[T] > 1e-9), default=None)
     c2_floor = C2[min(T_grid)]
     T_prime = max((T for T in T_grid if C2[T] <= 2.0 * c2_floor + 1e-6),
                   default=min(T_grid))
-    report.constants = {
+    conv.constants = {
         "T_grid": list(T_grid),
         "C_doubleprime_table": [C2[T] for T in T_grid],
         "C_tripleprime_table": [C3[T] for T in T_grid],
@@ -716,8 +700,8 @@ def probe_convexity(
         "T_second": T_second,
     }
     if T_second is None:
-        report.record_slack(-1.0, check="uniform_convexity_window",
-                            detail="no grid T with positive C'''")
+        conv.record_slack(-1.0, check="uniform_convexity_window",
+                          detail="no grid T with positive C'''")
     else:
-        report.record_slack(C3[T_second], check="uniform_convexity_window")
-    return report
+        conv.record_slack(C3[T_second], check="uniform_convexity_window")
+    return semi, conv

@@ -25,8 +25,7 @@ import yaml
 
 from . import __version__
 from .action import (minimize_action, probe_compact_containment,
-                     probe_convexity, probe_semiconcavity,
-                     probe_velocity_bounds)
+                     probe_midpoint_defects, probe_velocity_bounds)
 from .discounted import lift_to_evolution, solve_discounted
 from .errors import (BoxExhausted, ConfigError, HJLaxError, InvalidHorizon,
                      NonContraction, NonConvergence, OutOfWindow,
@@ -553,10 +552,6 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
     if lam is not None:
         lam = _number(float, lam, "lambda")
 
-    T_semi = tuple(t for t in T_grid if t < 2.0 / 3.0)
-    if not T_semi:
-        raise ConfigError("T_grid needs an entry below 2/3 for the "
-                          "semiconcavity probe")
     specs = [dict(spec) for spec in cfg["lagrangians"]]
     labels = [str(spec.pop("label", spec.get("key", ""))) for spec in specs]
     if len(set(labels)) != len(labels):
@@ -570,18 +565,17 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
         L = (discount_lift(L0, lam, horizon=2.0 * max(T_grid) + 0.1)
              if lam is not None else L0)
         x = _numbers(cfg.get("x", [0.0] * L0.dim), "x")
+        semi, conv = probe_midpoint_defects(
+            L, x, 0.0, lam_cone=lam_cone, T_grid=T_grid,
+            n_samples=n_samples, seed=seed)
         reports = {
             "velocity_bounds": probe_velocity_bounds(
                 L, x, R, time_pairs, n_samples=n_samples, seed=seed),
             "compact_containment": probe_compact_containment(
                 L, x, 0.0, max(T_grid), lam_cone, n_samples=n_samples,
                 seed=seed),
-            "semiconcavity": probe_semiconcavity(
-                L, x, 0.0, lam_cone=lam_cone, T_grid=T_semi,
-                n_samples=n_samples, seed=seed),
-            "convexity": probe_convexity(
-                L, x, 0.0, lam_cone=lam_cone, T_grid=T_grid,
-                n_samples=n_samples, seed=seed),
+            "semiconcavity": semi,
+            "convexity": conv,
         }
         entry = {}
         for pname, rep in reports.items():

@@ -18,13 +18,9 @@ class InvalidHorizon(HJLaxError):
 
 
 class NonConvergence(HJLaxError):
-    """An iterative solve stopped above its tolerance."""
-
-
-class NoConvergence(NonConvergence):
-    """Action minimization found no certified minimizer: the collocation
-    failed, stalled above the Euler-Lagrange residual tolerance, or landed
-    above the phase-1 action."""
+    """An iterative solve stopped above its tolerance; for action
+    minimization, the collocation failed, stalled above the Euler-Lagrange
+    residual tolerance, or landed above the phase-1 action."""
 
 
 class SearchBallClipped(HJLaxError):

@@ -23,7 +23,7 @@ from .lagrangian import (Hamiltonian, TonelliLagrangian, discount_lift,
                          hamiltonian_for)
 from .laxoleinik import (MaximizerRecord, estimate_kappa0, lax_plus,
                          require_unique_maximizer)
-from .action import action_values_batch, probe_convexity
+from .action import _midpoint_family, action_values_batch
 from .report import write_csv
 from .regularity import (SingularSet, min_H_over_superdiff,
                          semiconcavity_constant, singular_set,
@@ -376,14 +376,15 @@ class SingularTrace:
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
                       x0: Array, t_grid: Array | None = None,
                       strict: bool = True, sing: SingularSet | None = None,
-                      window: tuple[float, float] | None = None,
+                      t2: float | None = None,
                       window_samples: int = 64) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
     The start point must belong to the detected singular set.  With strict
     on, a maximizer leaving the singular set raises NotSingular and one
     leaving the cone |y - x0| <= kappa0*t raises ConeViolation; both are
-    always recorded in the flags either way.
+    always recorded in the flags either way.  t2 skips the concavity-window
+    probe and is reported as given.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if sing is None:
@@ -438,11 +439,9 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     q, _ = min_H_over_superdiff(H, 0.0, x0, S)
     v0 = np.atleast_1d(np.asarray(H.grad_p(0.0, x0, q), dtype=float))
 
-    if window is None:
+    if t2 is None:
         t2 = _concavity_window(sol, _window_lift(sol, L, t_grid), x0, t_grid,
                                window_samples, seed=0)
-    else:
-        _, t2 = window
     return SingularTrace(
         x0=x0, lam=sol.lam, t_grid=t_grid, maximizers=ys,
         singular_flags=np.array(flags, dtype=bool),
@@ -466,7 +465,8 @@ def _uniqueness_window(ts: Array, flags: list[bool]) -> float:
 
 def _window_lift(sol: DiscountedSolution, L: TonelliLagrangian,
                  t_probe: Array) -> TonelliLagrangian:
-    # convexity probes perturb the arrival time up to 1.5x the largest T
+    # the horizon covers a full midpoint family, whose timed half reaches
+    # 1.5x the largest T
     return discount_lift(L, sol.lam,
                          horizon=1.5 * float(t_probe.max()) + sol.dt)
 
@@ -482,11 +482,13 @@ def _concavity_window(sol: DiscountedSolution, lifted: TonelliLagrangian,
     lo = np.maximum(x0 - 8.0 * h, sol.u.box[:, 0])
     hi = np.minimum(x0 + 8.0 * h, sol.u.box[:, 1])
     c2 = semiconcavity_constant(sol.u, region=np.stack([lo, hi], axis=1))
-    report = probe_convexity(lifted, x0, 0.0,
-                             T_grid=tuple(float(t) for t in t_probe),
-                             n_samples=n_samples, seed=seed)
-    c3 = dict(zip(report.constants["T_grid"],
-                  report.constants["C_tripleprime_table"]))
+    rng = np.random.default_rng(seed)
+    c3 = {}
+    for t in map(float, t_probe):
+        # C'''(t) reads only the h = 0 half of the midpoint family
+        ratio = _midpoint_family(lifted, x0, 0.0, t, 1.0, n_samples, rng,
+                                 with_time=False)[1]
+        c3[t] = np.fmin.reduce(ratio, initial=np.inf)
     qualifying = [t for t in t_probe if c3[float(t)] / t > c2]
     return float(max(qualifying)) if qualifying else 0.0
 

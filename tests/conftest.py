@@ -1,6 +1,12 @@
+import os
 import sys
 
-import numpy as np
+# single-threaded BLAS unless the caller sets a thread count: small scipy
+# solves run far slower under a multithreaded BLAS on a loaded machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread pins)
 import pytest
 
 import hjlax as hj

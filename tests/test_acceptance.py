@@ -214,10 +214,8 @@ def test_criterion_04_inequality_probe_suite():
                                      seed=0),
             hj.probe_compact_containment(L, x, 0.0, 0.4, 1.0, n_samples=n,
                                          seed=0),
-            hj.probe_semiconcavity(L, x, 0.0, T_grid=T_grid, n_samples=n,
-                                   seed=0),
-            hj.probe_convexity(L, x, 0.0, T_grid=T_grid, n_samples=n,
-                               seed=0),
+            *hj.probe_midpoint_defects(L, x, 0.0, T_grid=T_grid,
+                                       n_samples=n, seed=0),
         ]
         total_violations += sum(len(r.violations) for r in reports)
         if L.key == "free":

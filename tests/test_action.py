@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 
 import hjlax as hj
 import hjlax.action
-from hjlax.errors import ConeViolation, ConfigError, NoConvergence, OutOfWindow
+from hjlax.errors import ConeViolation, ConfigError, NonConvergence, OutOfWindow
 
 # frozen closed form: minimal discounted free action at lam=1, s=0, t=0.5,
 # |y-x| = 1, equal to lam |y-x|^2 / (2 (e^{-lam s} - e^{-lam t}))
@@ -109,7 +109,7 @@ def test_dual_arc_follows_hamiltonian_flow(pendulum):
     x = np.array([-0.4])
     y = np.array([1.1])
     fs = hj.minimize_action(pendulum, 0.0, 0.6, x, y)
-    arc = hj.dual_arc(fs)
+    arc = fs.dual
 
     def rhs(tau, z):
         return [z[1], -np.sin(z[0])]
@@ -168,7 +168,7 @@ def test_window_and_ordering_validation(lifted_free):
 
 def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
     # mean speed 20 on the anisotropic metric: the collocation either
-    # certifies the arc or the solve fails with NoConvergence, with no
+    # certifies the arc or the solve fails with NonConvergence, with no
     # re-solve in between
     calls = []
     real = hjlax.action.solve_bvp
@@ -182,7 +182,7 @@ def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
     try:
         fs = hj.minimize_action(aniso2, 0.0, 0.1, np.array([1.0, 0.0]),
                                 np.array([-1.0, 0.0]), tol=tol)
-    except NoConvergence:
+    except NonConvergence:
         pass
     else:
         assert fs.residual <= tol * (1.0 + fs.momentum_sup)
@@ -232,20 +232,44 @@ def test_velocity_probe_free_table_is_the_ratio(free1):
 
 
 def test_semiconcavity_probe_free_space_bucket_is_one(free1):
-    rep = hj.probe_semiconcavity(free1, np.zeros(1), 0.0, lam_cone=1.0,
-                                 T_grid=(0.1, 0.2), n_samples=16, seed=0)
+    rep, _ = hj.probe_midpoint_defects(free1, np.zeros(1), 0.0, lam_cone=1.0,
+                                       T_grid=(0.1, 0.2), n_samples=16, seed=0)
     assert rep.passed
     assert rep.constants["C_lambda_space"] == pytest.approx(1.0, abs=1e-6)
     assert rep.constants["C_lambda"] >= 1.0 - 1e-9
 
 
 def test_convexity_probe_free_constants(free1):
-    rep = hj.probe_convexity(free1, np.zeros(1), 0.0, lam_cone=1.0,
-                             T_grid=(0.1, 0.2), n_samples=16, seed=0)
+    _, rep = hj.probe_midpoint_defects(free1, np.zeros(1), 0.0, lam_cone=1.0,
+                                       T_grid=(0.1, 0.2), n_samples=16, seed=0)
     assert rep.passed
     assert rep.constants["C_doubleprime"] == pytest.approx(0.0, abs=1e-8)
     assert rep.constants["C_tripleprime"] == pytest.approx(1.0, abs=1e-6)
     assert rep.constants["T_second"] == 0.2
+
+
+def test_midpoint_probe_solves_one_family_per_T(free1, monkeypatch):
+    # per T: n_y base arcs, then 2 solves for each of n_pert spatial and
+    # n_pert timed perturbations of every base; both reports share them
+    calls = []
+    real = hjlax.action.minimize_action
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
+    T_grid = (0.1, 0.2, 0.8)
+    n_y, n_pert = 4, 4                  # from n_samples = 16
+    semi, conv = hj.probe_midpoint_defects(free1, np.zeros(1), 0.0,
+                                           T_grid=T_grid, n_samples=16)
+    assert len(calls) == len(T_grid) * n_y * (1 + 4 * n_pert)
+    assert conv.samples == len(T_grid) * n_y * 2 * n_pert
+    # the semiconcavity report reads the grid T below 2/3 only
+    assert semi.constants["T_grid"] == [0.1, 0.2]
+    assert semi.samples == 2 * n_y * 2 * n_pert
+    with pytest.raises(ConfigError):
+        hj.probe_midpoint_defects(free1, np.zeros(1), 0.0, T_grid=(0.8,))
 
 
 def test_compact_containment_probe_free(free1):

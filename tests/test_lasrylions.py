@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import hjlax.action
 from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
                    aitken_extrapolants, convergence_sweep,
                    default_probe_points, diagonal_action, free_lagrangian,
@@ -297,7 +298,7 @@ def test_tilted_well_moves_kink_but_not_its_velocity():
     assert sing.points[0, 0] == pytest.approx(0.5)
     tr = trace_singularity(sol, L, sing.points[0],
                            t_grid=np.array([0.1, 0.05, 0.025]),
-                           window=(0.1, 0.1))
+                           t2=0.1)
     h = float(sol.u.spacing.max())
     assert tr.singular_flags.all()
     # stationary solution: the kink sits still and the predicted speed is 0
@@ -314,6 +315,25 @@ def test_strict_concavity_window_for_free_kink(vee):
     # linear pieces carry no curvature: every probe scale qualifies
     assert t2 == pytest.approx(0.1)
     assert t1 == pytest.approx(0.1)
+
+
+def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
+    # per probe t: n_y base arcs and 2 solves for each of n_pert spatial
+    # perturbations; the timed half is drawn but never solved
+    calls = []
+    real = hjlax.action.minimize_action
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
+    t_probe = np.array([0.1, 0.05])
+    n_y, n_pert = 4, 6                  # from n_samples = 24
+    _, t2 = strict_concavity_window(vee, free_lagrangian(1), np.array([0.0]),
+                                    t_probe=t_probe, n_samples=24)
+    assert t2 == pytest.approx(0.1)
+    assert len(calls) == len(t_probe) * n_y * (1 + 2 * n_pert)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +379,7 @@ def test_trace_serialization_roundtrip(dw, tmp_path):
     L, sol = dw
     tr = trace_singularity(sol, L, np.array([0.0]),
                            t_grid=np.array([0.05, 0.025]),
-                           window=(0.05, 0.05))
+                           t2=0.05)
     blob = json.dumps(tr.as_dict(), sort_keys=True)
     assert json.loads(blob)["t1"] == 0.05
 
