@@ -7,6 +7,11 @@ seed, artifact list, and final status; it is written even when the run
 fails, and it carries no wall-clock data so same-seed runs are
 byte-identical.  Elapsed time goes to timing.txt instead.
 
+Each kind accepts exactly the keys of its _SCHEMAS table, which gives
+every key a converter and a default (or marks it required).  _parse reads
+the whole config into typed values before anything runs, so a missing,
+unknown or malformed key is a config error that names the dotted key.
+
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 assertion or violation present, 5 internal error (any other exception;
 its traceback goes to stderr).
@@ -31,7 +36,8 @@ from .errors import (BoxExhausted, ConfigError, HJLaxError, InvalidHorizon,
                      NonContraction, NonConvergence, OutOfWindow,
                      SearchBallClipped)
 from .gridfn import GridSpec
-from .lagrangian import catalog, discount_lift, hamiltonian_for
+from .lagrangian import (TonelliLagrangian, catalog, discount_lift,
+                         hamiltonian_for)
 from .lasrylions import (convergence_sweep, gradient_limit_vs_qx,
                          lambda_sweep_problem_probe, trace_singularity)
 from .laxoleinik import lax_minus, lax_plus
@@ -81,50 +87,214 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config plumbing: converters, one key table per kind, and one parser
 
 
-def _require_keys(cfg: Any, required: set[str], allowed: set[str],
-                  where: str) -> None:
+def _checked(ok: Callable[[Any], bool], what: str,
+             convert: Callable[[Any], Any] = lambda v: v
+             ) -> Callable[[Any], Any]:
+    """Converter convert that also requires ok of the converted value."""
+    def run(value: Any) -> Any:
+        out = convert(value)
+        if not ok(out):
+            raise ValueError(f"expected {what}")
+        return out
+    return run
+
+
+def _float(value: Any) -> float:
+    if isinstance(value, bool):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _int(value: Any) -> int:
+    number = _float(value)
+    if not number.is_integer():
+        raise ValueError("expected an integer")
+    return int(number)
+
+
+_positive = _checked(lambda x: x > 0.0, "a positive number", _float)
+_flag = _checked(lambda v: isinstance(v, bool), "true or false")
+_text = _checked(lambda v: isinstance(v, str), "a string")
+_REQUIRED = object()
+
+
+def _choice(*words: str) -> Callable[[Any], str]:
+    return _checked(lambda v: v in words, f"one of {list(words)}")
+
+
+def _at_least(least: int) -> Callable[[Any], int]:
+    return _checked(lambda n: n >= least, f"an integer >= {least}", _int)
+
+
+def _floats(*shape: int | None) -> Callable[[Any], np.ndarray]:
+    """Converter to a float array of the given shape (None: any length > 0)."""
+    dims = " x ".join("n" if n is None else str(n) for n in shape)
+    return _checked(
+        lambda a: a.ndim == len(shape) and all(
+            n > 0 and want in (None, n) for n, want in zip(a.shape, shape)),
+        f"{dims} numbers", lambda v: np.asarray(v, dtype=float))
+
+
+def _unless(word: str, convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Converter reading the literal word as None and the rest by convert."""
+    return lambda value: None if value == word else convert(value)
+
+
+def _fields(keys: dict[str, tuple[Any, Any]], cfg: Any, where: str = ""
+            ) -> dict[str, Any]:
+    """Typed values of the mapping cfg at the dotted path where.
+
+    keys maps each accepted key to (converter, default); the converter may
+    be a nested key table, and the default _REQUIRED.  Defaults go through
+    the converter like given values, and null is accepted only where the
+    default is None.  A TypeError or ValueError from a converter becomes a
+    ConfigError that names the dotted key."""
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    keys = set(cfg)
-    missing = required - keys
-    unknown = keys - allowed
+        raise ConfigError(f"{where or 'config'} must be a mapping")
+    missing = [k for k, (_, default) in keys.items()
+               if default is _REQUIRED and k not in cfg]
+    unknown = sorted(str(k) for k in cfg if k not in keys)
     if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        raise ConfigError(f"{where or 'config'}: missing keys {missing}")
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where or 'config'}: unknown keys {unknown}")
+    out = {}
+    for key, (convert, default) in keys.items():
+        name = f"{where}.{key}" if where else key
+        value = cfg.get(key, default)
+        if value is None and default is None:
+            out[key] = None
+        elif isinstance(convert, dict):
+            out[key] = _fields(convert, value, name)
+        else:
+            try:
+                out[key] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc} (got {value!r})") from exc
+    return out
 
 
-def _number(kind: type, value: Any, key: str) -> Any:
-    """kind(value) for the config entry at key; a bad value is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {value!r} is not a valid {kind.__name__}") from exc
+def _lagrangian(spec: Any) -> TonelliLagrangian:
+    """Catalog Lagrangian of a {key, dim (default 1), **params} mapping."""
+    if not isinstance(spec, dict) or "key" not in spec:
+        raise TypeError("expected a mapping with a 'key'")
+    params = {k: v for k, v in spec.items() if k != "key"}
+    params["dim"] = _int(spec.get("dim", 1))
+    return catalog(spec["key"], **params)
 
 
-def _numbers(value: Any, key: str, length: int | None = None) -> np.ndarray:
-    """Float array of the config entry at key, with length entries when
-    given; a non-numeric, ragged or wrongly sized value is a ConfigError."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {value!r} is not a numeric array") from exc
-    if length is not None and arr.shape != (length,):
-        raise ConfigError(f"{key}: expected {length} numbers, got {value!r}")
-    return arr
+def _lagrangians(specs: Any) -> dict[str, TonelliLagrangian]:
+    """Lagrangian per label; an entry's label defaults to its key."""
+    if not isinstance(specs, list):
+        raise TypeError("expected a list of lagrangian mappings")
+    labelled = {}
+    for spec in map(dict, specs):
+        label = str(spec.pop("label", spec.get("key", "")))
+        if label in labelled:
+            raise ValueError("duplicate lagrangian labels; set a distinct "
+                             "'label' on each entry sharing a key")
+        labelled[label] = _lagrangian(spec)
+    return labelled
 
 
-def _positive_tolerances(cfg: dict) -> dict:
-    tols = cfg.get("tolerances", {}) or {}
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be a mapping")
-    for k, v in tols.items():
-        if not (isinstance(v, (int, float)) and v > 0.0):
-            raise ConfigError(f"tolerance {k!r} must be positive, got {v!r}")
-    return tols
+_GRID = {"box": (_floats(None, 2), _REQUIRED),
+         "num": (_checked(lambda a: all(n.is_integer() and n >= 2 for n in a),
+                          "integers >= 2", _floats(None)), _REQUIRED),
+         "boundary": (_choice("constant", "periodic"), "constant")}
+
+
+def _grid(spec: Any) -> GridSpec:
+    g = _fields(_GRID, spec, "grid")
+    if len(g["box"]) != len(g["num"]):
+        raise ValueError("box and num differ in length")
+    return GridSpec(box=[tuple(b) for b in g["box"].tolist()],
+                    num=[int(n) for n in g["num"]], boundary=g["boundary"])
+
+
+_T_GRID = {"start": (_float, _REQUIRED), "count": (_at_least(1), _REQUIRED),
+           "factor": (_float, 2.0)}
+
+
+def _t_grid(spec: Any) -> np.ndarray:
+    """Scales of a t_grid entry: a list, or start * factor^-k for k < count."""
+    if isinstance(spec, list):
+        return _floats(None)(spec)
+    if isinstance(spec, dict):
+        g = _fields(_T_GRID, spec, "t_grid")
+        return g["start"] * g["factor"] ** (-np.arange(g["count"], dtype=float))
+    raise ConfigError("t_grid must be a list or {start, count, factor}")
+
+
+_FIELDS: dict[str, Callable[..., Callable]] = {
+    "vee": lambda scale: (lambda x: -scale * np.linalg.norm(x, axis=-1)),
+    "quadratic": lambda scale: (lambda x: -0.5 * scale * np.sum(x * x, -1)),
+    "constant": lambda scale: (lambda x: scale + 0.0 * x[..., 0]),
+}
+
+# Every key a kind accepts.  "tolerances" lists the ones the kind checks,
+# each positive; a None default is derived from the grid spacing.
+_STATIONARY = {"lagrangian": (_lagrangian, _REQUIRED),
+               "lambda": (_float, _REQUIRED), "grid": (_grid, _REQUIRED),
+               "dt": (_float, _REQUIRED)}
+_SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
+    kind: {**keys, "out": (_text, ".")} for kind, keys in {
+        "fundamental": {
+            "lagrangian": (_lagrangian, _REQUIRED), "lambda": (_float, None),
+            "n_samples": (_int, 100), "window": (_floats(2), [0.05, 0.5]),
+            "s_range": (_floats(2), [0.0, 0.0]), "box_radius": (_float, 1.0),
+            "seed": (_int, 0), "gradient_check": (_flag, False),
+            "fd_step": (_float, 1e-5),
+            "tolerances": ({"rel_error": (_positive, 1e-6),
+                            "grad_rel_error": (_positive, 1e-3)}, {})},
+        "operators": {
+            "lagrangian": (_lagrangian, _REQUIRED), "lambda": (_float, None),
+            "grid": (_grid, _REQUIRED),
+            "field": ({"kind": (_choice(*_FIELDS), _REQUIRED),
+                       "scale": (_float, 1.0)}, _REQUIRED),
+            "taus": (_floats(None), _REQUIRED),
+            "sign": (_choice("plus", "minus"), "plus"),
+            "kappa0": (_float, None),
+            "tolerances": ({"sup_error": (_positive, 1e-4)}, {})},
+        "discounted": {
+            **_STATIONARY, "tol_fp": (_float, 1e-10),
+            "reference": ({"refine": (_at_least(1), 4)}, None),
+            "lift_check": ({"t": (_float, _REQUIRED)}, None),
+            "tolerances": ({"sup_vs_reference": (_positive, np.inf),
+                            "lift_sup_error": (_positive, np.inf)}, {})},
+        "regularize": {
+            **_STATIONARY, "t_grid": (_t_grid, _REQUIRED),
+            "probes": (_unless("default", _floats(None, None)), "default"),
+            "seed": (_int, 0), "cauchy_tol": (_float, 1e-3),
+            "compare_qx": (_flag, True),
+            "tolerances": ({"gradient_match": (_positive, None)}, {})},
+        "singularity": {
+            **_STATIONARY, "t_grid": (_t_grid, _REQUIRED),
+            "x0": (_unless("auto", _floats(None)), "auto"),
+            "strict": (_flag, True), "window_samples": (_int, 64),
+            "tolerances": ({"jump": (_positive, None),
+                            "derivative_match": (_positive, None)}, {})},
+        "propcheck": {
+            "lagrangians": (_lagrangians, _REQUIRED), "lambda": (_float, None),
+            "x": (_floats(None), None), "R": (_float, 1.0),
+            "time_pairs": (_floats(None, 2), [[0.0, 0.5], [0.0, 1.0]]),
+            "T_grid": (_floats(None), [0.05, 0.1, 0.2, 0.4]),
+            "lam_cone": (_float, 1.0), "n_samples": (_int, 200),
+            "seed": (_int, 0)},
+        "lambda-sweep": {
+            "lagrangian": (_lagrangian, _REQUIRED),
+            "lambda_grid": (_floats(None), _REQUIRED),
+            "points": (_floats(None, None), _REQUIRED),
+            "grid": (_grid, _REQUIRED), "dt": (_float, _REQUIRED),
+            "analytic_qx": (_floats(None, None), None)},
+    }.items()}
+
+
+def _parse(kind: str, cfg: Any) -> dict[str, Any]:
+    """Typed values of an experiment config under its kind's key table."""
+    return _fields(_SCHEMAS[kind], cfg)
 
 
 def _set_dotted(cfg: dict, dotted: str, value: Any) -> None:
@@ -169,84 +339,18 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _build_lagrangian(spec: Any):
-    if not isinstance(spec, dict) or "key" not in spec:
-        raise ConfigError("lagrangian must be a mapping with a 'key'")
-    spec = dict(spec)
-    key = spec.pop("key")
-    dim = _number(int, spec.pop("dim", 1), "lagrangian.dim")
-    try:
-        return catalog(key, dim=dim, **spec)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for lagrangian {key!r}: {exc}")
-
-
-def _build_grid(spec: Any) -> GridSpec:
-    _require_keys(spec, {"box", "num"}, {"box", "num", "boundary"}, "grid")
-    box = [tuple(_number(float, v, "grid.box") for v in pair)
-           for pair in spec["box"]]
-    num = [_number(int, n, "grid.num") for n in spec["num"]]
-    return GridSpec(box=box, num=num,
-                    boundary=spec.get("boundary", "constant"))
-
-
-_FIELDS: dict[str, Callable[..., Callable]] = {
-    "vee": lambda scale=1.0: (lambda x: -scale * np.linalg.norm(x, axis=-1)),
-    "quadratic": lambda scale=1.0: (
-        lambda x: -0.5 * scale * np.sum(x * x, axis=-1)),
-    "constant": lambda scale=1.0: (lambda x: scale + 0.0 * x[..., 0]),
-}
-
-
-def _build_field(spec: Any) -> tuple[Callable, str, float]:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("field must be a mapping with a 'kind'")
-    kind = spec["kind"]
-    scale = _number(float, spec.get("scale", 1.0), "field.scale")
-    if kind not in _FIELDS:
-        raise ConfigError(f"unknown field kind {kind!r}")
-    return _FIELDS[kind](scale), kind, scale
-
-
-def _t_grid(spec: Any) -> np.ndarray:
-    if isinstance(spec, (list, tuple)):
-        return np.asarray([_number(float, t, "t_grid") for t in spec])
-    if isinstance(spec, dict):
-        _require_keys(spec, {"start", "count"},
-                      {"start", "count", "factor"}, "t_grid")
-        start = _number(float, spec["start"], "t_grid.start")
-        count = _number(int, spec["count"], "t_grid.count")
-        factor = _number(float, spec.get("factor", 2.0), "t_grid.factor")
-        return start * factor ** (-np.arange(count, dtype=float))
-    raise ConfigError("t_grid must be a list or {start, count, factor}")
-
-
 # ---------------------------------------------------------------------------
-# experiment runners (each returns an exit code)
+# experiment runners: each reads the parsed config and returns an exit code
 
 
-def run_fundamental(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian"},
-                  {"lagrangian", "lambda", "n_samples", "window", "s_range",
-                   "box_radius", "seed", "gradient_check", "fd_step",
-                   "tolerances", "out"}, "fundamental")
-    tols = _positive_tolerances(cfg)
-    L0 = _build_lagrangian(cfg["lagrangian"])
-    lam = cfg.get("lambda")
-    n = _number(int, cfg.get("n_samples", 100), "n_samples")
-    wlo, whi = map(float, _numbers(cfg.get("window", [0.05, 0.5]), "window", 2))
-    slo, shi = map(float, _numbers(cfg.get("s_range", [0.0, 0.0]), "s_range", 2))
-    radius = _number(float, cfg.get("box_radius", 1.0), "box_radius")
-    grad_check = bool(cfg.get("gradient_check", False))
-    fd_step = _number(float, cfg.get("fd_step", 1e-5), "fd_step")
-    rng = np.random.default_rng(_number(int, cfg.get("seed", 0), "seed"))
-
-    if lam is not None:
-        lam = _number(float, lam, "lambda")
-        L = discount_lift(L0, lam, horizon=shi + whi + 0.1)
-    else:
-        L = L0
-
+def run_fundamental(p: dict, ws: Workspace) -> int:
+    L0, lam, n = p["lagrangian"], p["lambda"], p["n_samples"]
+    wlo, whi = p["window"].tolist()
+    slo, shi = p["s_range"].tolist()
+    radius, grad_check = p["box_radius"], p["gradient_check"]
+    rng = np.random.default_rng(p["seed"])
+    L = (discount_lift(L0, lam, horizon=shi + whi + 0.1)
+         if lam is not None else L0)
     closed = L.kernel.value if L.kernel is not None else None
 
     dim = L0.dim
@@ -273,69 +377,49 @@ def run_fundamental(cfg: dict, ws: Workspace) -> int:
             row += [ref, rel]
         if grad_check:
             worst = 0.0
-            for which, grad in (("x", fs.grad_x), ("y", fs.grad_y)):
+            for k, grad in enumerate((fs.grad_x, fs.grad_y)):
                 for i in range(dim):
-                    e = np.zeros(dim)
-                    e[i] = fd_step
-                    if which == "x":
-                        a_p = minimize_action(L, s, t, x + e, y).value
-                        a_m = minimize_action(L, s, t, x - e, y).value
-                    else:
-                        a_p = minimize_action(L, s, t, x, y + e).value
-                        a_m = minimize_action(L, s, t, x, y - e).value
-                    fd = (a_p - a_m) / (2.0 * fd_step)
-                    worst = max(worst, abs(grad[i] - fd)
-                                / max(abs(fd), 1e-8))
+                    e = np.zeros((2, dim))
+                    e[k, i] = p["fd_step"]
+                    fd = (minimize_action(L, s, t, x + e[0], y + e[1]).value
+                          - minimize_action(L, s, t, x - e[0], y - e[1]).value
+                          ) / (2.0 * p["fd_step"])
+                    worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-8))
             max_grad_rel = max(max_grad_rel, worst)
             row += [worst]
         rows.append(row)
     ws.write_csv("samples.csv", header, rows)
 
-    report = {"n_samples": n, "lambda": lam,
-              "lagrangian": cfg["lagrangian"],
-              "max_rel_error": max_rel if closed else None,
-              "max_grad_rel_error": max_grad_rel if grad_check else None}
-    code = EXIT_OK
-    if closed and max_rel > tols.get("rel_error", 1e-6):
-        code = EXIT_VIOLATION
-    if grad_check and max_grad_rel > tols.get("grad_rel_error", 1e-3):
-        code = EXIT_VIOLATION
-    report["passed"] = code == EXIT_OK
-    ws.write_json("report.json", report)
-    return code
+    tols = p["tolerances"]
+    passed = not ((closed and max_rel > tols["rel_error"]) or (
+        grad_check and max_grad_rel > tols["grad_rel_error"]))
+    ws.write_json("report.json", {
+        "n_samples": n, "lambda": lam,
+        "lagrangian": {"key": L0.key, **L0.params},
+        "max_rel_error": max_rel if closed else None,
+        "max_grad_rel_error": max_grad_rel if grad_check else None,
+        "passed": passed})
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def run_operators(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian", "grid", "field", "taus"},
-                  {"lagrangian", "lambda", "grid", "field", "taus", "sign",
-                   "kappa0", "seed", "tolerances", "out"}, "operators")
-    tols = _positive_tolerances(cfg)
-    L0 = _build_lagrangian(cfg["lagrangian"])
-    lam = cfg.get("lambda")
-    taus = [_number(float, t, "taus") for t in cfg["taus"]]
-    sign = cfg.get("sign", "plus")
-    if sign not in ("plus", "minus"):
-        raise ConfigError(f"sign must be plus or minus, got {sign!r}")
-    fn, kind, scale = _build_field(cfg["field"])
-    u = _build_grid(cfg["grid"]).build(fn)
-    if lam is not None:
-        L = discount_lift(L0, _number(float, lam, "lambda"),
-                          horizon=max(taus) + 0.1)
-    else:
-        L = L0
+def run_operators(p: dict, ws: Workspace) -> int:
+    L0, lam, sign, field = p["lagrangian"], p["lambda"], p["sign"], p["field"]
+    taus = p["taus"].tolist()
+    scale = field["scale"]
+    u = p["grid"].build(_FIELDS[field["kind"]](scale))
+    L = (discount_lift(L0, lam, horizon=max(taus) + 0.1)
+         if lam is not None else L0)
     op = lax_plus if sign == "plus" else lax_minus
 
     moreau = None
-    if (kind == "vee" and L0.key == "free" and lam is None
+    if (field["kind"] == "vee" and L0.key == "free" and lam is None
             and sign == "plus"):
         def moreau(x, tau):
             r = np.linalg.norm(x, axis=-1)
             return np.where(r <= scale * tau, -r * r / (2.0 * tau),
                             -scale * r + scale * scale * tau / 2.0)
 
-    kwargs = {}
-    if cfg.get("kappa0") is not None:
-        kwargs["kappa0"] = _number(float, cfg["kappa0"], "kappa0")
+    kwargs = {} if p["kappa0"] is None else {"kappa0": p["kappa0"]}
 
     sup_errors = {}
     notes = {}
@@ -357,26 +441,24 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
             header += ["closed_form", "abs_error"]
             cols += [ref, err]
             sup_errors[str(tau)] = float(err.max())
-            if float(err.max()) > tols.get("sup_error", 1e-4):
+            if float(err.max()) > p["tolerances"]["sup_error"]:
                 code = EXIT_VIOLATION
         table = np.hstack(cols)
         ws.write_csv(f"values_tau{tau:g}.csv", header,
                      [list(map(float, r)) for r in table])
 
-        rec_rows = []
-        for rec in res.records:
-            rec_rows.append([*map(float, rec.x), *map(float, rec.y_star),
-                             float(rec.value), float(rec.distance_ratio),
-                             int(rec.clipped), int(rec.multiplicity)])
-            max_ratio = max(max_ratio, rec.distance_ratio)
         ws.write_csv(
             f"records_tau{tau:g}.csv",
             [f"x{i+1}" for i in range(u.dim)]
             + [f"ystar{i+1}" for i in range(u.dim)]
             + ["value", "distance_ratio", "clipped", "multiplicity"],
-            rec_rows)
+            [[*map(float, rec.x), *map(float, rec.y_star), float(rec.value),
+              float(rec.distance_ratio), int(rec.clipped),
+              int(rec.multiplicity)] for rec in res.records])
+        max_ratio = max([max_ratio]
+                        + [rec.distance_ratio for rec in res.records])
 
-    report = {"sign": sign, "taus": taus, "field": cfg["field"],
+    report = {"sign": sign, "taus": taus, "field": field,
               "sup_errors_vs_closed_form": sup_errors or None,
               "kappa0": kappa0_used, "max_distance_ratio": max_ratio,
               "localized": max_ratio <= (kappa0_used or np.inf),
@@ -385,52 +467,37 @@ def run_operators(cfg: dict, ws: Workspace) -> int:
     return code
 
 
-def run_discounted(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian", "lambda", "grid", "dt"},
-                  {"lagrangian", "lambda", "grid", "dt", "tol_fp",
-                   "reference", "lift_check", "seed", "tolerances", "out"},
-                  "discounted")
-    tols = _positive_tolerances(cfg)
-    L = _build_lagrangian(cfg["lagrangian"])
-    lam = _number(float, cfg["lambda"], "lambda")
-    grid = _build_grid(cfg["grid"])
-    dt = _number(float, cfg["dt"], "dt")
-    tol_fp = _number(float, cfg.get("tol_fp", 1e-10), "tol_fp")
-    ref_spec = cfg.get("reference")
-    if ref_spec:
-        _require_keys(ref_spec, set(), {"refine"}, "reference")
-        refine = _number(int, ref_spec.get("refine", 4), "reference.refine")
-    lift_spec = cfg.get("lift_check")
-    if lift_spec:
-        _require_keys(lift_spec, {"t"}, {"t"}, "lift_check")
-        t = _number(float, lift_spec["t"], "lift_check.t")
-
+def run_discounted(p: dict, ws: Workspace) -> int:
+    L, lam, grid, dt, tol_fp = (p[k] for k in ("lagrangian", "lambda", "grid",
+                                               "dt", "tol_fp"))
+    tols = p["tolerances"]
     sol = solve_discounted(L, lam, grid, dt, tol_fp=tol_fp)
     sol.u.to_csv(ws.path("u.csv"))
     report: dict[str, Any] = {"solution": sol.metadata()}
     code = EXIT_OK
 
-    if ref_spec:
-        spec2 = dict(cfg["grid"])
+    if p["reference"] is not None:
+        refine = p["reference"]["refine"]
         if grid.boundary == "periodic":
-            spec2["num"] = [n * refine for n in grid.num]
+            num = [n * refine for n in grid.num]
         else:
-            spec2["num"] = [(n - 1) * refine + 1 for n in grid.num]
-        sol2 = solve_discounted(L, lam, _build_grid(spec2), dt / refine,
-                                tol_fp=tol_fp)
+            num = [(n - 1) * refine + 1 for n in grid.num]
+        fine = GridSpec(box=grid.box, num=num, boundary=grid.boundary)
+        sol2 = solve_discounted(L, lam, fine, dt / refine, tol_fp=tol_fp)
         stride = tuple(slice(None, None, refine) for _ in grid.num)
         diff = float(np.abs(sol2.u.values[stride] - sol.u.values).max())
         report["reference"] = {"refine": refine, "sup_diff": diff}
-        if diff > tols.get("sup_vs_reference", np.inf):
+        if diff > tols["sup_vs_reference"]:
             code = EXIT_VIOLATION
 
-    if lift_spec:
+    if p["lift_check"] is not None:
+        t = p["lift_check"]["t"]
         lifted = discount_lift(L, lam, horizon=t)
         evo = lift_to_evolution(sol, t)
         res = lax_minus(lifted, sol.u, 0.0, t)
         gap = float(np.abs(res.grid.values - evo.values).max())
         report["lift_check"] = {"t": t, "sup_error": gap}
-        if gap > tols.get("lift_sup_error", np.inf):
+        if gap > tols["lift_sup_error"]:
             code = EXIT_VIOLATION
 
     report["passed"] = code == EXIT_OK
@@ -438,91 +505,61 @@ def run_discounted(cfg: dict, ws: Workspace) -> int:
     return code
 
 
-def run_regularize(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian", "lambda", "grid", "dt", "t_grid"},
-                  {"lagrangian", "lambda", "grid", "dt", "t_grid", "probes",
-                   "seed", "cauchy_tol", "compare_qx", "tolerances", "out"},
-                  "regularize")
-    tols = _positive_tolerances(cfg)
-    L = _build_lagrangian(cfg["lagrangian"])
-    lam = _number(float, cfg["lambda"], "lambda")
-    sol = solve_discounted(L, lam, _build_grid(cfg["grid"]),
-                           _number(float, cfg["dt"], "dt"))
-    t_grid = _t_grid(cfg["t_grid"])
-    probes = cfg.get("probes", "default")
-    probe_arr = None if probes == "default" else _numbers(probes, "probes")
-    sweep = convergence_sweep(sol, L, t_grid=t_grid, probe_points=probe_arr,
-                              seed=_number(int, cfg.get("seed", 0), "seed"),
-                              cauchy_tol=_number(float, cfg.get("cauchy_tol", 1e-3),
-                                                 "cauchy_tol"))
+def run_regularize(p: dict, ws: Workspace) -> int:
+    L = p["lagrangian"]
+    sol = solve_discounted(L, p["lambda"], p["grid"], p["dt"])
+    sweep = convergence_sweep(sol, L, t_grid=p["t_grid"],
+                              probe_points=p["probes"], seed=p["seed"],
+                              cauchy_tol=p["cauchy_tol"])
     sweep.errors_to_csv(ws.path("errors.csv"))
     sweep.probes_to_csv(ws.path("probes.csv"))
     ws.write_json("sweep.json", sweep.as_dict())
 
-    h = float(sol.u.spacing.max())
     monotone = bool(np.all(np.diff(sweep.sup_errors) < 0.0))
     budget = 4.0 * sol.u.interp_error_estimate()
-    code = EXIT_OK
     report: dict[str, Any] = {
         "monotone": monotone,
         "final_error": float(sweep.sup_errors[-1]),
         "interp_budget": budget,
         "cauchy_ok": sweep.cauchy_ok,
     }
-    if not monotone or sweep.sup_errors[-1] > budget:
-        code = EXIT_VIOLATION
-
-    if cfg.get("compare_qx", True):
+    passed = monotone and not sweep.sup_errors[-1] > budget
+    if p["compare_qx"]:
         H = hamiltonian_for(L)
-        match_tol = tols.get("gradient_match", 3.0 * h)
-        comparisons = []
-        for j in range(len(sweep.probe_points)):
-            cmp = gradient_limit_vs_qx(sweep, H, sweep.probe_points[j])
-            comparisons.append(cmp.as_dict())
-            if cmp.distance > match_tol:
-                code = EXIT_VIOLATION
-        report["qx_comparisons"] = comparisons
+        match_tol = (p["tolerances"]["gradient_match"]
+                     or 3.0 * float(sol.u.spacing.max()))
+        comparisons = [gradient_limit_vs_qx(sweep, H, pt)
+                       for pt in sweep.probe_points]
+        passed = passed and not any(c.distance > match_tol
+                                    for c in comparisons)
+        report["qx_comparisons"] = [c.as_dict() for c in comparisons]
         report["gradient_match_tol"] = match_tol
-
-    report["passed"] = code == EXIT_OK
+    report["passed"] = passed
     ws.write_json("report.json", report)
-    return code
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def run_singularity(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian", "lambda", "grid", "dt", "t_grid"},
-                  {"lagrangian", "lambda", "grid", "dt", "t_grid", "x0",
-                   "strict", "window_samples", "seed", "tolerances", "out"},
-                  "singularity")
-    tols = _positive_tolerances(cfg)
-    L = _build_lagrangian(cfg["lagrangian"])
-    lam = _number(float, cfg["lambda"], "lambda")
-    sol = solve_discounted(L, lam, _build_grid(cfg["grid"]),
-                           _number(float, cfg["dt"], "dt"))
+def run_singularity(p: dict, ws: Workspace) -> int:
+    L = p["lagrangian"]
+    sol = solve_discounted(L, p["lambda"], p["grid"], p["dt"])
     sing = singular_set(sol.u)
-    x0_spec = cfg.get("x0", "auto")
-    if x0_spec == "auto":
+    x0 = p["x0"]
+    if x0 is None:
         if not len(sing.points):
             raise ConfigError("x0: auto requires a nonempty singular set")
         x0 = sing.points[0]
-    else:
-        x0 = _numbers(x0_spec, "x0")
-    tr = trace_singularity(sol, L, x0, t_grid=_t_grid(cfg["t_grid"]),
-                           strict=bool(cfg.get("strict", True)), sing=sing,
-                           window_samples=_number(int, cfg.get("window_samples", 64),
-                                                  "window_samples"))
+    tr = trace_singularity(sol, L, x0, t_grid=p["t_grid"],
+                           strict=p["strict"], sing=sing,
+                           window_samples=p["window_samples"])
     tr.to_csv(ws.path("trace.csv"))
     ws.write_json("trace.json", tr.as_dict())
 
     h = float(sol.u.spacing.max())
-    jump_tol = tols.get("jump", 2.0 * h)
-    deriv_tol = tols.get("derivative_match", 2.0 * h)
-    code = EXIT_OK
-    if not (bool(tr.singular_flags.all()) and tr.max_jump <= jump_tol):
-        code = EXIT_VIOLATION
+    jump_tol = p["tolerances"]["jump"] or 2.0 * h
+    deriv_tol = p["tolerances"]["derivative_match"] or 2.0 * h
     rd_vs_v0 = float(np.linalg.norm(tr.right_derivative - tr.v0))
-    if rd_vs_v0 > deriv_tol:
-        code = EXIT_VIOLATION
+    passed = (bool(tr.singular_flags.all()) and tr.max_jump <= jump_tol
+              and not rd_vs_v0 > deriv_tol)
     ws.write_json("report.json", {
         "singular_points": sing.points,
         "all_maximizers_singular": bool(tr.singular_flags.all()),
@@ -530,47 +567,28 @@ def run_singularity(cfg: dict, ws: Workspace) -> int:
         "right_derivative": tr.right_derivative, "q_lambda": tr.q_lambda,
         "v0": tr.v0, "rd_vs_v0": rd_vs_v0, "derivative_tol": deriv_tol,
         "t1": tr.t1, "t2": tr.t2, "kappa0": tr.kappa0,
-        "passed": code == EXIT_OK,
+        "passed": passed,
     })
-    return code
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def run_propcheck(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangians"},
-                  {"lagrangians", "lambda", "x", "R", "time_pairs", "T_grid",
-                   "lam_cone", "n_samples", "seed", "tolerances", "out"},
-                  "propcheck")
-    lam = cfg.get("lambda")
-    n_samples = _number(int, cfg.get("n_samples", 200), "n_samples")
-    seed = _number(int, cfg.get("seed", 0), "seed")
-    lam_cone = _number(float, cfg.get("lam_cone", 1.0), "lam_cone")
-    T_grid = tuple(_number(float, t, "T_grid")
-                   for t in cfg.get("T_grid", [0.05, 0.1, 0.2, 0.4]))
-    time_pairs = [tuple(_number(float, t, "time_pairs") for t in p)
-                  for p in cfg.get("time_pairs", [[0.0, 0.5], [0.0, 1.0]])]
-    R = _number(float, cfg.get("R", 1.0), "R")
-    if lam is not None:
-        lam = _number(float, lam, "lambda")
-
-    specs = [dict(spec) for spec in cfg["lagrangians"]]
-    labels = [str(spec.pop("label", spec.get("key", ""))) for spec in specs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(
-            "duplicate lagrangian labels; set a distinct 'label' on each "
-            "entry sharing a key")
+def run_propcheck(p: dict, ws: Workspace) -> int:
+    lam, n_samples, seed, lam_cone = (p[k] for k in (
+        "lambda", "n_samples", "seed", "lam_cone"))
+    T_grid = tuple(p["T_grid"].tolist())
+    time_pairs = [tuple(pair) for pair in p["time_pairs"].tolist()]
     all_passed = True
     summary = {}
-    for name, spec in zip(labels, specs):
-        L0 = _build_lagrangian(spec)
+    for name, L0 in p["lagrangians"].items():
         L = (discount_lift(L0, lam, horizon=2.0 * max(T_grid) + 0.1)
              if lam is not None else L0)
-        x = _numbers(cfg.get("x", [0.0] * L0.dim), "x")
+        x = p["x"] if p["x"] is not None else np.zeros(L0.dim)
         semi, conv = probe_midpoint_defects(
             L, x, 0.0, lam_cone=lam_cone, T_grid=T_grid,
             n_samples=n_samples, seed=seed)
         reports = {
             "velocity_bounds": probe_velocity_bounds(
-                L, x, R, time_pairs, n_samples=n_samples, seed=seed),
+                L, x, p["R"], time_pairs, n_samples=n_samples, seed=seed),
             "compact_containment": probe_compact_containment(
                 L, x, 0.0, max(T_grid), lam_cone, n_samples=n_samples,
                 seed=seed),
@@ -589,19 +607,10 @@ def run_propcheck(cfg: dict, ws: Workspace) -> int:
     return EXIT_OK if all_passed else EXIT_VIOLATION
 
 
-def run_lambda_sweep(cfg: dict, ws: Workspace) -> int:
-    _require_keys(cfg, {"lagrangian", "lambda_grid", "points", "grid", "dt"},
-                  {"lagrangian", "lambda_grid", "points", "grid", "dt",
-                   "analytic_qx", "seed", "tolerances", "out"},
-                  "lambda-sweep")
-    L = _build_lagrangian(cfg["lagrangian"])
-    analytic = cfg.get("analytic_qx")
+def run_lambda_sweep(p: dict, ws: Workspace) -> int:
     out = lambda_sweep_problem_probe(
-        L, _numbers(cfg["lambda_grid"], "lambda_grid"),
-        _numbers(cfg["points"], "points"), _build_grid(cfg["grid"]),
-        dt=_number(float, cfg["dt"], "dt"),
-        analytic_qx=None if analytic is None else _numbers(analytic,
-                                                           "analytic_qx"))
+        p["lagrangian"], p["lambda_grid"], p["points"], p["grid"],
+        dt=p["dt"], analytic_qx=p["analytic_qx"])
     ws.write_json("qtable.json", out)
     return EXIT_OK
 
@@ -634,21 +643,18 @@ def main(argv: list[str] | None = None) -> int:
 
     t_start = time.perf_counter()
     cfg: dict = {}
-    status = "ok"
-    error_class = None
-    error_message = None
-    code = EXIT_OK
+    status, error_class, error_message, code = "ok", None, None, EXIT_OK
     out_dir = args.out or "."
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         for item in args.tol:
-            key, value = _parse_override(item)
-            _set_dotted(cfg, key, value)
-        out_dir = args.out or cfg.get("out") or "."
+            _set_dotted(cfg, *_parse_override(item))
+        parsed = _parse(args.kind, cfg)
+        out_dir = args.out or parsed["out"]
         ws = Workspace(out_dir)
-        code = _RUNNERS[args.kind](cfg, ws)
+        code = _RUNNERS[args.kind](parsed, ws)
     except Exception as exc:  # noqa: BLE001 - every failure gets a manifest
         ws = Workspace(out_dir)
         code = _exit_code_for(exc)
@@ -659,19 +665,12 @@ def main(argv: list[str] | None = None) -> int:
         error_message = str(exc)
 
     manifest = {
-        "kind": args.kind,
-        "config": cfg,
-        "seed": cfg.get("seed", 0),
-        "status": status,
-        "error_class": error_class,
-        "error_message": error_message,
-        "exit_code": code,
+        "kind": args.kind, "config": cfg, "seed": cfg.get("seed", 0),
+        "status": status, "error_class": error_class,
+        "error_message": error_message, "exit_code": code,
         "artifacts": sorted(ws.artifacts),
-        "versions": {
-            "hjlax": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
+        "versions": {"hjlax": __version__, "numpy": np.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
     }
     dump_json(manifest, os.path.join(ws.out_dir, "manifest.json"))
     with open(os.path.join(ws.out_dir, "timing.txt"), "w") as fh:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 from scipy.optimize import Bounds, brentq, minimize
@@ -109,15 +109,13 @@ def estimate_kappa0(
     s: float,
     t: float,
     x_samples: Array,
-    alphas: Sequence[float] = (1.0,),
 ) -> dict[str, Any]:
     """Velocity-ratio bound kappa0 for maximizer localization.
 
     Solves theta(q) = lip q + c0 + M0 for its largest root, where M0 is the
-    sampled sup of L(tau, x, 0) over x_samples and tau in [s, t].  The alphas
-    entries rescale lip (the bound for alpha * u), exposing how the search
-    ball grows with the data.  Returns the roots and the ball radius
-    (1 + _BALL_MARGIN) * q * (t - s) of the base root.
+    sampled sup of L(tau, x, 0) over x_samples and tau in [s, t].  (The
+    bound for alpha * u is the one for lip scaled by |alpha|.)  Returns the
+    root and the ball radius (1 + _BALL_MARGIN) * q * (t - s).
     """
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     taus = np.linspace(s, t, 5)
@@ -127,40 +125,32 @@ def estimate_kappa0(
     g = L.growth
     rhs_const = g.c0 + max(M0, 0.0)
 
-    roots = {}
-    for alpha in alphas:
-        slope = abs(alpha) * lip
+    def gap(q):
+        return float(g.theta(np.asarray(q, dtype=float))) - lip * q - rhs_const
 
-        def gap(q):
-            return float(g.theta(np.asarray(q, dtype=float))) - slope * q - rhs_const
-
-        q_hi = 1.0
-        for _ in range(200):
-            if gap(q_hi) > 0:
-                break
-            q_hi *= 2.0
-        else:
-            raise BoxExhausted("superlinearity never overtook the Lipschitz slope")
-        # largest root: walk down from q_hi until the gap turns negative;
-        # theta(q) <= slope q + rhs_const can hold on [0, q*] with gap(0) = 0
-        q_lo = q_hi
-        root = 0.0
-        for _ in range(200):
-            q_lo *= 0.5
-            if q_lo < 1e-14:
-                break
-            if gap(q_lo) < 0:
-                root = brentq(gap, q_lo, q_hi, xtol=1e-12)
-                break
-            q_hi = q_lo
-        roots[alpha] = float(root)
-
-    base = roots[1.0] if 1.0 in roots else roots[max(roots)]
+    q_hi = 1.0
+    for _ in range(200):
+        if gap(q_hi) > 0:
+            break
+        q_hi *= 2.0
+    else:
+        raise BoxExhausted("superlinearity never overtook the Lipschitz slope")
+    # largest root: walk down from q_hi until the gap turns negative;
+    # theta(q) <= lip q + rhs_const can hold on [0, q*] with gap(0) = 0
+    q_lo = q_hi
+    root = 0.0
+    for _ in range(200):
+        q_lo *= 0.5
+        if q_lo < 1e-14:
+            break
+        if gap(q_lo) < 0:
+            root = float(brentq(gap, q_lo, q_hi, xtol=1e-12))
+            break
+        q_hi = q_lo
     return {
-        "kappa0": base,
-        "by_alpha": roots,
+        "kappa0": root,
         "M0": M0,
-        "ball_radius": (1.0 + _BALL_MARGIN) * base * (t - s),
+        "ball_radius": (1.0 + _BALL_MARGIN) * root * (t - s),
     }
 
 

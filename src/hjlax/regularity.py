@@ -123,10 +123,10 @@ def _single_linkage(points: Array, tol: float) -> list[Array]:
     return [np.array(g) for g in groups.values()]
 
 
-def limiting_differentials(u: GridFunction, x: Array, radius: float,
-                           cluster_tol: float | None = None) -> Array:
+def limiting_differentials(u: GridFunction, x: Array, radius: float) -> Array:
     """Cluster centers of gradients at differentiable nodes near x, one row
-    per cluster, sorted lexicographically.
+    per cluster, sorted lexicographically; gradients closer than
+    10*spacing are single-linked into one cluster.
 
     Each center is the cluster's gradient field extrapolated to x by an
     affine least-squares fit (exact when gradients vary linearly across the
@@ -136,7 +136,6 @@ def limiting_differentials(u: GridFunction, x: Array, radius: float,
     h_max = float(u.spacing.max())
     if radius < 2.0 * h_max:
         raise ConfigError(f"radius {radius} is below 2*spacing {2 * h_max}")
-    cluster_tol = cluster_tol if cluster_tol is not None else 10.0 * h_max
 
     grad, spread, resid = grid_classification(u)
     idx, delta = _nodes_within(u, x, radius)
@@ -146,7 +145,7 @@ def limiting_differentials(u: GridFunction, x: Array, radius: float,
     if len(samples) < u.dim + 1:
         raise InsufficientSamples(
             f"only {len(samples)} differentiable nodes within radius {radius}")
-    clusters = _single_linkage(samples, cluster_tol)
+    clusters = _single_linkage(samples, 10.0 * h_max)
     centers = np.stack([_cluster_center(offsets[c], samples[c], u.dim)
                         for c in clusters])
     order = np.lexsort(centers.T[::-1])
@@ -227,7 +226,6 @@ class SuperdiffSet:
 
 
 def superdifferential(u: GridFunction, x: Array, radius: float | None = None,
-                      cluster_tol: float | None = None,
                       c2_bound: float | None = None) -> SuperdiffSet:
     """Hull of limiting differentials near x.
 
@@ -256,7 +254,7 @@ def superdifferential(u: GridFunction, x: Array, radius: float | None = None,
                     f"midpoint defect ratio {worst:.3g} exceeds bound "
                     f"{c2_bound:.3g} near {x.tolist()}")
 
-    limiting = limiting_differentials(u, x, radius, cluster_tol)
+    limiting = limiting_differentials(u, x, radius)
     vertices = _hull_vertices(limiting)
     if len(vertices) >= 2:
         diam = max(float(np.linalg.norm(a - b))
@@ -532,22 +530,19 @@ class SingularSet:
                                                                self.points)))
 
 
-def singular_set(u: GridFunction, diam_threshold: float | None = None,
-                 radius: float | None = None,
-                 cluster_tol: float | None = None) -> SingularSet:
+def singular_set(u: GridFunction, radius: float | None = None) -> SingularSet:
     """Nodes where the superdifferential is a genuine set.
 
     Nodes passing the differentiability classification are skipped; the
     rest get a full hull whose diameter is compared with the threshold
-    (default 4*spacing).  The default ball is the minimal legal radius
+    4*spacing.  The default ball is the minimal legal radius
     2*spacing: any wider and a kink's hull leaks onto neighbors whose
     own one-sided slopes agree, inflating the set by a node per side.
     Rim nodes of a non-periodic grid cannot support the stencils and are
     never reported.
     """
     h_max = float(u.spacing.max())
-    diam_threshold = (diam_threshold if diam_threshold is not None
-                      else 4.0 * h_max)
+    diam_threshold = 4.0 * h_max
     radius = radius if radius is not None else 2.0 * h_max
 
     _, spread, resid = grid_classification(u)
@@ -559,8 +554,7 @@ def singular_set(u: GridFunction, diam_threshold: float | None = None,
         idx = np.unravel_index(int(flat), u.values.shape)
         pt = u.node_point(idx)
         try:
-            S = superdifferential(u, pt, radius=radius,
-                                  cluster_tol=cluster_tol, c2_bound=np.inf)
+            S = superdifferential(u, pt, radius=radius, c2_bound=np.inf)
         except InsufficientSamples:
             # cannot resolve limiting gradients; the failed classification
             # already marks the node as non-differentiable

@@ -1,19 +1,28 @@
 """Experiment runner: config handling, artifacts, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from hjlax.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION,
-                       Workspace, _parse_override, _set_dotted, _t_grid, main)
+from hjlax.cli import (_SCHEMAS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                       EXIT_VIOLATION, Workspace, _parse, _parse_override,
+                       _set_dotted, _t_grid, load_config, main)
 from hjlax.errors import ConfigError
 from hjlax.report import ProbeReport
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_config(path, tree):
     path.write_text(yaml.safe_dump(tree))
     return str(path)
+
+
+def shipped(name):
+    return load_config(str(CONFIG_DIR / name))
 
 
 FREE_FUNDAMENTAL = {
@@ -132,7 +141,20 @@ CONSTANT_LAMBDA_SWEEP = {
     ("discounted", CONSTANT_DISCOUNTED, "grid.num=[0]", "num"),
     ("fundamental", FREE_FUNDAMENTAL, "window=[0.1]", "window"),
     ("lambda-sweep", CONSTANT_LAMBDA_SWEEP, "lambda_grid=[abc]", "lambda_grid"),
-], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid"])
+    ("operators", shipped("operators_moreau.yaml"), "taus=0.1", "taus"),
+    ("operators", shipped("operators_moreau.yaml"), "grid.box=1", "grid.box"),
+    ("operators", shipped("operators_moreau.yaml"), "grid.num=5", "grid.num"),
+    ("propcheck", shipped("propcheck_catalog.yaml"), "time_pairs=[[0.0]]",
+     "time_pairs"),
+    ("propcheck", shipped("propcheck_catalog.yaml"), "lagrangians=3",
+     "lagrangians"),
+    ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=0.1", "T_grid"),
+    ("lambda-sweep", shipped("lambda_sweep_constant.yaml"), "lambda_grid=2.0",
+     "lambda_grid"),
+], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid",
+        "taus_scalar", "grid_box_scalar", "grid_num_scalar",
+        "time_pairs_ragged", "lagrangians_scalar", "T_grid_scalar",
+        "lambda_grid_scalar"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):
     cfg = write_config(tmp_path / "c.yaml", tree)
@@ -142,6 +164,37 @@ def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error_class"] == "ConfigError"
     assert key in manifest["error_message"]
+
+
+@pytest.mark.parametrize("kind, config, flags, key", [
+    ("fundamental", "fundamental_free.yaml",
+     ["--tol", "tolerances.rel_eror=1e-300"], "rel_eror"),
+    ("fundamental", "fundamental_free.yaml",
+     ["--tol", 'gradient_check="false"'], "gradient_check"),
+    ("operators", "operators_moreau.yaml", ["--seed", "7"], "seed"),
+], ids=["misspelt_tolerance", "string_flag", "unread_seed"])
+def test_silently_misread_values_are_config_errors(tmp_path, kind, config,
+                                                   flags, key):
+    # each of these once ran to completion: the misspelt tolerance fell
+    # back to its default, bool("false") is True, and operators never
+    # reads a seed
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(CONFIG_DIR / config),
+                 "--out", str(out), *flags]) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error_class"] == "ConfigError"
+    assert key in manifest["error_message"]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_shipped_configs_parse(path):
+    # the file-name prefix names the kind: lambda_sweep_* is lambda-sweep
+    kinds = [k for k in _SCHEMAS
+             if path.stem.startswith(k.replace("-", "_") + "_")]
+    assert len(kinds) == 1
+    parsed = _parse(kinds[0], load_config(str(path)))
+    assert set(parsed) == set(_SCHEMAS[kinds[0]])
 
 
 def test_json_outputs_are_strict(tmp_path):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
 from hjlax.discounted import (backward_calibrated_curve, differentiability_mask,
@@ -91,6 +92,45 @@ def test_pairwise_contraction_and_monotonicity():
         above = w.with_values(np.maximum(u.values, w.values) + 0.0)
         t_above = discounted_step(L, LAM, above, 0.1)
         assert np.all(t_above.values >= tu.values - 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bellman_step_laws_on_random_semiconcave_fields(data):
+    # order (u <= w => T u <= T w) and constants (T(u + c) = T u + beta c,
+    # beta = e^{-lam dt}) for discounted_step, on fields that are minima of
+    # shifted cosines (semiconcave) and those plus a nonnegative cosine bump.
+    # Exactly, T u(x) = min_v cost(x, v) + beta u_I(x - dt v) with u_I the
+    # periodic linear interpolant and cost(x, v) = sum_j w_j L(x - s_j v, v).
+    # The computed value is that objective at the velocity returned, so it
+    # is >= T u.  The Newton polish starts from the best lattice velocity,
+    # whose feet are grid nodes, and only accepts decreases; the corners of
+    # the cell holding the exact foot bound the lattice minimum by
+    # T u + K h^2 / 8, with K the curvature of y -> cost(x, (x - y) / dt).
+    # For L = v^2/2 + cos x, |V''| <= 1, s_j <= dt and sum_j w_j =
+    # (1 - beta) / lam give K <= (1 - beta) / lam * (1 + dt^2) / dt^2.  So
+    # every computed value lies in [T u, T u + K h^2 / 8].
+    L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
+    grid = GridSpec(box=[(-np.pi, np.pi)], num=[64], boundary="periodic")
+    dt = 0.1
+    amps = data.draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3))
+    phases = data.draw(st.lists(st.floats(-np.pi, np.pi),
+                                min_size=len(amps), max_size=len(amps)))
+    lift, shift = data.draw(st.floats(0.0, 1.0)), data.draw(
+        st.floats(-np.pi, np.pi))
+    c = data.draw(st.floats(-5.0, 5.0))
+    u = grid.build(lambda X: np.min([a * np.cos(X[..., 0] - ph)
+                                     for a, ph in zip(amps, phases)], axis=0))
+    w = u.with_values(u.values + lift * (1.0 + np.cos(u.nodes()[:, 0] - shift)))
+
+    beta = np.exp(-LAM * dt)
+    tol = ((1.0 - beta) / LAM * (1.0 + dt ** 2) / dt ** 2
+           * float(u.spacing[0]) ** 2 / 8.0 + 1e-12)
+    tu = discounted_step(L, LAM, u, dt).values
+    tw = discounted_step(L, LAM, w, dt).values
+    tc = discounted_step(L, LAM, u.with_values(u.values + c), dt).values
+    assert np.all(tw >= tu - tol)
+    assert np.abs(tc - (tu + beta * c)).max() <= tol
 
 
 def test_residual_consistency_under_refinement(cos_sol):

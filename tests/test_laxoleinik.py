@@ -24,13 +24,13 @@ def interior(u, pad):
 
 
 def test_kappa0_quadratic_growth_closed_form(free1):
-    est = hj.estimate_kappa0(free1, 1.0, 0.0, 0.4, np.zeros((1, 1)),
-                             alphas=(0.5, 1.0, 2.0))
-    # theta(q) = q^2/2 against slope q: largest root is 2 slope
-    assert est["kappa0"] == pytest.approx(2.0, abs=1e-9)
-    assert est["by_alpha"][0.5] == pytest.approx(1.0, abs=1e-9)
-    assert est["by_alpha"][2.0] == pytest.approx(4.0, abs=1e-9)
-    assert est["ball_radius"] == pytest.approx(1.5 * 2.0 * 0.4, abs=1e-9)
+    # theta(q) = q^2/2 against slope lip q: largest root is 2 lip
+    est = {lip: hj.estimate_kappa0(free1, lip, 0.0, 0.4, np.zeros((1, 1)))
+           for lip in (0.5, 1.0, 2.0)}
+    assert est[1.0]["kappa0"] == pytest.approx(2.0, abs=1e-9)
+    assert est[0.5]["kappa0"] == pytest.approx(1.0, abs=1e-9)
+    assert est[2.0]["kappa0"] == pytest.approx(4.0, abs=1e-9)
+    assert est[1.0]["ball_radius"] == pytest.approx(1.5 * 2.0 * 0.4, abs=1e-9)
 
 
 def test_forward_operator_is_negative_moreau_envelope(free1, vee_grid):
@@ -332,3 +332,37 @@ def test_operator_laws_on_random_fields(case, sign, data):
     resolution = float(np.sum(u.spacing ** 2)) * curvature / 8.0 + bias
     assert np.all(Tw >= Tu - resolution - 1e-12)
     assert np.abs(Tc - (Tu + c)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["1", "2"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_two_step_semigroup_closure_on_random_fields(case, data):
+    # T+_{0,r} T+_{r,t} u = T+_{0,t} u on the free kernel route: A_{0,t}(x, y)
+    # is the min over z of A_{0,r}(x, z) + A_{r,t}(z, y), attained on the
+    # segment [x, y], so inside the box.  Let u_I be the multilinear
+    # interpolant, W(x) = sup_y u_I(y) - A_{0,t}(x, y) the exact one-step
+    # value, v = T+_{r,t} u_I and H = sum_k h_k^2 / 8.
+    # - A computed operator value is attained at some y, so it is at most
+    #   the exact sup, and it misses it by at most H K with K = 1/(t - s)
+    #   the curvature of y -> A_{s,t} (the scan bound derived above).
+    # - v + |z|^2 / (2 (t - r)) is a sup of affine functions of z, so the
+    #   interpolant of v lies at most H / (t - r) below v.
+    # - Each node value of v obeys v(c) <= W(x) + A_{0,r}(x, c), and the
+    #   interpolant of the convex A_{0,r}(x, .) exceeds it by at most H / r.
+    # So the composite exceeds the one-step value by at most H / r + H / t,
+    # and at z on the segment it falls below W by at most 2 H / (t - r)
+    # + H / r (inner scan, interpolation, outer scan).
+    L, spec = _LAW_CASES[case]
+    n = int(np.prod(spec.num))
+    t = 0.3
+    r = data.draw(st.floats(0.05, 0.25))
+    drawn = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                        max_size=n)))
+    u = spec.build(lambda X: drawn)
+
+    one = hj.lax_plus(L, u, 0.0, t).values
+    two = hj.lax_plus(L, hj.lax_plus(L, u, r, t).grid, 0.0, r).values
+    H = float(np.sum(u.spacing ** 2)) / 8.0
+    assert np.all(two - one <= H / r + H / t + 1e-12)
+    assert np.all(one - two <= 2.0 * H / (t - r) + H / r + 1e-12)
