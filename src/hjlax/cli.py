@@ -577,6 +577,12 @@ def run_propcheck(p: dict, ws: Workspace) -> int:
         "lambda", "n_samples", "seed", "lam_cone"))
     T_grid = tuple(p["T_grid"].tolist())
     time_pairs = [tuple(pair) for pair in p["time_pairs"].tolist()]
+    if p["x"] is not None:
+        for name, L0 in p["lagrangians"].items():
+            if len(p["x"]) != L0.dim:
+                raise ConfigError(
+                    f"x = {p['x'].tolist()} has length {len(p['x'])}, but "
+                    f"Lagrangian {name!r} has dim {L0.dim}")
     all_passed = True
     summary = {}
     for name, L0 in p["lagrangians"].items():

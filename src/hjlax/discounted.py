@@ -1,6 +1,6 @@
 """Fixed-point solver for the discounted Hamilton-Jacobi equation.
 
-lam*u + H(x, Du) = 0 is solved on a grid by value iteration on the
+lam*u + H(x, Du) = 0 is solved on a grid as the fixed point of the
 dynamic-programming operator
 
     (T u)(x) = min_v { stage(x, v) + e^{-lam*dt} * u(x - dt*v) },
@@ -10,8 +10,16 @@ cost discretizes the discounted running cost along the straight segment
 s -> x - s*v, s in [0, dt], by a 3-point Gauss rule with weights
 proportional to e^{-lam*s} and normalized to total (1 - e^{-lam*dt})/lam.
 Constant Lagrangians therefore have exact fixed points (u = L/lam), and
-adding a constant c to L shifts the solution by exactly c/lam.  The
-iteration contracts in sup norm with factor e^{-lam*dt}.
+adding a constant c to L shifts the solution by exactly c/lam.  T
+contracts in sup norm with factor beta = e^{-lam*dt}.
+
+The solver runs a head of value-iteration sweeps u <- T u, whose update
+ratios measure the contraction, and then Howard policy iteration: the
+velocities v of the last Bellman step define a policy, whose value w
+solves the sparse linear system (I - beta P) w = stage(x, v), P holding
+the interpolation weights at the feet x - dt*v; one Bellman step from w
+improves the policy.  Either way the loop stops on the same certificate,
+a Bellman update |T u - u| <= tol_fp*(1 - beta).
 
 Solutions lift to the evolution form v(t, x) = e^{lam*t} u(x).  Backward
 calibrated curves integrate the characteristic system
@@ -27,9 +35,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import spsolve
 
-from .action import _GAUSS5_NODES, _GAUSS5_WEIGHTS, Curve
+from .action import (_GAUSS3_NODES, _GAUSS3_WEIGHTS, _GAUSS5_NODES,
+                     _GAUSS5_WEIGHTS, Curve)
 from .errors import (BoxExhausted, ConfigError, NonContraction,
                      NonConvergence, OutOfWindow, SingularStart)
 from .gridfn import GridFunction, GridSpec
@@ -50,11 +61,11 @@ class DiscountedSolution:
     lam: float
     u: GridFunction
     residual: float              # max |lam*u + H(x, Du)| over differentiability nodes
-    iterations: int
+    iterations: int              # Bellman steps (value-iteration head + policy steps)
     contraction_factor: float    # e^{-lam*dt} declared by the scheme
     dt: float
     fp_defect: float             # final sup-norm update size
-    measured_contraction: float  # worst per-step update ratio (nan if too few steps)
+    measured_contraction: float  # worst update ratio of the head (nan if too few steps)
     residual_tol: float          # declared first-order budget for `residual`
     diff_mask: Array             # nodes where one-sided slopes agree (residual support)
     meta: dict[str, Any] = field(default_factory=dict)
@@ -98,6 +109,9 @@ class CalibratedCurve:
 # ---------------------------------------------------------------------------
 # one Bellman step
 
+# feet per block of the velocity-lattice scan (bounds its memory)
+_SCAN_FEET = 1 << 20
+
 
 @dataclass(frozen=True)
 class _Stage:
@@ -129,9 +143,8 @@ class _Stage:
 
 def _make_stage(lam: float, dt: float) -> _Stage:
     beta = float(np.exp(-lam * dt))
-    nodes, wts = np.polynomial.legendre.leggauss(3)
-    s = 0.5 * dt * (nodes + 1.0)
-    w = 0.5 * dt * wts * np.exp(-lam * s)
+    s = dt * _GAUSS3_NODES
+    w = dt * _GAUSS3_WEIGHTS * np.exp(-lam * s)
     w *= ((1.0 - beta) / lam) / w.sum()   # constant costs integrate exactly
     return _Stage(dt=dt, beta=beta, s=s, w=w)
 
@@ -206,23 +219,41 @@ def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
           offsets_v: Array, v_warm: Array | None
           ) -> tuple[Array, Array, Array]:
     """One Bellman update.  Scans feet on the velocity lattice (one shared
-    lattice for all nodes, the grid being uniform), then Newton-polishes
-    from the better of the scan winner and the warm start."""
+    lattice for all nodes, the grid being uniform), at most _SCAN_FEET feet
+    at a time, then Newton-polishes from the better of the scan winner and
+    the warm start."""
     nof, npts, dim = len(offsets_v), len(x), x.shape[1]
-    xb = np.broadcast_to(x[None, :, :], (nof, npts, dim))
-    vb = np.broadcast_to(offsets_v[:, None, :], (nof, npts, dim))
-    feet = (xb - st.dt * vb).reshape(-1, dim)
-    uf = u(feet).reshape(nof, npts)
-    scan = st.cost(L, xb, vb) + st.beta * uf
-    jbest = np.argmin(scan, axis=0)
+    jbest = np.empty(npts, dtype=np.int64)
+    m_scan = np.empty(npts)
+    block = max(1, _SCAN_FEET // nof)
+    for lo in range(0, npts, block):
+        xs = x[lo:lo + block]
+        shape = (nof, len(xs), dim)
+        xb = np.broadcast_to(xs[None, :, :], shape)
+        vb = np.broadcast_to(offsets_v[:, None, :], shape)
+        uf = u((xb - st.dt * vb).reshape(-1, dim)).reshape(shape[:2])
+        scan = st.cost(L, xb, vb) + st.beta * uf
+        j = np.argmin(scan, axis=0)
+        jbest[lo:lo + block] = j
+        m_scan[lo:lo + block] = scan[j, np.arange(len(xs))]
     v_init = offsets_v[jbest]
     if v_warm is not None:
-        m_scan = scan[jbest, np.arange(npts)]
         m_warm, _ = _objective(L, u, x, v_warm, st)
         take = m_warm < m_scan
         v_init = np.where(take[:, None], v_warm, v_init)
     v_opt, m_opt = _polish(L, u, x, v_init, st)
     return m_opt, v_opt, x - st.dt * v_opt
+
+
+def _evaluate_policy(L: TonelliLagrangian, u: GridFunction, x: Array,
+                     st: _Stage, v: Array, feet: Array) -> GridFunction:
+    """Value of the stationary policy v: the solution of
+    (I - beta P) w = cost(x, v), with P the interpolation weights at the
+    feet.  P is row-stochastic and beta < 1, so the matrix is strictly
+    diagonally dominant."""
+    a = sparse.identity(len(x), format="csr") - st.beta * u.foot_matrix(feet)
+    w = spsolve(a, st.cost(L, x, v))
+    return u.with_values(w.reshape(u.values.shape))
 
 
 def discounted_step(L: TonelliLagrangian, lam: float, u: GridFunction,
@@ -316,17 +347,29 @@ def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian
 # ---------------------------------------------------------------------------
 # the solver
 
+# value-iteration sweeps before policy iteration takes over; their update
+# ratios are the measured contraction
+_HEAD = 20
+
 
 def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
                      dt: float, tol_fp: float = 1e-10,
                      max_iter: int = 100000,
                      residual_tol: float | None = None) -> DiscountedSolution:
-    """Value iteration to the fixed point of the discounted operator.
+    """Fixed point of the discounted operator T, by policy iteration.
 
-    Stops when the update size drops below tol_fp*(1 - e^{-lam*dt}), which
-    bounds the distance to the fixed point by tol_fp.  Raises NonContraction
-    if update sizes grow repeatedly, NonConvergence at the iteration cap,
-    and BoxExhausted when winning foot points leave a non-periodic box.
+    The first _HEAD Bellman steps are value-iteration sweeps u <- T u, and
+    measured_contraction is the worst update ratio among their later half.
+    After the head, each iteration evaluates the policy of the last step
+    (solves (I - beta P) u = stage(x, v) with scipy's sparse LU) and then
+    makes one Bellman step from that value, warm-started at v.
+
+    Stops when a Bellman update |T u - u| drops below
+    tol_fp*(1 - e^{-lam*dt}), which bounds the distance of u to the fixed
+    point by tol_fp; the solution is T u.  `iterations` counts Bellman
+    steps, and max_iter caps them.  Raises NonContraction if update sizes
+    grow three times in a row, NonConvergence at the iteration cap, and
+    BoxExhausted when winning foot points leave a non-periodic box.
     """
     if lam <= 0:
         raise ConfigError(f"need lam > 0, got {lam}")
@@ -357,6 +400,8 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
+        if iterations > _HEAD:
+            u = _evaluate_policy(L, u, x, st, v_warm, feet_last)
         lip = u.lipschitz()
         if offsets_v is None or lip > 1.2 * lip_used:
             reach = _velocity_reach(ham, x, beta * lip + 1e-9)
@@ -391,9 +436,10 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
                 "optimal foot points leave the grid box; enlarge the box")
 
     floor = 1e4 * np.finfo(float).eps * scale
-    ratios = [diffs[i + 1] / diffs[i]
-              for i in range(10, len(diffs) - 1)
-              if diffs[i] > floor and diffs[i + 1] > floor]
+    head = diffs[:_HEAD]
+    ratios = [head[i + 1] / head[i]
+              for i in range(10, len(head) - 1)
+              if head[i] > floor and head[i + 1] > floor]
     # worst-case per-step decay; monotone interpolation bounds it by the
     # nominal factor, while orbit mixing can only make single steps faster
     measured = float(np.max(ratios)) if len(ratios) >= 4 else float("nan")

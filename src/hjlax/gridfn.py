@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError
 from .report import dump_json, write_csv
@@ -106,15 +107,11 @@ class GridFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def interp(self, points: Array) -> Array:
-        """Multilinear interpolation at points of shape (..., dim).
-
-        Constant policy clamps to the box (constant extension); periodic
-        wraps.  Vectorised over leading axes.
+    def _corners(self, pts: Array) -> Iterator[tuple[tuple[Array, ...], Array]]:
+        """Cell corners and multilinear weights at points of shape (n, dim):
+        one (index tuple, weight) pair per corner of the 2^dim cell, made
+        as the caller consumes them (see interp for the boundary policies).
         """
-        pts = np.asarray(points, dtype=float)
-        lead = pts.shape[:-1]
-        pts = pts.reshape(-1, self.dim)
         n = pts.shape[0]
         i0 = np.empty((n, self.dim), dtype=np.int64)
         i1 = np.empty((n, self.dim), dtype=np.int64)
@@ -134,14 +131,39 @@ class GridFunction:
                 i0[:, k] = base.astype(np.int64)
                 i1[:, k] = i0[:, k] + 1
                 w[:, k] = u - base
-        out = np.zeros(n)
         for corner in itertools.product((0, 1), repeat=self.dim):
             idx = tuple((i1 if c else i0)[:, k] for k, c in enumerate(corner))
             weight = np.ones(n)
             for k, c in enumerate(corner):
                 weight = weight * (w[:, k] if c else 1.0 - w[:, k])
+            yield idx, weight
+
+    def interp(self, points: Array) -> Array:
+        """Multilinear interpolation at points of shape (..., dim).
+
+        Constant policy clamps to the box (constant extension); periodic
+        wraps.  Vectorised over leading axes.
+        """
+        pts = np.asarray(points, dtype=float)
+        lead = pts.shape[:-1]
+        pts = pts.reshape(-1, self.dim)
+        out = np.zeros(pts.shape[0])
+        for idx, weight in self._corners(pts):
             out += weight * self.values[idx]
         return out.reshape(lead)
+
+    def foot_matrix(self, points: Array) -> sparse.csr_matrix:
+        """Sparse (n_points, n_nodes) matrix P of interpolation weights, so
+        that P @ values.ravel() is interp(points) (2^dim entries per row,
+        summed in interp's corner order)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        corners = list(self._corners(pts))
+        cols = np.stack([np.ravel_multi_index(idx, self.values.shape)
+                         for idx, _ in corners], axis=1)
+        data = np.stack([weight for _, weight in corners], axis=1)
+        indptr = np.arange(0, cols.size + 1, len(corners))
+        return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                                 shape=(len(pts), self.values.size))
 
     def __call__(self, points: Array) -> Array:
         return self.interp(points)

@@ -151,10 +151,13 @@ CONSTANT_LAMBDA_SWEEP = {
     ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=0.1", "T_grid"),
     ("lambda-sweep", shipped("lambda_sweep_constant.yaml"), "lambda_grid=2.0",
      "lambda_grid"),
+    # a 1-d x next to the catalog's 2-d anisotropic Lagrangian
+    ("propcheck", shipped("propcheck_catalog.yaml"), "x=[0.0]",
+     "'anisotropic' has dim 2"),
 ], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid",
         "taus_scalar", "grid_box_scalar", "grid_num_scalar",
         "time_pairs_ragged", "lagrangians_scalar", "T_grid_scalar",
-        "lambda_grid_scalar"])
+        "lambda_grid_scalar", "x_vs_dim"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):
     cfg = write_config(tmp_path / "c.yaml", tree)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
-from hjlax.discounted import (backward_calibrated_curve, differentiability_mask,
-                              discounted_step, lift_to_evolution,
-                              solve_discounted)
-from hjlax.errors import (BoxExhausted, ConfigError, OutOfWindow,
-                          SingularStart)
+import hjlax.discounted
+from hjlax.discounted import (_HEAD, backward_calibrated_curve,
+                              differentiability_mask, discounted_step,
+                              lift_to_evolution, solve_discounted)
+from hjlax.errors import (BoxExhausted, ConfigError, NonConvergence,
+                          OutOfWindow, SingularStart)
 from hjlax.gridfn import GridSpec
 from hjlax.lagrangian import discount_lift, mechanical_lagrangian
 
@@ -180,6 +181,99 @@ def test_validation_errors():
         _velocity_lattice(np.array([1e-6]), 0.05, np.array([2.0]))
     with pytest.raises(hj.NonConvergence):
         solve_discounted(L, LAM, grid, dt=0.05, max_iter=5)
+
+
+def counted_steps(monkeypatch):
+    calls = []
+    step = hjlax.discounted._step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(hjlax.discounted, "_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("potential, coeff, shift, box, num, boundary", [
+    ("cos", 1.0, 0.0, (-np.pi, np.pi), 256, "periodic"),
+    ("double_well", -1.0, -0.25, (-2.0, 2.0), 81, "constant"),
+], ids=["cos_criterion_07", "double_well"])
+def test_policy_iteration_step_count(monkeypatch, potential, coeff, shift,
+                                     box, num, boundary):
+    # value iteration needed 363 (cos) and 294 (double well) steps here
+    L = mechanical_lagrangian(dim=1, potential=potential, coeff=coeff,
+                              shift=shift)
+    calls = counted_steps(monkeypatch)
+    sol = solve_discounted(L, LAM, GridSpec(box=[box], num=[num],
+                                            boundary=boundary), dt=0.05)
+    assert len(calls) == sol.iterations
+    assert _HEAD < sol.iterations <= 40
+    assert sol.fp_defect <= (1.0 - sol.contraction_factor) * 1e-10
+
+
+def test_iteration_cap_counts_policy_steps(monkeypatch):
+    L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
+    grid = GridSpec(box=[(-np.pi, np.pi)], num=[64], boundary="periodic")
+    calls = counted_steps(monkeypatch)
+    with pytest.raises(NonConvergence):
+        solve_discounted(L, LAM, grid, dt=0.05, max_iter=_HEAD + 2)
+    assert len(calls) == _HEAD + 2
+
+
+def test_policy_iteration_matches_value_iteration():
+    L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
+    grid = GridSpec(box=[(-np.pi, np.pi)], num=[64], boundary="periodic")
+    dt, tol_fp = 0.1, 1e-10
+    sol = solve_discounted(L, LAM, grid, dt=dt, tol_fp=tol_fp)
+    u = grid.build(lambda p: np.zeros(len(p)))
+    while True:
+        nxt = discounted_step(L, LAM, u, dt)
+        update = float(np.abs(nxt.values - u.values).max())
+        u = nxt
+        if update < 1e-12:
+            break
+    # Both approximate the fixed point u* of the same grid operator T, a
+    # beta-contraction (beta = e^{-lam dt}).  Value iteration stops after an
+    # update below 1e-12, so |u - u*| <= beta / (1 - beta) * 1e-12.  The
+    # solver returns T w for a w with |T w - w| <= tol_fp (1 - beta), so
+    # |w - u*| <= tol_fp and |T w - u*| <= beta tol_fp.
+    beta = np.exp(-LAM * dt)
+    tol = beta * tol_fp + beta / (1.0 - beta) * 1e-12
+    assert np.abs(u.values - sol.u.values).max() <= tol
+
+
+@pytest.mark.parametrize("box, num, boundary, reach", [
+    ([(-np.pi, np.pi)] * 2, [9, 7], "periodic", 10.0),
+    ([(-1.0, 1.0), (0.0, 2.0)], [6, 8], "constant", 1.5),
+], ids=["periodic_2d", "constant_clamped"])
+def test_foot_matrix_reproduces_interpolation(box, num, boundary, reach):
+    rng = np.random.default_rng(3)
+    u = GridSpec(box=box, num=num, boundary=boundary).build(
+        lambda p: rng.normal(size=len(p)))
+    lo, hi = np.array(box).T
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    # feet up to `reach` half-widths from the center: the periodic grid
+    # wraps them, and the constant grid clamps those outside the box
+    feet = mid + reach * half * rng.uniform(-1.0, 1.0, size=(500, 2))
+    if boundary == "constant":
+        assert np.any(np.abs(feet - mid) > half)
+    P = u.foot_matrix(feet)
+    assert P.shape == (500, u.values.size)
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.abs(P @ u.values.ravel() - u(feet)).max() <= 1e-15
+
+
+def test_lattice_scan_blocks_are_bit_identical(monkeypatch):
+    L = mechanical_lagrangian(dim=2, potential="cos", coeff=1.0)
+    u = GridSpec(box=[(-np.pi, np.pi)] * 2, num=[21, 21],
+                 boundary="periodic").build(
+        lambda p: np.cos(p[:, 0]) * np.sin(p[:, 1]))
+    whole = discounted_step(L, 2.0, u, 0.05)
+    # a few nodes per block, with a ragged last block
+    monkeypatch.setattr(hjlax.discounted, "_SCAN_FEET", 1000)
+    blocked = discounted_step(L, 2.0, u, 0.05)
+    assert np.array_equal(whole.values, blocked.values)
 
 
 def test_box_exhausted_for_outward_drift():
