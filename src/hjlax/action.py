@@ -60,8 +60,8 @@ class Curve:
     velocities: Array
 
     def at(self, taus: Array, deriv: int = 0) -> Array:
-        """Evaluate the cubic Hermite interpolant (deriv=1 velocity,
-        deriv=2 acceleration, both exact derivatives of the cubic)."""
+        """Evaluate the cubic Hermite interpolant, or with deriv=1 its
+        exact derivative (the velocity)."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         idx = np.clip(np.searchsorted(self.times, taus, side="right") - 1,
                       0, len(self.times) - 2)
@@ -77,17 +77,11 @@ class Curve:
             h01 = -2 * s**3 + 3 * s**2
             h11 = s**3 - s**2
             return h00 * p0 + h10 * hh * v0 + h01 * p1 + h11 * hh * v1
-        if deriv == 1:
-            d00 = (6 * s**2 - 6 * s) / hh
-            d10 = 3 * s**2 - 4 * s + 1
-            d01 = (6 * s - 6 * s**2) / hh
-            d11 = 3 * s**2 - 2 * s
-            return d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
-        a00 = (12 * s - 6) / hh**2
-        a10 = (6 * s - 4) / hh
-        a01 = (6 - 12 * s) / hh**2
-        a11 = (6 * s - 2) / hh
-        return a00 * p0 + a10 * v0 + a01 * p1 + a11 * v1
+        d00 = (6 * s**2 - 6 * s) / hh
+        d10 = 3 * s**2 - 4 * s + 1
+        d01 = (6 * s - 6 * s**2) / hh
+        d11 = 3 * s**2 - 2 * s
+        return d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
 
 
 @dataclass

@@ -291,57 +291,29 @@ def _velocity_lattice(spacing: Array, dt: float, reach: Array,
 # residual on differentiability nodes
 
 
-def _slope_jump(values: Array, spacing: Array, periodic: bool) -> Array:
-    """Max over axes of |forward - backward| one-sided slopes; rim nodes of a
-    non-periodic grid get +inf (one of the slopes is missing there)."""
-    jump = np.zeros_like(values)
-    for a in range(values.ndim):
-        v = np.moveaxis(values, a, 0)
-        h = spacing[a]
-        if periodic:
-            fwd = (np.roll(v, -1, axis=0) - v) / h
-            bwd = (v - np.roll(v, 1, axis=0)) / h
-            j = np.abs(fwd - bwd)
-        else:
-            j = np.full_like(v, np.inf)
-            if v.shape[0] >= 3:
-                fwd = (v[2:] - v[1:-1]) / h
-                bwd = (v[1:-1] - v[:-2]) / h
-                j[1:-1] = np.abs(fwd - bwd)
-        jump = np.maximum(jump, np.moveaxis(j, 0, a))
-    return jump
-
-
-def _central_gradient(values: Array, spacing: Array, periodic: bool) -> Array:
-    grads = []
-    for a in range(values.ndim):
-        v = np.moveaxis(values, a, 0)
-        h = spacing[a]
-        if periodic:
-            g = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
-        else:
-            g = np.gradient(v, h, axis=0, edge_order=2)
-        grads.append(np.moveaxis(g, 0, a))
-    return np.stack(grads, axis=-1)
-
-
 def differentiability_mask(u: GridFunction) -> tuple[Array, Array]:
     """Boolean mask of nodes whose one-sided slopes agree (along every axis)
-    plus the slope-jump field itself.  The threshold, six times the median
-    jump (at least 1e-10 * (1 + Lip u)), separates the O(h*|u''|) jump of
-    smooth profiles from the O(1) jump at a kink."""
-    jump = _slope_jump(u.values, u.spacing, u.boundary == "periodic")
+    plus the slope-jump field itself, built from u.shifted neighbours:
+    wrapped on periodic grids, +inf on the rims of a constant box, where a
+    slope is missing.  The threshold, six times the median jump (at least
+    1e-10 * (1 + Lip u)), separates the O(h*|u''|) jump of smooth profiles
+    from the O(1) jump at a kink."""
+    v = u.values
+    jump = np.zeros_like(v)
+    for e, h in zip(np.eye(u.dim, dtype=int), u.spacing):
+        jump = np.maximum(jump, np.abs((u.shifted(e) - v) / h
+                                       - (v - u.shifted(-e)) / h))
     finite = jump[np.isfinite(jump)]
     med = float(np.median(finite)) if finite.size else 0.0
     return jump <= max(6.0 * med, 1e-10 * (1.0 + u.lipschitz())), jump
 
 
-def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian
-                  ) -> tuple[Array, Array]:
-    du = _central_gradient(u.values, u.spacing, u.boundary == "periodic")
-    x = u.nodes().reshape(u.values.shape + (u.dim,))
-    hval = np.asarray(ham.eval(0.0, x, du))
-    return np.abs(lam * u.values + hval), du
+def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian,
+                  mask: Array) -> Array:
+    """|lam*u + H(x, Du)| at the mask nodes, Du the central gradient."""
+    hval = np.asarray(ham.eval(0.0, u.nodes()[mask.ravel()],
+                               u.central_gradient()[mask]))
+    return np.abs(lam * u.values[mask] + hval)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +417,8 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
     measured = float(np.max(ratios)) if len(ratios) >= 4 else float("nan")
 
     mask, _ = differentiability_mask(u)
-    res_field, _ = _pde_residual(u, lam, ham)
-    residual = float(res_field[mask].max()) if mask.any() else float("nan")
+    residual = (float(_pde_residual(u, lam, ham, mask).max()) if mask.any()
+                else float("nan"))
     h_max = float(u.spacing.max())
     declared = residual_tol if residual_tol is not None else max(
         50.0 * tol_fp, 4.0 * (dt + h_max * h_max / (lam * dt)) * (1.0 + u.lipschitz()))
@@ -501,8 +473,7 @@ def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,
         raise SingularStart(
             f"node {x0.tolist()} has distinct one-sided slopes; backward "
             "curves are non-unique at such points")
-    du = _central_gradient(u.values, u.spacing, u.boundary == "periodic")
-    q0 = np.asarray(du[idx], dtype=float).reshape(-1)
+    q0 = u.central_gradient()[idx]
 
     dim = u.dim
 

@@ -4,7 +4,9 @@ Boxes are axis-aligned; values live on uniform nodes.  Two boundary
 policies: "constant" keeps both endpoints as nodes and extends the function
 constantly outside the box, "periodic" drops the right endpoint and wraps.
 Either way the interpolant is defined on all of R^n, which is what the
-operator search loops rely on.
+operator search loops rely on.  Only this module applies the policy: other
+modules read neighbours (shifted), displacements (nearest_image), gradients
+(central_gradient) and node indices (node_index) through it.
 """
 
 from __future__ import annotations
@@ -81,13 +83,8 @@ class GridFunction:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def nearest_node(self, point: Array) -> tuple[int, ...]:
-        point = np.asarray(point, dtype=float)
-        idx = []
-        for k in range(self.dim):
-            i = round(float((point[k] - self.box[k, 0]) / self.spacing[k]))
-            m = self.values.shape[k]
-            idx.append(int(i % m) if self.boundary == "periodic" else int(np.clip(i, 0, m - 1)))
-        return tuple(idx)
+        i = np.round((np.asarray(point, dtype=float) - self.box[:, 0]) / self.spacing)
+        return tuple(int(k) for k in self.node_index(i.astype(np.int64)))
 
     def node_point(self, idx: tuple[int, ...]) -> Array:
         return self.box[:, 0] + self.spacing * np.asarray(idx, dtype=float)
@@ -168,18 +165,56 @@ class GridFunction:
     def __call__(self, points: Array) -> Array:
         return self.interp(points)
 
+    # -- boundary policy ---------------------------------------------------
+
+    def node_index(self, idx: Array) -> Array:
+        """Integer node indices (..., dim), wrapped into the grid (periodic)
+        or clamped to it (constant)."""
+        m = np.array(self.values.shape)
+        if self.boundary == "periodic":
+            return np.asarray(idx) % m
+        return np.clip(idx, 0, m - 1)
+
+    def nearest_image(self, delta: Array) -> Array:
+        """Displacements (..., dim) reduced to their nearest periodic image,
+        in [-P/2, P/2) per axis; unchanged under the constant policy."""
+        delta = np.asarray(delta, dtype=float)
+        if self.boundary != "periodic":
+            return delta
+        period = self.box[:, 1] - self.box[:, 0]
+        return (delta + 0.5 * period) % period - 0.5 * period
+
+    def shifted(self, offset) -> Array:
+        """values[i + offset] at every node, one integer offset per axis:
+        wrapped (periodic), +inf where the shift leaves the box (constant)."""
+        shape = self.values.shape
+        offset = [int(k) for k in offset]
+        if self.boundary == "periodic":
+            axes = tuple(range(self.dim))
+            return np.roll(self.values, [-k for k in offset], axis=axes)
+        offset = [min(max(k, -n), n) for k, n in zip(offset, shape)]
+        dst = tuple(slice(max(-k, 0), n - max(k, 0)) for k, n in zip(offset, shape))
+        src = tuple(slice(max(k, 0), n + min(k, 0)) for k, n in zip(offset, shape))
+        out = np.full_like(self.values, np.inf)
+        out[dst] = self.values[src]
+        return out
+
+    def central_gradient(self) -> Array:
+        """Central differences (values.shape + (dim,)); +-inf on the rims of
+        a constant box, where one neighbour is missing."""
+        return np.stack([(self.shifted(e) - self.shifted(-e)) / (2.0 * h)
+                         for e, h in zip(np.eye(self.dim, dtype=int), self.spacing)],
+                        axis=-1)
+
     # -- estimates ---------------------------------------------------------
 
     def lipschitz(self) -> float:
         """Estimated Lipschitz constant: per-axis max forward-difference slope,
         combined in Euclidean norm across axes."""
         total = 0.0
-        for k in range(self.dim):
-            d = np.diff(self.values, axis=k)
-            if self.boundary == "periodic":
-                wrap = np.take(self.values, [0], axis=k) - np.take(self.values, [-1], axis=k)
-                d = np.concatenate([d, wrap], axis=k)
-            s = float(np.abs(d).max()) / float(self.spacing[k]) if d.size else 0.0
+        for e, h in zip(np.eye(self.dim, dtype=int), self.spacing):
+            d = np.abs(self.shifted(e) - self.values)
+            s = float(d[np.isfinite(d)].max()) / float(h)
             total += s * s
         return float(np.sqrt(total))
 
@@ -188,20 +223,11 @@ class GridFunction:
         max |u_{i+1} - 2 u_i + u_{i-1}| / 8 over interior nodes and axes.
         Matches h^2 |u''| / 8 on smooth parts and h |Du jump| / 8 at kinks."""
         worst = 0.0
-        for k in range(self.dim):
-            v = self.values
-            if self.boundary == "periodic":
-                upper = np.roll(v, -1, axis=k)
-                lower = np.roll(v, 1, axis=k)
-                d2 = upper - 2.0 * v + lower
-            else:
-                sl = [slice(None)] * self.dim
-                sl[k] = slice(1, -1)
-                d2 = (np.take(v, range(2, v.shape[k]), axis=k)
-                      - 2.0 * np.take(v, range(1, v.shape[k] - 1), axis=k)
-                      + np.take(v, range(0, v.shape[k] - 2), axis=k))
+        for e in np.eye(self.dim, dtype=int):
+            d2 = np.abs(self.shifted(e) - 2.0 * self.values + self.shifted(-e))
+            d2 = d2[np.isfinite(d2)]
             if d2.size:
-                worst = max(worst, float(np.abs(d2).max()) / 8.0)
+                worst = max(worst, float(d2.max()) / 8.0)
         return worst
 
     # -- serialization -----------------------------------------------------

@@ -157,31 +157,26 @@ def default_probe_points(sol: DiscountedSolution, seed: int = 0) -> Array:
     """All detected singular nodes plus 8 seeded smooth nodes.
 
     Smooth candidates keep a margin of 6 spacings from every detected
-    singular node (inside that halo the ball-based superdifferential sees
-    gradients from both sides of the kink) and of 10% of the box width
+    singular node, measured to its nearest periodic image (inside that
+    halo the ball-based superdifferential sees gradients from both sides
+    of the kink), and of 10% of the box width
     from a non-periodic rim (where domain truncation distorts u).
     """
     sing = singular_set(sol.u)
     u = sol.u
     h = float(u.spacing.max())
-    interior = []
-    for flat in range(u.values.size):
-        idx = np.unravel_index(flat, u.values.shape)
-        p = u.node_point(idx)
-        if u.boundary != "periodic":
-            margins = 0.1 * (u.box[:, 1] - u.box[:, 0])
-            if np.any(p - u.box[:, 0] < margins) or np.any(
-                    u.box[:, 1] - p < margins):
-                continue
-        if len(sing.points) and np.min(
-                np.linalg.norm(sing.points - p[None, :], axis=1)) < 6.0 * h:
-            continue
-        interior.append(idx)
+    nodes = u.nodes()
+    gap = u.nearest_image(nodes[:, None, :] - sing.points[None, :, :])
+    keep = np.all(np.linalg.norm(gap, axis=-1) >= 6.0 * h, axis=1)
+    if u.boundary != "periodic":
+        margins = 0.1 * (u.box[:, 1] - u.box[:, 0])
+        keep &= np.all((nodes - u.box[:, 0] >= margins)
+                       & (u.box[:, 1] - nodes >= margins), axis=1)
+    interior = np.nonzero(keep)[0]
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(interior), size=min(8, len(interior)),
                         replace=False)
-    pts = [sing.points[k] for k in range(len(sing.points))]
-    pts += [u.node_point(interior[int(k)]) for k in sorted(chosen)]
+    pts = [*sing.points, *nodes[interior[np.sort(chosen)]]]
     return np.array(pts).reshape(len(pts), u.dim)
 
 

@@ -154,19 +154,17 @@ def estimate_kappa0(
     }
 
 
-def _grid_candidates(u: GridFunction, nodes: Array, period: Array | None,
-                     x: Array, radius: float, cap: int, notes: list[str]
-                     ) -> tuple[Array, Array]:
+def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
+                     cap: int, notes: list[str]) -> tuple[Array, Array]:
     """Grid nodes within the search ball and their values, evenly
     subsampled down to cap; a cap hit is appended to notes.
 
-    nodes is u.nodes() and period the box widths of a periodic u (None
-    under the constant policy); callers compute both once per operator.
+    nodes is u.nodes(), computed once per operator by the caller.  Each
+    node is taken at its nearest image (u.nearest_image), so on a periodic
+    grid the ball wraps across the seam and the candidates returned are
+    x plus those displacements, not the stored node coordinates.
     """
-    delta = nodes - x[None, :]
-    if period is not None:
-        # search the nearest periodic image so balls wrap across the seam
-        delta = (delta + 0.5 * period) % period - 0.5 * period
+    delta = u.nearest_image(nodes - x[None, :])
     dist = np.linalg.norm(delta, axis=1)
     mask = dist <= radius
     if not mask.any():
@@ -234,12 +232,10 @@ def _record(x: Array, y_star: Array, u_star: float, action: float,
 def _corner_values(u: GridFunction, lower: Array) -> Array:
     """u at the 2^d corners of the cells whose lowest node has index lower
     (..., d), corners in itertools.product order.  Indices past the box
-    clamp (constant policy) or wrap (periodic), as in GridFunction.interp,
-    so a cell outside the box carries the constant extension."""
-    m = np.array(u.values.shape)
+    go through u.node_index, as in GridFunction.interp, so a cell outside
+    a constant box carries the constant extension."""
     corners = np.array(list(itertools.product((0, 1), repeat=u.dim)))
-    idx = lower[..., None, :] + corners
-    idx = idx % m if u.boundary == "periodic" else np.clip(idx, 0, m - 1)
+    idx = u.node_index(lower[..., None, :] + corners)
     return u.values[tuple(np.moveaxis(idx, -1, 0))]
 
 
@@ -353,8 +349,7 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
 
 
 def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
-                     period, notes) -> tuple[list[MaximizerRecord],
-                                             list[list[str]]]:
+                     notes) -> tuple[list[MaximizerRecord], list[list[str]]]:
     """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
     scan of the (points x candidates) actions, one polish of every member
     of every near-optimal cluster, selection, and the certificate.
@@ -364,7 +359,7 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
     records and per-point notes (candidate-cap hits); notes of the whole
     pass (an unconverged polish) go to notes."""
     node_notes: list[list[str]] = [[] for _ in pts]
-    gathered = [_grid_candidates(u, nodes, period, x, radius, candidate_cap,
+    gathered = [_grid_candidates(u, nodes, x, radius, candidate_cap,
                                  point_notes)
                 for x, point_notes in zip(pts, node_notes)]
     counts = np.array([len(yi) for yi, _ in gathered])
@@ -441,18 +436,16 @@ def _apply_operator(
                 raise SearchBallClipped(
                     f"search ball of radius {radius:.4g} at {x} leaves the domain")
 
-    period = ((u.box[:, 1] - u.box[:, 0])[None, :]
-              if u.boundary == "periodic" else None)
     notes: list[str] = []
     records, node_notes = _apply_pointwise(L, u, s, t, pts, sign, radius,
-                                           candidate_cap, nodes, period, notes)
+                                           candidate_cap, nodes, notes)
     # expand clipped balls once; superlinearity makes a larger ball conclusive
     redo = [i for i, rec in enumerate(records) if rec.clipped]
     wide = {}
     if redo:
         wide_records, wide_notes = _apply_pointwise(
             L, u, s, t, pts[redo], sign, 1.5 * radius, candidate_cap, nodes,
-            period, notes)
+            notes)
         wide = dict(zip(redo, zip(wide_records, wide_notes)))
     for i, x in enumerate(pts):
         notes += node_notes[i]

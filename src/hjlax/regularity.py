@@ -35,39 +35,19 @@ _RESIDUAL_PROJ = np.eye(5) - _X @ np.linalg.solve(_X.T @ _X, _X.T)
 # node classification
 
 
-def _shifted(values: Array, k: int, axis: int, periodic: bool) -> Array:
-    """values[i + k] along axis, +inf where the shift leaves the grid."""
-    if periodic:
-        return np.roll(values, -k, axis=axis)
-    out = np.full_like(values, np.inf)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    n = values.shape[axis]
-    if k >= 0:
-        src[axis] = slice(k, n)
-        dst[axis] = slice(0, n - k)
-    else:
-        src[axis] = slice(0, n + k)
-        dst[axis] = slice(-k, n)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def grid_classification(u: GridFunction) -> tuple[Array, Array, Array]:
     """Per-node (central gradient, worst slope spread ratio, worst fit
     residual ratio); the ratios are normalized by their thresholds
     (5*spacing and 10*spacing^2), so a node is differentiable iff both
-    ratios are <= 1.  Rim nodes of non-periodic grids get +inf ratios."""
-    periodic = u.boundary == "periodic"
+    ratios are <= 1.  The 5-point stencils are u.shifted planes, so they
+    wrap on periodic grids; stencils reaching past a constant box's rim
+    hold +inf, and those nodes get +inf ratios."""
     vals = u.values
-    grad = np.empty(vals.shape + (u.dim,))
     spread = np.zeros(vals.shape)
     resid = np.zeros(vals.shape)
-    for a in range(u.dim):
-        h = u.spacing[a]
-        planes = [_shifted(vals, k, a, periodic) for k in range(-2, 3)]
+    for e, h in zip(np.eye(u.dim, dtype=int), u.spacing):
+        planes = [u.shifted(k * e) for k in range(-2, 3)]
         stack = np.stack(planes, axis=0)
-        grad[..., a] = (planes[3] - planes[1]) / (2.0 * h)
         jump = np.abs((planes[3] - planes[2]) - (planes[2] - planes[1])) / h
         spread = np.maximum(spread, jump / (5.0 * h))
         # fit only full stencils; those reaching past the rim keep +inf
@@ -78,7 +58,7 @@ def grid_classification(u: GridFunction) -> tuple[Array, Array, Array]:
     bad = ~np.isfinite(spread) | ~np.isfinite(resid)
     spread[bad] = np.inf
     resid[bad] = np.inf
-    return grad, spread, resid
+    return u.central_gradient(), spread, resid
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +70,7 @@ def _nodes_within(u: GridFunction, x: Array, radius: float
     """Flat indices and wrapped displacements of nodes within the ball.
     The ball is closed with a relative slack so that nodes sitting exactly
     on the boundary are kept on both sides of a symmetric input."""
-    nodes = u.nodes()
-    delta = nodes - x[None, :]
-    if u.boundary == "periodic":
-        period = (u.box[:, 1] - u.box[:, 0])[None, :]
-        delta = (delta + 0.5 * period) % period - 0.5 * period
+    delta = u.nearest_image(u.nodes() - x[None, :])
     dist = np.linalg.norm(delta, axis=1)
     keep = np.nonzero(dist <= radius * (1.0 + 1e-9))[0]
     return keep, delta[keep]
@@ -515,13 +491,15 @@ class SingularSet:
     points: Array                 # (k, n) node coordinates
     diam_threshold: float
     membership_tol: float
+    grid: GridFunction            # the scanned u; distances wrap as it does
 
     def contains(self, x: Array, tol: float | None = None) -> bool:
         if len(self.points) == 0:
             return False
         x = np.atleast_1d(np.asarray(x, dtype=float))
         tol = tol if tol is not None else self.membership_tol
-        return bool(np.linalg.norm(self.points - x[None, :], axis=1).min() <= tol)
+        delta = self.grid.nearest_image(self.points - x[None, :])
+        return bool(np.linalg.norm(delta, axis=1).min() <= tol)
 
     def to_csv(self, path: str) -> None:
         n = self.points.shape[1] if len(self.points) else 1
@@ -567,7 +545,7 @@ def singular_set(u: GridFunction, radius: float | None = None) -> SingularSet:
     pts = np.array(points).reshape(len(points), u.dim)
     return SingularSet(indices=indices, points=pts,
                        diam_threshold=diam_threshold,
-                       membership_tol=0.51 * h_max)
+                       membership_tol=0.51 * h_max, grid=u)
 
 
 def semiconcavity_constant(u: GridFunction, region: Array | None = None,
@@ -581,7 +559,6 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
     exclude_singular is False.  with_excluded additionally returns the
     worst excluded-bucket ratio (0 when nothing was excluded)."""
     singular = singular_set(u) if exclude_singular else None
-    periodic = u.boundary == "periodic"
     nodes = u.nodes().reshape(u.values.shape + (u.dim,))
     best = 0.0
     best_excluded = 0.0
@@ -592,30 +569,25 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
         seen.add(key)
         seen.add(tuple(-i for i in key))
         k = np.array(key)
-        plus = u.values
-        minus = u.values
-        center = u.values
-        x = nodes
-        for a in range(u.dim):
-            plus = _shifted(plus, int(k[a]), a, periodic)
-            minus = _shifted(minus, -int(k[a]), a, periodic)
         with np.errstate(invalid="ignore"):
             z = k * u.spacing
-            ratio = np.abs(plus + minus - 2.0 * center) / float(z @ z)
+            ratio = (np.abs(u.shifted(k) + u.shifted(-k) - 2.0 * u.values)
+                     / float(z @ z))
         ok = np.isfinite(ratio)
         if region is not None:
             box = np.atleast_2d(np.asarray(region, dtype=float))
-            inside = np.all((x >= box[None, :, 0]) & (x <= box[None, :, 1]),
+            inside = np.all((nodes >= box[None, :, 0])
+                            & (nodes <= box[None, :, 1]),
                             axis=-1).reshape(ratio.shape)
             ok &= inside
         kept = ok
         if exclude_singular and len(singular.points):
             # drop samples whose chord comes within half a cell of a kink
-            flat_x = x.reshape(-1, u.dim)
+            flat_x = nodes.reshape(-1, u.dim)
             half = 0.51 * float(u.spacing.max())
             d = np.full(len(flat_x), np.inf)
             for p in singular.points:
-                rel = p[None, :] - flat_x
+                rel = u.nearest_image(p[None, :] - flat_x)
                 zz = np.broadcast_to(z, rel.shape)
                 denom = float(z @ z)
                 s = np.clip((rel * zz).sum(axis=1) / denom, -1.0, 1.0)

@@ -1,4 +1,5 @@
 """Discounted-equation solver: fixed points, contraction, calibrated curves."""
+import dataclasses
 import json
 
 import numpy as np
@@ -274,6 +275,17 @@ def test_lattice_scan_blocks_are_bit_identical(monkeypatch):
     monkeypatch.setattr(hjlax.discounted, "_SCAN_FEET", 1000)
     blocked = discounted_step(L, 2.0, u, 0.05)
     assert np.array_equal(whole.values, blocked.values)
+
+
+def test_legendre_fallback_residual_matches_closed_form_dual(double_well):
+    # the residual evaluates H at the mask nodes only, so the Newton-backed
+    # dual never sees the +-inf central gradients of the box's rims
+    grid = GridSpec(box=[(-2.0, 2.0)], num=[41], boundary="constant")
+    closed = solve_discounted(double_well, LAM, grid, dt=0.05)
+    fallback = solve_discounted(
+        dataclasses.replace(double_well, hamiltonian=None), LAM, grid, dt=0.05)
+    assert np.isfinite(closed.residual)
+    assert fallback.residual == pytest.approx(closed.residual, abs=1e-12)
 
 
 def test_box_exhausted_for_outward_drift():

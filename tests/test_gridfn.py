@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -109,3 +110,73 @@ def test_shape_mismatch_rejected():
     for num in (0, 1):
         with pytest.raises(ConfigError, match="at least 2 nodes"):
             hj.GridSpec(box=[(-1.0, 1.0)], num=[num]).build(kink)
+
+
+# ---------------------------------------------------------------------------
+# boundary-policy primitives
+
+
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+@pytest.mark.parametrize("box, num", [
+    ([(-1.0, 1.0)], [6]),
+    ([(-1.0, 2.0), (0.0, 1.0)], [5, 2]),
+    ([(0.0, 1.0), (-2.0, 2.0)], [4, 7]),
+], ids=["1d", "2d_two_node_axis", "2d"])
+def test_shifted_matches_explicit_indexing(box, num, boundary):
+    rng = np.random.default_rng(0)
+    g = hj.GridFunction(box=box, values=rng.normal(size=num), boundary=boundary)
+    # offsets up to 3 per axis, past the length of a 2-node axis
+    for offset in itertools.product(range(-3, 4), repeat=g.dim):
+        got = g.shifted(offset)
+        for idx in np.ndindex(*num):
+            j = np.add(idx, offset)
+            if boundary == "periodic":
+                expect = g.values[tuple(j % num)]
+            elif np.all((j >= 0) & (j < num)):
+                expect = g.values[tuple(j)]
+            else:
+                expect = np.inf
+            assert got[idx] == expect, (offset, idx)
+
+
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+def test_nearest_image(boundary):
+    g = hj.GridSpec(box=[(-1.0, 2.0), (0.0, 0.5)], num=[6, 4],
+                    boundary=boundary).build(kink)
+    delta = np.random.default_rng(1).uniform(-10.0, 10.0, size=(200, 2))
+    image = g.nearest_image(delta)
+    if boundary == "constant":
+        assert np.array_equal(image, delta)
+        return
+    period = np.array([3.0, 0.5])
+    assert np.all(image >= -0.5 * period) and np.all(image < 0.5 * period)
+    laps = (delta - image) / period
+    assert np.allclose(laps, np.round(laps), atol=1e-9)
+
+
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+def test_central_gradient_affine_and_rims(boundary):
+    g = hj.GridSpec(box=[(-1.0, 2.0), (0.0, 1.0)], num=[7, 5],
+                    boundary=boundary).build(
+        lambda X: 2.0 * X[..., 0] - 3.0 * X[..., 1] + 0.5)
+    grad = g.central_gradient()
+    assert grad.shape == (7, 5, 2)
+    assert np.allclose(grad[1:-1, 1:-1], [2.0, -3.0], atol=1e-12)
+    if boundary == "periodic":
+        assert np.isfinite(grad).all()
+        return
+    assert np.all(grad[0, :, 0] == -np.inf) and np.all(grad[-1, :, 0] == np.inf)
+    assert np.all(grad[:, 0, 1] == -np.inf) and np.all(grad[:, -1, 1] == np.inf)
+    assert np.allclose(grad[0, 1:-1, 1], -3.0, atol=1e-12)
+
+
+def test_node_index_wraps_or_clamps():
+    idx = np.array([[-1, 0], [5, 3], [12, -7]])
+    const = hj.GridSpec(box=[(0.0, 1.0)] * 2, num=[5, 4]).build(kink)
+    per = hj.GridSpec(box=[(0.0, 1.0)] * 2, num=[5, 4],
+                      boundary="periodic").build(kink)
+    assert np.array_equal(const.node_index(idx), [[0, 0], [4, 3], [4, 0]])
+    assert np.array_equal(per.node_index(idx), [[4, 0], [0, 3], [2, 1]])
+    # 0.999 rounds to node 5 of the periodic axis, which is node 0
+    assert per.nearest_node(np.array([0.999, 0.0])) == (0, 0)
+    assert const.nearest_node(np.array([1.7, -0.4])) == (4, 0)

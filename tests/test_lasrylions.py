@@ -16,9 +16,10 @@ from hjlax.discounted import DiscountedSolution
 from hjlax.lagrangian import GrowthRecord, TonelliLagrangian
 
 
-def stub_solution(fn, lam=1e-8, num=161, box=(-2.0, 2.0), dt=0.05):
+def stub_solution(fn, lam=1e-8, num=161, box=(-2.0, 2.0), dt=0.05,
+                  boundary="constant"):
     """Wrap a closed-form viscosity solution as a solved fixed point."""
-    u = GridSpec(box=[box], num=[num], boundary="constant").build(fn)
+    u = GridSpec(box=[box], num=[num], boundary=boundary).build(fn)
     return DiscountedSolution(
         lam=lam, u=u, residual=0.0, iterations=0, contraction_factor=1.0,
         dt=dt, fp_defect=0.0, measured_contraction=float("nan"),
@@ -194,6 +195,18 @@ def test_default_probes_cover_singular_and_smooth_nodes(dw):
     h = float(sol.u.spacing.max())
     assert np.all(np.abs(pts[1:, 0]) >= 6.0 * h - 1e-12)
     assert np.all(np.abs(pts[1:, 0]) <= 1.6 + 1e-12)
+
+
+def test_default_probes_keep_their_halo_across_the_seam():
+    # x^2 on the periodic [-1, 1) has its one kink on the seam x = -1 = 1
+    sol = stub_solution(lambda X: X[..., 0] ** 2, num=40, box=(-1.0, 1.0),
+                        boundary="periodic")
+    h = float(sol.u.spacing.max())
+    for seed in range(50):
+        pts = default_probe_points(sol, seed=seed)
+        assert pts[0, 0] == -1.0
+        dist = np.abs(pts[1:, 0] + 1.0)
+        assert np.all(np.minimum(dist, 2.0 - dist) >= 6.0 * h - 1e-12), seed
 
 
 def test_sweep_requires_decreasing_grid(vee):

@@ -329,3 +329,32 @@ def test_superdiff_deterministic(vee):
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.limiting, b.limiting)
     assert a.diameter == b.diameter
+
+
+# ---------------------------------------------------------------------------
+# periodic seam
+
+
+def seam_parabola(num):
+    """u = x^2 on the periodic [-1, 1): its only kink sits on the seam."""
+    return grid1d(lambda X: X[..., 0] ** 2, num=num, lo=-1.0, hi=1.0,
+                  boundary="periodic")
+
+
+@pytest.mark.parametrize("num", [40, 80])
+def test_semiconcavity_constant_across_the_seam(num):
+    # the same profile with its kink moved to x = 0, inside the box
+    interior = grid1d(lambda X: (np.abs(X[..., 0]) - 1.0) ** 2, num=num,
+                      lo=-1.0, hi=1.0, boundary="periodic")
+    expect = semiconcavity_constant(interior)
+    assert expect == pytest.approx(2.0, abs=1e-9)
+    assert semiconcavity_constant(seam_parabola(num)) == pytest.approx(
+        expect, abs=1e-9)
+
+
+def test_singular_set_membership_across_the_seam():
+    sing = singular_set(seam_parabola(40))
+    assert sing.points.ravel().tolist() == [-1.0]
+    # both lie 0.001 from the kink, on either side of the seam
+    assert sing.contains(np.array([0.999]))
+    assert sing.contains(np.array([-1.001]))
