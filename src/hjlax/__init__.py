@@ -29,7 +29,6 @@ from .lagrangian import (
     discount_lift,
     free_lagrangian,
     hamiltonian_for,
-    hamiltonian_lift,
     legendre_transform,
     mechanical_lagrangian,
     verify_tonelli,
@@ -38,10 +37,8 @@ from .report import ProbeReport, dump_json
 from .gridfn import GridFunction, GridSpec
 from .action import (
     Curve,
-    DualArc,
     FundamentalSolution,
     action_values_batch,
-    gradients_A,
     minimize_action,
     probe_compact_containment,
     probe_midpoint_defects,
@@ -55,7 +52,6 @@ from .laxoleinik import (
     lax_minus,
     lax_plus,
     require_unique_maximizer,
-    solve_cauchy,
 )
 from .discounted import (
     CalibratedCurve,
@@ -69,9 +65,8 @@ from .discounted import (
 from .lasrylions import (GradientComparison, RegularizationSweep,
                          RegularizedField, SingularTrace, aitken_extrapolants,
                          convergence_sweep, default_probe_points,
-                         diagonal_action, gradient_limit_vs_qx,
-                         intrinsic_regularize, lambda_sweep_problem_probe,
-                         strict_concavity_window, trace_singularity)
+                         gradient_limit_vs_qx, intrinsic_regularize,
+                         lambda_sweep_problem_probe, trace_singularity)
 from .regularity import (
     SingularSet,
     SuperdiffSet,

@@ -18,8 +18,12 @@ Euler-Lagrange residual of the collocation spline; a failed solve, a
 residual above tolerance, or an arc whose action exceeds the phase-1 value
 raises NonConvergence.
 
-The dual arc p(tau) = L_v(tau, xi(tau), xidot(tau)) comes out exactly
-Hermite-consistent, and the endpoint gradients are read off the minimizer:
+action_values_batch runs phase 1 alone on a batch of polylines with
+_SCAN_SEGMENTS segments, which is accurate enough to rank the candidate
+maximizers of a Lax-Oleinik scan.
+
+The momenta p(tau) = L_v(tau, xi(tau), xidot(tau)) are stored at the arc's
+Hermite nodes, and the endpoint gradients are read off them:
 D_y A = L_v at time t, D_x A = -L_v at time s.
 
 The probe_* functions sweep minimize_action over sampled endpoint families
@@ -37,9 +41,9 @@ import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.optimize import minimize
 
-from .errors import ConeViolation, ConfigError, NonConvergence
+from .errors import ConfigError, NonConvergence
 from .lagrangian import TonelliLagrangian
-from .report import ProbeReport, write_csv
+from .report import ProbeReport
 
 Array = np.ndarray
 
@@ -49,6 +53,9 @@ _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 _GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GAUSS5_NODES = (_GAUSS5_NODES + 1.0) / 2.0
 _GAUSS5_WEIGHTS = _GAUSS5_WEIGHTS / 2.0
+# polyline segments of the batched scan arcs and of the Lax-Oleinik cell
+# polish arcs
+_SCAN_SEGMENTS = 12
 
 
 @dataclass
@@ -85,41 +92,19 @@ class Curve:
 
 
 @dataclass
-class DualArc:
-    """Momenta along a minimizer: p(tau) = L_v(tau, xi(tau), xidot(tau))."""
-
-    times: Array
-    positions: Array
-    momenta: Array
-
-
-@dataclass
 class FundamentalSolution:
-    """Minimized action with its arc, dual arc, endpoint gradients, and
-    convergence diagnostics."""
+    """Minimized action with its arc, the momenta at the arc's nodes,
+    endpoint gradients, and convergence diagnostics."""
 
-    s: float
-    t: float
-    x: Array
-    y: Array
     value: float
     curve: Curve
-    dual: DualArc
+    momenta: Array               # L_v(tau, xi, xidot) at curve.times
     grad_x: Array
     grad_y: Array
     residual: float
     velocity_sup: float
     momentum_sup: float
-    velocity_lipschitz: float
     n_starts: int
-    phase1_value: float
-
-    def to_csv(self, path: str) -> None:
-        """Rows (tau, x_1..x_n, p_1..p_n) at the stored curve nodes."""
-        n = self.curve.points.shape[1]
-        cols = ["tau"] + [f"x{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)]
-        write_csv(path, cols, ([tau, *pos, *mom] for tau, pos, mom in zip(
-            self.dual.times, self.dual.positions, self.dual.momenta)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +188,18 @@ def _polyline_values(L: TonelliLagrangian, times: Array, nodes: Array) -> Array:
 
 
 def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
-                        y: Array, n_segments: int = 12) -> Array:
+                        y: Array) -> Array:
     """Phase-1-only action values A_{s,t}(x_b, y_b) of a batch of arcs.
 
     x and y (..., n) broadcast against each other; the result has their
     batch shape.  Used for ranking candidate maximizers inside operator
-    scans; accuracy is O((t-s)^2 / n_segments^2), refine the selected
+    scans; accuracy is O((t-s)^2 / _SCAN_SEGMENTS^2), refine the selected
     candidate afterwards.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
-    times = np.linspace(s, t, n_segments + 1)
-    frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
+    times = np.linspace(s, t, _SCAN_SEGMENTS + 1)
+    frac = np.linspace(0.0, 1.0, _SCAN_SEGMENTS + 1)[:, None]
     init = x[..., None, :] + frac * (y - x)[..., None, :]
     nodes, _ = _phase1_descent(L, times, init, maxiter=400)
     return _polyline_values(L, times, nodes)
@@ -323,39 +308,28 @@ def minimize_action(
             mid_old = best[1][len(best[1]) // 2]
             if tuple(mid_new) < tuple(mid_old):
                 best = (val, nodes)
-    phase1_value, nodes = best
+    polyline_value, nodes = best
 
     curve, residual = _refine_curve(L, times, nodes, tol)
-    taus = curve.times
-    pos = curve.points
-    vel = curve.velocities
-    momenta = L.grad_v(taus, pos, vel)
+    momenta = L.grad_v(curve.times, curve.points, curve.velocities)
     if residual > tol * (1.0 + float(np.abs(momenta).max())):
         raise NonConvergence(
             f"Euler-Lagrange residual {residual:.3e} above tolerance {tol:.1e}"
         )
     value = _curve_action(L, curve)
-    if value > phase1_value + 1e-7 * (1.0 + abs(phase1_value)):
+    if value > polyline_value + 1e-7 * (1.0 + abs(polyline_value)):
         raise NonConvergence(
             f"collocation converged to a worse stationary point: action "
-            f"{value:.10g} above the phase-1 value {phase1_value:.10g}"
+            f"{value:.10g} above the phase-1 value {polyline_value:.10g}"
         )
 
-    vel_norms = np.linalg.norm(vel, axis=-1)
-    dv = np.linalg.norm(np.diff(vel, axis=0), axis=-1)
-    dtau = np.diff(taus)
-    vel_lip = float((dv / dtau).max()) if len(taus) > 1 else 0.0
-
     return FundamentalSolution(
-        s=s, t=t, x=x, y=y, value=value, curve=curve,
-        dual=DualArc(times=taus, positions=pos, momenta=momenta),
+        value=value, curve=curve, momenta=momenta,
         grad_x=-momenta[0], grad_y=momenta[-1],
         residual=residual,
-        velocity_sup=float(vel_norms.max()),
+        velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
         momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
-        velocity_lipschitz=vel_lip,
         n_starts=len(starts),
-        phase1_value=phase1_value,
     )
 
 
@@ -408,25 +382,6 @@ def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array, tol: float
     state = sol.sol(fine)
     return Curve(times=fine, points=state[:n].T.copy(),
                  velocities=state[n:].T.copy()), residual
-
-
-def gradients_A(fs: FundamentalSolution,
-                cone: tuple[float, float] | None = None) -> tuple[Array, Array]:
-    """Endpoint gradients (D_x A, D_y A) of a converged fundamental solution.
-
-    When a certified cone (T_prime, lam_cone) is supplied, raise
-    ConeViolation if (t - s, |y - x|) falls outside it.
-    """
-    if cone is not None:
-        T_prime, lam_cone = cone
-        dt = fs.t - fs.s
-        dist = float(np.linalg.norm(fs.y - fs.x))
-        if dt > T_prime or dist > lam_cone * dt:
-            raise ConeViolation(
-                f"(t-s, |y-x|) = ({dt:.4g}, {dist:.4g}) outside cone "
-                f"T'={T_prime:.4g}, lam={lam_cone:.4g}"
-            )
-    return fs.grad_x.copy(), fs.grad_y.copy()
 
 
 # ---------------------------------------------------------------------------

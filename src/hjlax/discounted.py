@@ -42,10 +42,9 @@ from scipy.sparse.linalg import spsolve
 from .action import (_GAUSS3_NODES, _GAUSS3_WEIGHTS, _GAUSS5_NODES,
                      _GAUSS5_WEIGHTS, Curve)
 from .errors import (BoxExhausted, ConfigError, NonContraction,
-                     NonConvergence, OutOfWindow, SingularStart)
+                     NonConvergence, SingularStart)
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
-from .report import write_csv
 
 Array = np.ndarray
 
@@ -97,13 +96,6 @@ class CalibratedCurve:
     momenta: Array               # evolution momenta e^{lam*t} q(t) at curve.times
     calibration_defect: float    # max value-identity defect over sampled times
     defects: Array               # per-sample defects, aligned with curve.times[:-1]
-
-    def to_csv(self, path: str) -> None:
-        """Rows (t, x_1..x_n, p_1..p_n) at the stored curve times."""
-        n = self.curve.points.shape[1]
-        cols = ["t"] + [f"x{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)]
-        write_csv(path, cols, ([t, *pos, *mom] for t, pos, mom in zip(
-            self.curve.times, self.curve.points, self.momenta)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +428,9 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
 # evolution lift and calibrated curves
 
 
-def lift_to_evolution(sol: DiscountedSolution, t: float,
-                      horizon: float | None = None) -> GridFunction:
+def lift_to_evolution(sol: DiscountedSolution, t: float) -> GridFunction:
     """e^{lam*t} u on the same grid (the evolution form at time t)."""
-    if horizon is not None and not 0.0 <= t <= horizon:
-        raise OutOfWindow(f"t={t} outside [0, {horizon}]")
-    out = sol.u.with_values(np.exp(sol.lam * t) * sol.u.values)
-    out.meta["evolution_time"] = float(t)
-    return out
+    return sol.u.with_values(np.exp(sol.lam * t) * sol.u.values)
 
 
 def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,

@@ -12,15 +12,14 @@ modules read neighbours (shifted), displacements (nearest_image), gradients
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError
-from .report import dump_json, write_csv
+from .report import write_csv
 
 Array = np.ndarray
 
@@ -42,7 +41,6 @@ class GridFunction:
     box: Array                    # (n, 2)
     values: Array                 # (m_1, ..., m_n)
     boundary: str = "constant"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.box = np.atleast_2d(np.asarray(self.box, dtype=float))
@@ -100,7 +98,7 @@ class GridFunction:
 
     def with_values(self, values: Array) -> "GridFunction":
         return GridFunction(box=self.box.copy(), values=np.asarray(values, float),
-                            boundary=self.boundary, meta=dict(self.meta))
+                            boundary=self.boundary)
 
     # -- evaluation --------------------------------------------------------
 
@@ -236,23 +234,3 @@ class GridFunction:
         write_csv(path, [f"x{k + 1}" for k in range(self.dim)] + ["value"],
                   ([*row, v] for row, v in zip(self.nodes(),
                                                self.values.ravel())))
-
-    def header_dict(self) -> dict:
-        return {
-            "box": self.box.tolist(),
-            "num": list(self.values.shape),
-            "boundary": self.boundary,
-            "lipschitz": self.lipschitz(),
-        }
-
-    def to_json_header(self, path: str) -> None:
-        dump_json(self.header_dict(), path)
-
-    @classmethod
-    def from_csv(cls, csv_path: str, header_path: str) -> "GridFunction":
-        with open(header_path) as fh:
-            header = json.load(fh)
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        values = data[:, -1].reshape(tuple(header["num"]))
-        return cls(box=np.asarray(header["box"], float), values=values,
-                   boundary=header["boundary"])

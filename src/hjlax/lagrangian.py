@@ -23,7 +23,7 @@ returns shape (...), gradients return (..., dim), hess_vv returns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -73,7 +73,6 @@ class Hamiltonian:
     eval: Callable[..., Array]
     grad_p: Callable[..., Array]
     provenance: str
-    time_dependent: bool = False
 
 
 @dataclass(frozen=True)
@@ -547,27 +546,7 @@ def hamiltonian_for(L: TonelliLagrangian) -> Hamiltonian:
     def gp(t, x, p):
         return np.array([r.argmax for r in transforms(t, x, p)]).reshape(np.shape(p))
 
-    return Hamiltonian(dim=L.dim, eval=ev, grad_p=gp,
-                       provenance="legendre-of-L", time_dependent=L.time_dependent)
-
-
-def hamiltonian_lift(H: Hamiltonian, lam: float) -> Hamiltonian:
-    """H^lam(t, x, p) = e^{lam t} H(x, e^{-lam t} p), dual to the running-cost lift."""
-    if not lam > 0.0:
-        raise InvalidHorizon(f"discount rate must be positive, got {lam}")
-
-    def ev(t, x, p):
-        p = np.asarray(p, float)
-        w = np.exp(lam * _leading(t, p))
-        return w * H.eval(t, x, p / w[..., None])
-
-    def gp(t, x, p):
-        p = np.asarray(p, float)
-        w = np.exp(lam * _leading(t, p))
-        return H.grad_p(t, x, p / w[..., None])
-
-    return Hamiltonian(dim=H.dim, eval=ev, grad_p=gp,
-                       provenance=f"lift({H.provenance})", time_dependent=True)
+    return Hamiltonian(dim=L.dim, eval=ev, grad_p=gp, provenance="legendre-of-L")
 
 
 # ---------------------------------------------------------------------------

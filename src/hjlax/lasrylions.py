@@ -23,7 +23,7 @@ from .lagrangian import (Hamiltonian, TonelliLagrangian, discount_lift,
                          hamiltonian_for)
 from .laxoleinik import (MaximizerRecord, estimate_kappa0, lax_plus,
                          require_unique_maximizer)
-from .action import _midpoint_family, action_values_batch
+from .action import _midpoint_family
 from .report import write_csv
 from .regularity import (SingularSet, min_H_over_superdiff,
                          semiconcavity_constant, singular_set,
@@ -68,13 +68,17 @@ class RegularizedField:
 
 
 def _gradient_quotient_bound(u: GridFunction, grad: Array) -> float:
-    """Worst adjacent-node difference quotient of the gradient field."""
+    """Worst adjacent-node difference quotient of the gradient field grad
+    (u.values.shape + (dim,)), over the neighbour pairs of u's grid: across
+    the seam of a periodic grid too, never past the rim of a constant box."""
     best = 0.0
-    for a in range(u.dim):
-        h = float(u.spacing[a])
-        diff = np.diff(grad, axis=a)
-        if diff.size:
-            best = max(best, float(np.linalg.norm(diff, axis=-1).max()) / h)
+    for e, h in zip(np.eye(u.dim, dtype=int), u.spacing):
+        diff = np.stack([u.with_values(grad[..., k]).shifted(e) - grad[..., k]
+                         for k in range(grad.shape[-1])], axis=-1)
+        quot = np.linalg.norm(diff, axis=-1)
+        quot = quot[np.isfinite(quot)]
+        if quot.size:
+            best = max(best, float(quot.max()) / float(h))
     return best
 
 
@@ -121,16 +125,6 @@ def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
         probe_velocities=np.array(vels).reshape(m, sol.u.dim),
         probe_records=records,
     )
-
-
-def diagonal_action(sol: DiscountedSolution, L: TonelliLagrangian,
-                    t: float) -> Array:
-    """A_{0,t}(x, x) at every node: the feasibility gap in the pointwise
-    dominance bound field >= u - diagonal_action."""
-    lifted = discount_lift(L, sol.lam, horizon=max(t, sol.dt))
-    nodes = sol.u.nodes()
-    return action_values_batch(lifted, 0.0, t, nodes, nodes).reshape(
-        sol.u.values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -486,31 +480,6 @@ def _concavity_window(sol: DiscountedSolution, lifted: TonelliLagrangian,
         c3[t] = np.fmin.reduce(ratio, initial=np.inf)
     qualifying = [t for t in t_probe if c3[float(t)] / t > c2]
     return float(max(qualifying)) if qualifying else 0.0
-
-
-def strict_concavity_window(sol: DiscountedSolution, L: TonelliLagrangian,
-                            x0: Array, t_probe: Array | None = None,
-                            n_samples: int = 64, seed: int = 0
-                            ) -> tuple[float, float]:
-    """(t1, t2) around x0.
-
-    t1 is the largest probe t below which the maximizer at x0 stays unique,
-    read off one pointwise lax_plus per probe t.  t2 is the largest probe t
-    whose empirical in-space convexity constant of the kernel beats the
-    local curvature of u.  trace_singularity computes t2 the same way and
-    takes t1 from the maximizers it has already traced.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if t_probe is None:
-        t_probe = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
-    t_probe = np.asarray(t_probe, dtype=float)
-
-    lifted = _window_lift(sol, L, t_probe)
-    t2 = _concavity_window(sol, lifted, x0, t_probe, n_samples, seed)
-    flags = [lax_plus(lifted, sol.u, 0.0, float(t),
-                      points=x0[None, :]).records[0].multiplicity <= 1
-             for t in t_probe]
-    return _uniqueness_window(t_probe, flags), t2
 
 
 # ---------------------------------------------------------------------------

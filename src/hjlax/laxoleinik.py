@@ -23,9 +23,12 @@ and operator gradient there:
 
 L's closed-form kernel, when it has one, gives the scan values, the action
 term of the polish and the certificate.  Otherwise the scan is one batched
-polyline descent, the polish moves the polyline's interior nodes along with
-its free endpoint, and the certificate is one collocation minimize_action
-per point.
+descent of polylines with action._SCAN_SEGMENTS segments, the polish moves
+the interior nodes of polylines at that resolution along with their free
+endpoint, and the certificate is one collocation minimize_action per point.
+Each node's record keeps its maximizer, certified action and gradient, its
+distance ratio, whether the search ball clipped it, and how many maximizers
+tie with it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from scipy.optimize import Bounds, brentq, minimize
 from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .action import (
+    _SCAN_SEGMENTS,
     _polyline_action_grad,
     _polyline_values,
     action_values_batch,
@@ -61,8 +65,7 @@ Array = np.ndarray
 _BALL_MARGIN = 0.5
 # polished maximizers within this relative value gap count as ties
 _VALUE_TOL = 1e-7
-# cell polish: polyline segments of arcs without a kernel, L-BFGS-B options
-_SEGMENTS = 12
+# cell polish: L-BFGS-B options
 _POLISH_OPTIONS = {"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-11}
 
 
@@ -79,7 +82,6 @@ class MaximizerRecord:
     distance_ratio: float
     clipped: bool
     multiplicity: int
-    runner_up_gap: float
 
 
 @dataclass
@@ -95,10 +97,6 @@ class OperatorResult:
     values: Array
     gradient: Array
     records: list[MaximizerRecord]
-    sign: int
-    s: float
-    t: float
-    ball_radius: float
     kappa0_ratio: float
     notes: list[str] = field(default_factory=list)
 
@@ -199,22 +197,21 @@ def _near_clusters(ys: Array, scores: Array, sep: float) -> list[list[int]]:
 
 
 def _select(polished: list[tuple[float, Array]], sep: float
-            ) -> tuple[Array, int, float]:
-    """The best polished maximizer, the number of maximizers tied with it
-    (itself and those farther than sep), and the gap to the runner-up."""
+            ) -> tuple[Array, int]:
+    """The best polished maximizer and the number of maximizers tied with
+    it (itself and those farther than sep)."""
     polished.sort(key=lambda pv: (-pv[0], tuple(pv[1])))
     best_phi, y_star = polished[0]
     multiplicity = sum(
         1 for val, yy in polished
         if best_phi - val <= _VALUE_TOL * (1.0 + abs(best_phi))
         and (np.array_equal(yy, y_star) or np.linalg.norm(yy - y_star) > sep))
-    runner_gap = (best_phi - polished[1][0]) if len(polished) > 1 else np.inf
-    return y_star, multiplicity, float(runner_gap)
+    return y_star, multiplicity
 
 
 def _record(x: Array, y_star: Array, u_star: float, action: float,
             gradient: Array, sign: int, span: float, radius: float,
-            multiplicity: int, runner_gap: float) -> MaximizerRecord:
+            multiplicity: int) -> MaximizerRecord:
     """Record of x's chosen maximizer y_star, where u(y_star) = u_star; a
     maximizer within 2 % of the ball's edge counts as clipped."""
     dist = float(np.linalg.norm(y_star - x))
@@ -225,7 +222,6 @@ def _record(x: Array, y_star: Array, u_star: float, action: float,
         distance_ratio=dist / span,
         clipped=dist >= radius * 0.98,
         multiplicity=multiplicity,
-        runner_up_gap=runner_gap,
     )
 
 
@@ -282,9 +278,9 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
     xb = np.broadcast_to(x[:, None, :], lo.shape)
     yb = np.broadcast_to(y0[:, None, :], lo.shape)
     end = -1 if sign > 0 else 0             # the arc node that is y
-    times = np.linspace(s, t, _SEGMENTS + 1)
+    times = np.linspace(s, t, _SCAN_SEGMENTS + 1)
     if kern is None:
-        frac = np.linspace(0.0, 1.0, _SEGMENTS + 1)[:, None]
+        frac = np.linspace(0.0, 1.0, _SCAN_SEGMENTS + 1)[:, None]
         first, last = (xb, yb) if sign > 0 else (yb, xb)
         arcs = first[..., None, :] + frac * (last - first)[..., None, :]
         interior = arcs[..., 1:-1, :].ravel()
@@ -390,9 +386,8 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
     y_star = np.array([p[0] for p in picks])
     action, gradient = _certify(L, s, t, pts, y_star, sign)
     u_star = u(y_star)
-    records = [_record(x, y, float(uy), float(a), g, sign, t - s, radius, m,
-                       gap)
-               for x, y, uy, a, g, (_, m, gap)
+    records = [_record(x, y, float(uy), float(a), g, sign, t - s, radius, m)
+               for x, y, uy, a, g, (_, m)
                in zip(pts, y_star, u_star, action, gradient, picks)]
     return records, node_notes
 
@@ -467,8 +462,7 @@ def _apply_operator(
         gradient = grads
     return OperatorResult(
         grid=grid, values=values, gradient=gradient, records=records,
-        sign=sign, s=s, t=t, ball_radius=radius, kappa0_ratio=float(kappa0),
-        notes=notes,
+        kappa0_ratio=float(kappa0), notes=notes,
     )
 
 
@@ -480,12 +474,6 @@ def lax_plus(L, u, s, t, **kwargs) -> OperatorResult:
 def lax_minus(L, u, s, t, **kwargs) -> OperatorResult:
     """T-_{s,t} u on the whole grid (or at points=... only)."""
     return _apply_operator(L, u, s, t, -1, **kwargs)
-
-
-def solve_cauchy(L, u0, t, s: float = 0.0, **kwargs) -> OperatorResult:
-    """Variational (viscosity) solution at time t of the Cauchy problem with
-    initial datum u0 at time s: w(t, .) = T-_{s,t} u0."""
-    return lax_minus(L, u0, s, t, **kwargs)
 
 
 def check_condition_M(

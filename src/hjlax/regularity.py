@@ -21,7 +21,6 @@ from .errors import (ConfigError, InsufficientSamples, NonConvergence,
                      NotSemiconcave)
 from .gridfn import GridFunction
 from .lagrangian import Hamiltonian
-from .report import write_csv
 
 Array = np.ndarray
 
@@ -500,12 +499,6 @@ class SingularSet:
         tol = tol if tol is not None else self.membership_tol
         delta = self.grid.nearest_image(self.points - x[None, :])
         return bool(np.linalg.norm(delta, axis=1).min() <= tol)
-
-    def to_csv(self, path: str) -> None:
-        n = self.points.shape[1] if len(self.points) else 1
-        cols = [f"i{k+1}" for k in range(n)] + [f"x{k+1}" for k in range(n)]
-        write_csv(path, cols, ([*idx, *pt] for idx, pt in zip(self.indices,
-                                                               self.points)))
 
 
 def singular_set(u: GridFunction, radius: float | None = None) -> SingularSet:

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 
 import hjlax as hj
 import hjlax.action
-from hjlax.errors import ConeViolation, ConfigError, NonConvergence, OutOfWindow
+from hjlax.errors import ConfigError, NonConvergence, OutOfWindow
 
 # frozen closed form: minimal discounted free action at lam=1, s=0, t=0.5,
 # |y-x| = 1, equal to lam |y-x|^2 / (2 (e^{-lam s} - e^{-lam t}))
@@ -109,15 +109,14 @@ def test_dual_arc_follows_hamiltonian_flow(pendulum):
     x = np.array([-0.4])
     y = np.array([1.1])
     fs = hj.minimize_action(pendulum, 0.0, 0.6, x, y)
-    arc = fs.dual
 
     def rhs(tau, z):
         return [z[1], -np.sin(z[0])]
 
-    sol = solve_ivp(rhs, (0.0, 0.6), [x[0], arc.momenta[0, 0]],
+    sol = solve_ivp(rhs, (0.0, 0.6), [x[0], fs.momenta[0, 0]],
                     rtol=1e-11, atol=1e-12, dense_output=True)
     assert abs(sol.y[0, -1] - y[0]) < 1e-6
-    assert abs(sol.y[1, -1] - arc.momenta[-1, 0]) < 1e-6
+    assert abs(sol.y[1, -1] - fs.momenta[-1, 0]) < 1e-6
     mids = np.linspace(0.05, 0.55, 7)
     assert np.allclose(sol.sol(mids)[0], fs.curve.at(mids)[:, 0], atol=1e-6)
 
@@ -125,9 +124,9 @@ def test_dual_arc_follows_hamiltonian_flow(pendulum):
 def test_momenta_equal_velocity_gradient(aniso2):
     fs = hj.minimize_action(aniso2, 0.0, 0.4, np.array([0.0, 0.0]),
                             np.array([0.6, -0.3]))
-    expect = aniso2.grad_v(fs.dual.times, fs.dual.positions,
+    expect = aniso2.grad_v(fs.curve.times, fs.curve.points,
                            fs.curve.velocities)
-    assert np.allclose(fs.dual.momenta, expect, atol=1e-12)
+    assert np.allclose(fs.momenta, expect, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -190,34 +189,20 @@ def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
 
 
 def test_cone_check_on_gradients(free1):
+    # D_y A = (y - x) / (t - s) for the free particle
     fs = hj.minimize_action(free1, 0.0, 0.5, np.zeros(1), np.ones(1))
-    gx, gy = hj.gradients_A(fs, cone=(1.0, 3.0))
-    assert np.allclose(gy, [2.0])
-    with pytest.raises(ConeViolation):
-        hj.gradients_A(fs, cone=(1.0, 1.5))
-    with pytest.raises(ConeViolation):
-        hj.gradients_A(fs, cone=(0.4, 3.0))
+    assert np.allclose(fs.grad_y, [2.0])
 
 
 def test_batched_phase1_ranks_like_refined_values(aniso2):
     x = np.array([0.0, 0.0])
     ys = np.array([[0.6, -0.3], [0.2, 0.1], [1.0, 0.5], [-0.4, -0.9]])
-    batch = hj.action_values_batch(aniso2, 0.0, 0.4, x, ys, n_segments=12)
+    batch = hj.action_values_batch(aniso2, 0.0, 0.4, x, ys)
     refined = np.array([hj.minimize_action(aniso2, 0.0, 0.4, x, y).value
                         for y in ys])
-    # phase-1 polyline values are only O((t-s)^2 / n_segments^2) accurate
+    # phase-1 polyline values are only O((t-s)^2 / _SCAN_SEGMENTS^2) accurate
     assert np.abs(batch - refined).max() < 1e-5
     assert np.array_equal(np.argsort(batch), np.argsort(refined))
-
-
-def test_csv_export_rows(tmp_path, free1):
-    fs = hj.minimize_action(free1, 0.0, 0.5, np.zeros(1), np.ones(1))
-    path = tmp_path / "arc.csv"
-    fs.to_csv(str(path))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape[1] == 3
-    assert rows[0, 0] == 0.0 and rows[-1, 0] == 0.5
-    assert np.allclose(rows[:, 2], 2.0, atol=1e-8)
 
 
 def test_velocity_probe_free_table_is_the_ratio(free1):

@@ -12,7 +12,7 @@ from hjlax.discounted import (_HEAD, backward_calibrated_curve,
                               differentiability_mask, discounted_step,
                               lift_to_evolution, solve_discounted)
 from hjlax.errors import (BoxExhausted, ConfigError, NonConvergence,
-                          OutOfWindow, SingularStart)
+                          SingularStart)
 from hjlax.gridfn import GridSpec
 from hjlax.lagrangian import discount_lift, mechanical_lagrangian
 
@@ -302,8 +302,6 @@ def test_lift_to_evolution(dw_sol):
     assert np.array_equal(t0.values, sol.u.values)
     tln2 = lift_to_evolution(sol, np.log(2.0) / LAM)
     assert np.abs(tln2.values - 2.0 * sol.u.values).max() <= 1e-12
-    with pytest.raises(OutOfWindow):
-        lift_to_evolution(sol, 1.5, horizon=1.0)
 
 
 def test_backward_curve_constant_case():
@@ -345,21 +343,6 @@ def test_backward_curve_singular_start(cos_sol):
     L, sol = cos_sol
     with pytest.raises(SingularStart):
         backward_calibrated_curve(sol, L, np.array([0.0]), tau=1.0, horizon=0.5)
-
-
-def test_calibrated_curve_csv(tmp_path, cos_sol):
-    L, sol = cos_sol
-    cc = backward_calibrated_curve(sol, L, np.array([1.5]), tau=1.0,
-                                   horizon=0.5, dt=1 / 16)
-    path = tmp_path / "curve.csv"
-    cc.to_csv(str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x1,p1"
-    assert len(lines) == len(cc.curve.times) + 1
-    t, x, p = (float(f) for f in lines[-1].split(","))
-    assert t == 1.0 and abs(x - cc.x[0]) <= 1e-9
-    cc.to_csv(str(path))
-    assert path.read_text().strip().split("\n") == lines   # deterministic
 
 
 def test_metadata_serializable(tmp_path, dw_sol):

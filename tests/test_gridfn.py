@@ -1,5 +1,4 @@
 import itertools
-import json
 import os
 
 import numpy as np
@@ -75,17 +74,12 @@ def test_csv_header_roundtrip_is_exact(tmp_path):
     g = hj.GridSpec(box=[(-2.0, 2.0), (-1.0, 1.0)], num=[9, 5]).build(
         lambda X: np.sin(3 * X[..., 0]) * X[..., 1] + np.pi)
     csv = os.path.join(tmp_path, "u.csv")
-    hdr = os.path.join(tmp_path, "u.json")
     g.to_csv(csv)
-    g.to_json_header(hdr)
-    g2 = hj.GridFunction.from_csv(csv, hdr)
-    assert np.array_equal(g.values, g2.values)
-    assert g2.boundary == g.boundary
-    assert np.array_equal(g2.box, g.box)
-    with open(hdr) as fh:
-        meta = json.load(fh)
-    assert meta["num"] == [9, 5]
-    assert "lipschitz" in meta
+    with open(csv) as fh:
+        assert fh.readline() == "x1,x2,value\n"
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(rows[:, :2], g.nodes())
+    assert np.array_equal(rows[:, 2].reshape(9, 5), g.values)
 
 
 def test_nearest_node_and_node_point():

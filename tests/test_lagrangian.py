@@ -160,20 +160,6 @@ def test_hamiltonian_generic_fallback_agrees():
         assert abs(float(H.grad_p(0.0, x, p)[..., 0]) - np.arcsinh(1.3)) < 1e-8
 
 
-def test_hamiltonian_lift_formula(pendulum):
-    lam = 0.8
-    H = hj.hamiltonian_for(pendulum)
-    Hl = hj.hamiltonian_lift(H, lam)
-    x = np.array([0.4])
-    p = np.array([1.7])
-    t = 0.6
-    expect = np.exp(lam * t) * float(H.eval(t, x, np.exp(-lam * t) * p))
-    assert abs(float(Hl.eval(t, x, p)) - expect) < 1e-12
-    assert np.allclose(Hl.grad_p(t, x, p),
-                       H.grad_p(t, x, np.exp(-lam * t) * p))
-    assert Hl.time_dependent
-
-
 def test_catalog_rejects_unknown_key():
     with pytest.raises(ConfigError):
         hj.catalog("rotating-drum")

@@ -6,14 +6,16 @@ import pytest
 
 import hjlax.action
 from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
-                   aitken_extrapolants, convergence_sweep,
-                   default_probe_points, diagonal_action, free_lagrangian,
-                   gradient_limit_vs_qx, hamiltonian_for, intrinsic_regularize,
-                   lambda_sweep_problem_probe, mechanical_lagrangian,
-                   singular_set, solve_discounted, strict_concavity_window,
+                   action_values_batch, aitken_extrapolants,
+                   convergence_sweep, default_probe_points, discount_lift,
+                   free_lagrangian, gradient_limit_vs_qx, hamiltonian_for,
+                   intrinsic_regularize, lambda_sweep_problem_probe,
+                   mechanical_lagrangian, singular_set, solve_discounted,
                    trace_singularity)
 from hjlax.discounted import DiscountedSolution
 from hjlax.lagrangian import GrowthRecord, TonelliLagrangian
+from hjlax.lasrylions import (_concavity_window, _gradient_quotient_bound,
+                              _window_lift)
 
 
 def stub_solution(fn, lam=1e-8, num=161, box=(-2.0, 2.0), dt=0.05,
@@ -125,13 +127,19 @@ def test_small_discount_reproduces_moreau_envelope(vee):
 def test_value_dominance_via_diagonal_action(dw):
     L, sol = dw
     rf = intrinsic_regularize(sol, L, 0.05)
-    gap = diagonal_action(sol, L, 0.05)
+    # A_{0,t}(x, x) at every node, under the lift intrinsic_regularize uses
+    lifted = discount_lift(L, sol.lam, horizon=max(0.05, sol.dt))
+    nodes = sol.u.nodes()
+    gap = action_values_batch(lifted, 0.0, 0.05, nodes, nodes).reshape(
+        sol.u.values.shape)
     assert np.all(gap >= -1e-12)
     assert np.all(rf.field.values >= sol.u.values - gap - 1e-9)
 
 
 def test_diagonal_action_vanishes_for_free_particle(vee):
-    gap = diagonal_action(vee, free_lagrangian(1), 0.1)
+    lifted = discount_lift(free_lagrangian(1), vee.lam, horizon=0.1)
+    nodes = vee.u.nodes()
+    gap = action_values_batch(lifted, 0.0, 0.1, nodes, nodes)
     assert np.abs(gap).max() <= 1e-10
 
 
@@ -207,6 +215,17 @@ def test_default_probes_keep_their_halo_across_the_seam():
         assert pts[0, 0] == -1.0
         dist = np.abs(pts[1:, 0] + 1.0)
         assert np.all(np.minimum(dist, 2.0 - dist) >= 6.0 * h - 1e-12), seed
+
+
+def test_gradient_quotient_bound_across_the_seam():
+    # gradient field equal to the node coordinate on the periodic [-1, 1):
+    # quotient 1 between interior neighbours, (2 - h)/h across the seam
+    sol = stub_solution(lambda X: X[..., 0], num=40, box=(-1.0, 1.0),
+                        boundary="periodic")
+    h = float(sol.u.spacing[0])
+    grad = sol.u.nodes().reshape(sol.u.values.shape + (1,))
+    assert _gradient_quotient_bound(sol.u, grad) == pytest.approx(
+        (2.0 - h) / h, rel=1e-12)
 
 
 def test_sweep_requires_decreasing_grid(vee):
@@ -321,13 +340,11 @@ def test_tilted_well_moves_kink_but_not_its_velocity():
 
 
 def test_strict_concavity_window_for_free_kink(vee):
-    t1, t2 = strict_concavity_window(vee, free_lagrangian(1),
-                                     np.array([0.0]),
-                                     t_probe=np.array([0.1, 0.05]),
-                                     n_samples=24)
+    tr = trace_singularity(vee, free_lagrangian(1), np.array([0.0]),
+                           t_grid=np.array([0.1, 0.05]), window_samples=24)
     # linear pieces carry no curvature: every probe scale qualifies
-    assert t2 == pytest.approx(0.1)
-    assert t1 == pytest.approx(0.1)
+    assert tr.t2 == pytest.approx(0.1)
+    assert tr.t1 == pytest.approx(0.1)
 
 
 def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
@@ -343,8 +360,8 @@ def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
     monkeypatch.setattr(hjlax.action, "minimize_action", counting)
     t_probe = np.array([0.1, 0.05])
     n_y, n_pert = 4, 6                  # from n_samples = 24
-    _, t2 = strict_concavity_window(vee, free_lagrangian(1), np.array([0.0]),
-                                    t_probe=t_probe, n_samples=24)
+    lifted = _window_lift(vee, free_lagrangian(1), t_probe)
+    t2 = _concavity_window(vee, lifted, np.array([0.0]), t_probe, 24, seed=0)
     assert t2 == pytest.approx(0.1)
     assert len(calls) == len(t_probe) * n_y * (1 + 2 * n_pert)
 

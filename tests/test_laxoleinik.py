@@ -193,12 +193,6 @@ def test_condition_m_flags_symmetric_double_maximizer(free1):
         hj.require_unique_maximizer(res.records[0])
 
 
-def test_solve_cauchy_is_the_backward_operator(free1, abs_grid):
-    a = hj.solve_cauchy(free1, abs_grid, 0.3)
-    b = hj.lax_minus(free1, abs_grid, 0.0, 0.3)
-    assert np.array_equal(a.grid.values, b.grid.values)
-
-
 @pytest.mark.parametrize("name", ["lifted_free", "free2"])
 def test_kernel_and_direct_routes_agree(name, request):
     # the closed-form kernel must reproduce the collocation action of the

@@ -283,14 +283,6 @@ def test_singular_set_two_kinks_and_scaling():
     assert scaled.indices == sing.indices
 
 
-def test_singular_set_csv_export(tmp_path, vee):
-    path = tmp_path / "sing.csv"
-    singular_set(vee).to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i1,x1"
-    assert lines[1].startswith("80,")
-
-
 def test_semiconcavity_constant_quadratic_exact():
     u = grid1d(lambda x: -0.65 * x[..., 0] ** 2)
     c2 = semiconcavity_constant(u, exclude_singular=False)
