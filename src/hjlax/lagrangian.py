@@ -15,6 +15,11 @@ problems enter through the rescaling
 which keeps all three conditions on a finite horizon [0, T] (the rescaled
 certificates are recomputed by `discount_lift`).
 
+The catalog is one separable form, L(x, v) = sum_k m(x_k) v_k^2 / 2 - V(x)
+with m(xi) = m0 + m1 cos xi and V(x) = coeff * sum_k phi(x_k) + shift; the
+three constructors are parameter sets of it.  The free particle and its
+discounted lift share one closed-form chord kernel.
+
 Conventions.  All callables are vectorised: t broadcasts against the leading
 axes of x and v, which carry the space dimension in their last axis.  eval
 returns shape (...), gradients return (..., dim), hess_vv returns
@@ -55,7 +60,8 @@ class AnalyticKernel:
     value(s, t, x, y) accepts y of shape (..., dim) and returns (...);
     grad_x / grad_y match; curve(s, t, x, y, taus) returns the minimizing
     arc sampled at taus as (positions, velocities).  lift(lam), when set,
-    returns the kernel of the discounted lift e^{lam t} L.
+    returns the kernel of the discounted lift e^{lam t} L.  The catalog's
+    kernels are chord kernels: the free particle's and its lift's.
     """
 
     value: Callable[..., Array]
@@ -84,7 +90,8 @@ class TonelliLagrangian:
     params are labels for reports.  The constructor attaches what it knows
     in closed form: the dual (read it through hamiltonian_for), the
     fundamental-solution kernel, and multiwell, which asks minimize_action
-    for extra starts on long horizons.
+    for extra starts on long horizons.  Every catalog entry is the
+    separable form of the module docstring or its discounted lift.
     """
 
     dim: int
@@ -179,77 +186,124 @@ def _shape_range(potential: str, cut_lo: float, cut_hi: float) -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# catalog Lagrangians
+# catalog Lagrangians: one separable form
 
 
-def _identity_hess(t: Any, x: Array, v: Array) -> Array:
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape + (v.shape[-1],))
-    idx = np.arange(v.shape[-1])
-    out[..., idx, idx] = 1.0
-    return out
+def _chord_kernel(clock: Callable[[Any], Array], pace: Callable[[Array], Array],
+                  k: float, lift: Callable[[float], AnalyticKernel] | None = None
+                  ) -> AnalyticKernel:
+    """Kernel whose minimizer runs the chord x -> y on the clock c (pace = c'):
+    xi(tau) = x + (c(tau) - c(s)) / (c(t) - c(s)) (y - x), and A_{s,t}(x, y) =
+    |y - x|^2 / (2 span) with span = (c(t) - c(s)) / k.  The free particle has
+    c = tau, k = 1; its lift e^{lam tau}|v|^2/2 has c = -e^{-lam tau}, k = lam."""
+    def span(s, t):
+        return (clock(t) - clock(s)) / k
 
-
-def _half_norm_sq(p: Array) -> Array:
-    return np.sum(np.asarray(p, float) ** 2, axis=-1) / 2.0
-
-
-def _identity_grad_p(t: Any, x: Array, p: Array) -> Array:
-    return np.asarray(p, float).copy()
-
-
-def _free_kernel() -> AnalyticKernel:
     def value(s, t, x, y):
         d = np.asarray(y, float) - np.asarray(x, float)
-        return np.sum(d * d, axis=-1) / (2.0 * (t - s))
+        return np.sum(d * d, axis=-1) / (2.0 * span(s, t))
 
     def grad_y(s, t, x, y):
-        return (np.asarray(y, float) - np.asarray(x, float)) / (t - s)
+        return (np.asarray(y, float) - np.asarray(x, float)) / span(s, t)
 
     def grad_x(s, t, x, y):
-        return -(np.asarray(y, float) - np.asarray(x, float)) / (t - s)
+        return -(np.asarray(y, float) - np.asarray(x, float)) / span(s, t)
 
     def curve(s, t, x, y, taus):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        frac = (np.asarray(taus, float) - s) / (t - s)
-        pos = x[None, :] + frac[:, None] * (y - x)[None, :]
-        vel = np.broadcast_to((y - x) / (t - s), pos.shape).copy()
-        return pos, vel
+        d = np.asarray(y, float) - np.asarray(x, float)
+        taus = np.asarray(taus, float)
+        width = clock(t) - clock(s)
+        frac = (clock(taus) - clock(s)) / width
+        pos = np.asarray(x, float)[None, :] + frac[:, None] * d[None, :]
+        return pos, (pace(taus) / width)[:, None] * d[None, :]
 
     return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, curve=curve,
-                          lift=_lifted_free_kernel)
+                          lift=lift)
 
 
-def free_lagrangian(dim: int = 1, window: tuple[float, float] = (-100.0, 100.0)) -> TonelliLagrangian:
-    """L(x, v) = |v|^2 / 2."""
+def _separable(dim: int, window: tuple[float, float], key: str,
+               params: dict[str, Any], m0: float = 1.0, m1: float = 0.0,
+               potential: str | None = None, coeff: float = 0.0,
+               shift: float = 0.0, cutoff: tuple[float, float] = (2.5, 3.5),
+               kernel: AnalyticKernel | None = None) -> TonelliLagrangian:
+    """L(x, v) = sum_k m(x_k) v_k^2 / 2 - V(x), m(xi) = m0 + m1 cos xi and
+    V(x) = coeff * sum_k phi(x_k) + shift (V = 0 without a potential), with
+    its closed-form dual sum_k p_k^2 / (2 m(x_k)) + V(x) and growth record.
+    Exact identities (m = 1, m' = 0, V = 0) are skipped: they cost no pass."""
+    cut_lo, cut_hi = cutoff
+    shape = _SHAPES.get(potential)
+    unit = m0 == 1.0 and not m1
+
+    def mass(x):
+        return m0 + m1 * np.cos(np.asarray(x, float)) if m1 else m0
+
+    def V(x):
+        f, _, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
+        return coeff * np.sum(f, axis=-1) + shift
+
+    def force(x):
+        _, df, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
+        return -coeff * df
 
     def ev(t, x, v):
         v = np.asarray(v, float)
-        return np.sum(v * v, axis=-1) / 2.0
+        kin = np.sum(v * v if unit else mass(x) * v * v, axis=-1) / 2.0
+        return kin - V(x) if shape else kin
 
     def gt(t, x, v):
         return np.zeros(np.asarray(v, float).shape[:-1])
 
     def gx(t, x, v):
-        return np.zeros_like(np.asarray(v, float))
+        # m'(x_k) v_k^2 / 2 - coeff * phi'(x_k)
+        v = np.asarray(v, float)
+        if not m1:
+            return force(x) if shape else np.zeros_like(v)
+        kin = -0.5 * m1 * np.sin(np.asarray(x, float)) * v * v
+        return kin + force(x) if shape else kin
 
     def gv(t, x, v):
-        return np.asarray(v, float).copy()
+        v = np.asarray(v, float)
+        return v.copy() if unit else mass(x) * v
 
+    def hvv(t, x, v):
+        v = np.asarray(v, float)
+        out = np.zeros(v.shape + (v.shape[-1],))
+        idx = np.arange(v.shape[-1])
+        out[..., idx, idx] = mass(x)
+        return out
+
+    def H(t, x, p):
+        p = np.asarray(p, float)
+        h = np.sum(p ** 2 if unit else p ** 2 / mass(x), axis=-1) / 2.0
+        return h + V(x) if shape else h
+
+    def H_p(t, x, p):
+        p = np.asarray(p, float)
+        return p.copy() if unit else p / mass(x)
+
+    lo, hi = _shape_range(potential, cut_lo, cut_hi) if shape else (0.0, 0.0)
+    v_lo = min(coeff * lo, coeff * hi) * dim + shift
+    v_hi = max(coeff * lo, coeff * hi) * dim + shift
     growth = GrowthRecord(
-        theta=lambda r: np.asarray(r, float) ** 2 / 2.0,
-        theta_bar=lambda r: np.asarray(r, float) ** 2 / 2.0,
-        c0=0.0,
-        c=0.0,
-    )
+        theta=lambda r: (m0 - abs(m1)) * np.asarray(r, float) ** 2 / 2.0,
+        theta_bar=lambda r, b=max(0.0, -v_lo):
+            (m0 + abs(m1)) * np.asarray(r, float) ** 2 / 2.0 + b,
+        c0=max(0.0, v_hi), c=0.0)
     return TonelliLagrangian(
-        dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=_identity_hess,
-        growth=growth, time_window=window, key="free", params={"dim": dim},
-        kernel=_free_kernel(),
-        hamiltonian=Hamiltonian(dim=dim, eval=lambda t, x, p: _half_norm_sq(p),
-                                grad_p=_identity_grad_p, provenance="closed-form"),
-    )
+        dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
+        growth=growth, time_window=window, key=key, params=params, kernel=kernel,
+        hamiltonian=Hamiltonian(dim=dim, eval=H, grad_p=H_p, provenance="closed-form"),
+        multiwell=potential == "double_well")
+
+
+def free_lagrangian(dim: int = 1, window: tuple[float, float] = (-100.0, 100.0)) -> TonelliLagrangian:
+    """L(x, v) = |v|^2 / 2, with the chord kernel and its discounted lift."""
+    def lift(lam):
+        return _chord_kernel(lambda tau: -np.exp(-lam * tau),
+                             lambda tau: lam * np.exp(-lam * tau), lam)
+
+    kernel = _chord_kernel(lambda tau: tau, np.ones_like, 1.0, lift=lift)
+    return _separable(dim, window, "free", {"dim": dim}, kernel=kernel)
 
 
 def mechanical_lagrangian(
@@ -269,45 +323,10 @@ def mechanical_lagrangian(
     """
     if potential not in _SHAPES:
         raise ConfigError(f"unknown potential {potential!r}")
-    cut_lo, cut_hi = cutoff
-    shape = _SHAPES[potential]
-
-    def V(x):
-        f, _, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
-        return coeff * np.sum(f, axis=-1) + shift
-
-    def ev(t, x, v):
-        v = np.asarray(v, float)
-        return np.sum(v * v, axis=-1) / 2.0 - V(x)
-
-    def gt(t, x, v):
-        return np.zeros(np.asarray(v, float).shape[:-1])
-
-    def gx(t, x, v):
-        _, df, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
-        return -coeff * df
-
-    def gv(t, x, v):
-        return np.asarray(v, float).copy()
-
-    lo, hi = _shape_range(potential, cut_lo, cut_hi)
-    v_lo = min(coeff * lo, coeff * hi) * dim + shift
-    v_hi = max(coeff * lo, coeff * hi) * dim + shift
-    growth = GrowthRecord(
-        theta=lambda r: np.asarray(r, float) ** 2 / 2.0,
-        theta_bar=lambda r, b=max(0.0, -v_lo): np.asarray(r, float) ** 2 / 2.0 + b,
-        c0=max(0.0, v_hi),
-        c=0.0,
-    )
-    return TonelliLagrangian(
-        dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=_identity_hess,
-        growth=growth, time_window=window, key="mechanical",
-        params={"dim": dim, "potential": potential, "coeff": coeff, "shift": shift,
-                "cutoff": list(cutoff)},
-        hamiltonian=Hamiltonian(dim=dim, eval=lambda t, x, p: _half_norm_sq(p) + V(x),
-                                grad_p=_identity_grad_p, provenance="closed-form"),
-        multiwell=potential == "double_well",
-    )
+    params = {"dim": dim, "potential": potential, "coeff": coeff, "shift": shift,
+              "cutoff": list(cutoff)}
+    return _separable(dim, window, "mechanical", params, potential=potential,
+                      coeff=coeff, shift=shift, cutoff=cutoff)
 
 
 def anisotropic_lagrangian(
@@ -322,49 +341,8 @@ def anisotropic_lagrangian(
     """
     if not m0 > abs(m1):
         raise ConfigError("anisotropic metric needs m0 > |m1|")
-
-    def mass(x):
-        return m0 + m1 * np.cos(np.asarray(x, float))
-
-    def ev(t, x, v):
-        v = np.asarray(v, float)
-        return np.sum(mass(x) * v * v, axis=-1) / 2.0
-
-    def gt(t, x, v):
-        return np.zeros(np.asarray(v, float).shape[:-1])
-
-    def gx(t, x, v):
-        v = np.asarray(v, float)
-        return -0.5 * m1 * np.sin(np.asarray(x, float)) * v * v
-
-    def gv(t, x, v):
-        return mass(x) * np.asarray(v, float)
-
-    def hvv(t, x, v):
-        m = np.broadcast_to(mass(x), np.asarray(v, float).shape)
-        out = np.zeros(m.shape + (m.shape[-1],))
-        idx = np.arange(m.shape[-1])
-        out[..., idx, idx] = m
-        return out
-
-    def H(t, x, p):
-        return np.sum(np.asarray(p, float) ** 2 / mass(x), axis=-1) / 2.0
-
-    def H_p(t, x, p):
-        return np.asarray(p, float) / mass(x)
-
-    growth = GrowthRecord(
-        theta=lambda r: (m0 - abs(m1)) * np.asarray(r, float) ** 2 / 2.0,
-        theta_bar=lambda r: (m0 + abs(m1)) * np.asarray(r, float) ** 2 / 2.0,
-        c0=0.0,
-        c=0.0,
-    )
-    return TonelliLagrangian(
-        dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
-        growth=growth, time_window=window, key="anisotropic",
-        params={"dim": dim, "m0": m0, "m1": m1},
-        hamiltonian=Hamiltonian(dim=dim, eval=H, grad_p=H_p, provenance="closed-form"),
-    )
+    return _separable(dim, window, "anisotropic", {"dim": dim, "m0": m0, "m1": m1},
+                      m0=m0, m1=m1)
 
 
 _CATALOG: dict[str, Callable[..., TonelliLagrangian]] = {
@@ -383,35 +361,6 @@ def catalog(key: str, **params: Any) -> TonelliLagrangian:
 
 # ---------------------------------------------------------------------------
 # discounted lift
-
-
-def _lifted_free_kernel(lam: float) -> AnalyticKernel:
-    # EL for e^{lam tau}|v|^2/2 forces xidot = c e^{-lam tau}; integrating:
-    #   A_{s,t}(x,y) = lam |y-x|^2 / (2 (e^{-lam s} - e^{-lam t}))
-    def denom(s, t):
-        return (np.exp(-lam * s) - np.exp(-lam * t)) / lam
-
-    def value(s, t, x, y):
-        d = np.asarray(y, float) - np.asarray(x, float)
-        return np.sum(d * d, axis=-1) / (2.0 * denom(s, t))
-
-    def grad_y(s, t, x, y):
-        return (np.asarray(y, float) - np.asarray(x, float)) / denom(s, t)
-
-    def grad_x(s, t, x, y):
-        return -(np.asarray(y, float) - np.asarray(x, float)) / denom(s, t)
-
-    def curve(s, t, x, y, taus):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        taus = np.asarray(taus, float)
-        span = np.exp(-lam * s) - np.exp(-lam * t)
-        frac = (np.exp(-lam * s) - np.exp(-lam * taus)) / span
-        pos = x[None, :] + frac[:, None] * (y - x)[None, :]
-        vel = (lam * np.exp(-lam * taus) / span)[:, None] * (y - x)[None, :]
-        return pos, vel
-
-    return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, curve=curve)
 
 
 def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLagrangian:

@@ -174,6 +174,17 @@ def default_probe_points(sol: DiscountedSolution, seed: int = 0) -> Array:
     return np.array(pts).reshape(len(pts), u.dim)
 
 
+def _decreasing_t_grid(t_grid: Array | None) -> Array:
+    """t_grid as an array, 0.2 * 2^-k for k = 0..5 by default; it must
+    decrease toward 0."""
+    if t_grid is None:
+        t_grid = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2 or not np.all(np.diff(t_grid) < 0.0):
+        raise ConfigError("t_grid must decrease toward 0")
+    return t_grid
+
+
 @dataclass(frozen=True)
 class RegularizationSweep:
     """Regularized fields along a t-grid decreasing toward 0."""
@@ -233,11 +244,7 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
     Aitken's delta-squared; the sweep declares the limit trustworthy when
     the last three extrapolants agree to cauchy_tol.
     """
-    if t_grid is None:
-        t_grid = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or not np.all(np.diff(t_grid) < 0.0):
-        raise ConfigError("t_grid must decrease toward 0")
+    t_grid = _decreasing_t_grid(t_grid)
     if probe_points is None:
         probe_points = default_probe_points(sol, seed=seed)
 
@@ -384,12 +391,7 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     idx = sol.u.nearest_node(x0)
     x0 = sol.u.node_point(idx)
 
-    if t_grid is None:
-        t_grid = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or not np.all(np.diff(t_grid) < 0.0):
-        raise ConfigError("t_grid must decrease toward 0")
-
+    t_grid = _decreasing_t_grid(t_grid)
     lifted = discount_lift(L, sol.lam, horizon=float(t_grid.max()) + sol.dt)
     est = estimate_kappa0(lifted, sol.u.lipschitz(), 0.0,
                           float(t_grid.max()), sol.u.nodes())
@@ -429,8 +431,7 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     v0 = np.atleast_1d(np.asarray(H.grad_p(0.0, x0, q), dtype=float))
 
     if t2 is None:
-        t2 = _concavity_window(sol, _window_lift(sol, L, t_grid), x0, t_grid,
-                               window_samples, seed=0)
+        t2 = _concavity_window(sol, lifted, x0, t_grid, window_samples, seed=0)
     return SingularTrace(
         x0=x0, lam=sol.lam, t_grid=t_grid, maximizers=ys,
         singular_flags=np.array(flags, dtype=bool),
@@ -452,25 +453,18 @@ def _uniqueness_window(ts: Array, flags: list[bool]) -> float:
     return t1
 
 
-def _window_lift(sol: DiscountedSolution, L: TonelliLagrangian,
-                 t_probe: Array) -> TonelliLagrangian:
-    # the horizon covers a full midpoint family, whose timed half reaches
-    # 1.5x the largest T
-    return discount_lift(L, sol.lam,
-                         horizon=1.5 * float(t_probe.max()) + sol.dt)
-
-
 def _concavity_window(sol: DiscountedSolution, lifted: TonelliLagrangian,
                       x0: Array, t_probe: Array, n_samples: int,
                       seed: int) -> float:
     """Largest probe t whose empirical in-space convexity constant of the
     kernel beats the local curvature of u: C'''(t)/t > C2 makes
     u(y) - A_{0,t}(x, y) strictly concave near the diagonal (0 when no
-    probe t qualifies).  lifted comes from _window_lift."""
-    h = float(sol.u.spacing.max())
-    lo = np.maximum(x0 - 8.0 * h, sol.u.box[:, 0])
-    hi = np.minimum(x0 + 8.0 * h, sol.u.box[:, 1])
-    c2 = semiconcavity_constant(sol.u, region=np.stack([lo, hi], axis=1))
+    probe t qualifies).  C2 is read on the nodes within 8 spacings of x0
+    per axis, across the seam of a periodic grid; lifted is the discounted
+    lift of L on a horizon that covers t_probe."""
+    reach = 8.0 * sol.u.spacing
+    c2 = semiconcavity_constant(sol.u, region=np.stack([x0 - reach, x0 + reach],
+                                                       axis=1))
     rng = np.random.default_rng(seed)
     c3 = {}
     for t in map(float, t_probe):

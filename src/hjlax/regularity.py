@@ -550,9 +550,18 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
     whose chord passes within half a cell of a node of singular_set(u)
     measure the kink, not the smooth constant; they are excluded unless
     exclude_singular is False.  with_excluded additionally returns the
-    worst excluded-bucket ratio (0 when nothing was excluded)."""
+    worst excluded-bucket ratio (0 when nothing was excluded).  region, a
+    box [lo, hi] per axis, keeps the chord midpoints x whose nearest-image
+    displacement from the box centre is within the half-width on every
+    axis, with a relative slack (a box may straddle a periodic seam)."""
     singular = singular_set(u) if exclude_singular else None
     nodes = u.nodes().reshape(u.values.shape + (u.dim,))
+    inside = np.ones(u.values.shape, dtype=bool)
+    if region is not None:
+        box = np.atleast_2d(np.asarray(region, dtype=float))
+        gap = np.abs(u.nearest_image(nodes - box.mean(axis=1)))
+        inside = np.all(gap <= (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + 1e-9),
+                        axis=-1)
     best = 0.0
     best_excluded = 0.0
     seen: set[tuple[int, ...]] = set()
@@ -566,13 +575,7 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
             z = k * u.spacing
             ratio = (np.abs(u.shifted(k) + u.shifted(-k) - 2.0 * u.values)
                      / float(z @ z))
-        ok = np.isfinite(ratio)
-        if region is not None:
-            box = np.atleast_2d(np.asarray(region, dtype=float))
-            inside = np.all((nodes >= box[None, :, 0])
-                            & (nodes <= box[None, :, 1]),
-                            axis=-1).reshape(ratio.shape)
-            ok &= inside
+        ok = np.isfinite(ratio) & inside
         kept = ok
         if exclude_singular and len(singular.points):
             # drop samples whose chord comes within half a cell of a kink

@@ -168,3 +168,71 @@ def test_catalog_rejects_unknown_key():
 def test_anisotropic_requires_positive_mass():
     with pytest.raises(ConfigError):
         hj.catalog("anisotropic", dim=2, m0=1.0, m1=1.0)
+
+
+# ---------------------------------------------------------------------------
+# derivatives against values
+
+
+def central(f, z, h):
+    """Central differences of f along each coordinate of z (..., n); a
+    scalar field gives (..., n), a vector field (..., m) gives (..., m, n)."""
+    cols = []
+    for k in range(z.shape[-1]):
+        e = np.zeros(z.shape[-1])
+        e[k] = h
+        cols.append((f(z + e) - f(z - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+# the double well's quartic core, its blend to the plateau (2.5 < |x| < 3.5)
+# and the plateau
+DOUBLE_WELL_X = [0.4, -1.2, 2.45, 2.6, -2.75, 3.0, -3.2, 3.45, 3.6, -3.9, 4.5]
+
+
+def derivative_case(name, request):
+    if name == "cos":
+        return hj.catalog("mechanical", dim=1, potential="cos", coeff=1.0)
+    if name == "lifted_free":
+        return hj.discount_lift(request.getfixturevalue("free2"), lam=0.7,
+                                horizon=2.0)
+    if name == "lifted_double_well":
+        return hj.discount_lift(request.getfixturevalue("double_well"),
+                                lam=1.3, horizon=2.0)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["free1", "free2", "pendulum", "cos",
+                                  "double_well", "aniso2", "lifted_free",
+                                  "lifted_double_well"])
+def test_derivatives_match_central_differences(name, request):
+    L = derivative_case(name, request)
+    rng = np.random.default_rng(11)
+    n = len(DOUBLE_WELL_X)
+    x = rng.uniform(-3.0, 3.0, (n, L.dim))
+    if "double_well" in name:
+        x[:, 0] = DOUBLE_WELL_X
+    v = rng.uniform(-2.0, 2.0, (n, L.dim))
+    p = rng.uniform(-3.0, 3.0, (n, L.dim))
+    t = rng.uniform(0.2, 1.8, n)
+    h, h2 = 1e-6, 1e-3
+
+    def close(got, expect):
+        np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-6)
+
+    close(L.grad_t(t, x, v),
+          (L.eval(t + h, x, v) - L.eval(t - h, x, v)) / (2.0 * h))
+    close(L.grad_x(t, x, v), central(lambda z: L.eval(t, z, v), x, h))
+    close(L.grad_v(t, x, v), central(lambda z: L.eval(t, x, z), v, h))
+    # L is quadratic in v: second differences are exact up to rounding
+    close(L.hess_vv(t, x, v),
+          central(lambda w: central(lambda z: L.eval(t, x, z), w, h2), v, h2))
+    # one time: the Legendre fallback of a lift takes a scalar t
+    H = hj.hamiltonian_for(L)
+    close(H.grad_p(0.9, x, p), central(lambda q: H.eval(0.9, x, q), p, h))
+    if L.kernel is not None:
+        K = L.kernel
+        s, tt = 0.3, 1.1
+        y = x + v
+        close(K.grad_x(s, tt, x, y), central(lambda z: K.value(s, tt, z, y), x, h))
+        close(K.grad_y(s, tt, x, y), central(lambda z: K.value(s, tt, x, z), y, h))

@@ -14,8 +14,7 @@ from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
                    trace_singularity)
 from hjlax.discounted import DiscountedSolution
 from hjlax.lagrangian import GrowthRecord, TonelliLagrangian
-from hjlax.lasrylions import (_concavity_window, _gradient_quotient_bound,
-                              _window_lift)
+from hjlax.lasrylions import _concavity_window, _gradient_quotient_bound
 
 
 def stub_solution(fn, lam=1e-8, num=161, box=(-2.0, 2.0), dt=0.05,
@@ -347,6 +346,14 @@ def test_strict_concavity_window_for_free_kink(vee):
     assert tr.t1 == pytest.approx(0.1)
 
 
+def window_t2(sol, x0, t_probe):
+    """_concavity_window under the free lift, whose kernel convexity ratio
+    C'''(t) is 1: a probe t qualifies when 1/t beats the curvature C2."""
+    lifted = discount_lift(free_lagrangian(1), sol.lam,
+                           horizon=float(t_probe.max()) + sol.dt)
+    return _concavity_window(sol, lifted, np.array([x0]), t_probe, 24, seed=0)
+
+
 def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
     # per probe t: n_y base arcs and 2 solves for each of n_pert spatial
     # perturbations; the timed half is drawn but never solved
@@ -360,10 +367,30 @@ def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
     monkeypatch.setattr(hjlax.action, "minimize_action", counting)
     t_probe = np.array([0.1, 0.05])
     n_y, n_pert = 4, 6                  # from n_samples = 24
-    lifted = _window_lift(vee, free_lagrangian(1), t_probe)
-    t2 = _concavity_window(vee, lifted, np.array([0.0]), t_probe, 24, seed=0)
-    assert t2 == pytest.approx(0.1)
+    assert window_t2(vee, 0.0, t_probe) == pytest.approx(0.1)
     assert len(calls) == len(t_probe) * n_y * (1 + 2 * n_pert)
+
+
+def test_concavity_window_wraps_the_periodic_seam():
+    # u = x^2 left of 0 and 3x^2 - 2x^3 right of it on the periodic [-1, 1);
+    # next to x0 = -1 the steep curvature (4.8 on [0.6, 1)) lies across the
+    # seam, and the unwrapped half [-1, -0.6] alone reads C2 = 2
+    sol = stub_solution(
+        lambda X: np.where(X[..., 0] < 0.0, X[..., 0] ** 2,
+                           3.0 * X[..., 0] ** 2 - 2.0 * X[..., 0] ** 3),
+        num=40, box=(-1.0, 1.0), boundary="periodic")
+    # 1/0.4 = 2.5 lies between the two curvatures, 1/0.1 above both
+    assert window_t2(sol, -1.0, np.array([0.4, 0.1])) == pytest.approx(0.1)
+
+
+def test_concavity_window_keeps_both_ends_of_its_reach():
+    # on the 81-node [-2, 2] grid, node 48 (x = 0.4) is 8 spacings right of
+    # x0 = 0 but a rounding error past 0 + 8 * 0.05; u's only curvature
+    # starts between nodes 47 and 48: C2 = 3.5 with node 48, 1.125 without
+    sol = stub_solution(
+        lambda X: -2.0 * np.maximum(X[..., 0] - 0.375, 0.0) ** 2, num=81)
+    # 1/0.5 = 2 lies between the two curvatures, 1/0.2 above both
+    assert window_t2(sol, 0.0, np.array([0.5, 0.2])) == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
