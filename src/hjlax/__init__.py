@@ -57,7 +57,6 @@ from .discounted import (
     CalibratedCurve,
     DiscountedSolution,
     backward_calibrated_curve,
-    differentiability_mask,
     discounted_step,
     lift_to_evolution,
     solve_discounted,

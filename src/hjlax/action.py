@@ -56,6 +56,11 @@ _GAUSS5_WEIGHTS = _GAUSS5_WEIGHTS / 2.0
 # polyline segments of the batched scan arcs and of the Lax-Oleinik cell
 # polish arcs
 _SCAN_SEGMENTS = 12
+# minimize_action: phase-1 polyline segments, the Euler-Lagrange residual
+# certificate, and the seed of the bent multiwell starts
+_SEGMENTS = 16
+_EL_TOL = 1e-8
+_BENT_SEED = 0
 
 
 @dataclass
@@ -264,37 +269,33 @@ def minimize_action(
     t: float,
     x: Array,
     y: Array,
-    n_segments: int = 16,
-    tol: float = 1e-8,
-    seed: int = 0,
 ) -> FundamentalSolution:
     """Compute A_{s,t}(x, y) and its minimizing arc.
 
-    Every arc gets a straight-line start; when t - s > 0.5 and L.multiwell
-    is set, 4 randomized bent starts (drawn from seed) are added.  Ties
-    within 1e-9 relative are broken by the lexicographically smallest curve
+    Phase 1 runs on polylines of _SEGMENTS segments.  Every arc gets a
+    straight-line start; when t - s > 0.5 and L.multiwell is set, 4
+    randomized bent starts (drawn from _BENT_SEED) are added.  Ties within
+    1e-9 relative are broken by the lexicographically smallest curve
     midpoint.  The best phase-1 polyline seeds one collocation solve.
     Raises NonConvergence when the collocation fails, when its
-    Euler-Lagrange residual is above tol, or when it lands on an arc whose
-    action exceeds the phase-1 value; OutOfWindow when [s, t] leaves the
-    certified window.
+    Euler-Lagrange residual is above _EL_TOL (1 + max |p|), or when it
+    lands on an arc whose action exceeds the phase-1 value; OutOfWindow
+    when [s, t] leaves the certified window.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if not t > s:
         raise ConfigError(f"need s < t, got s={s}, t={t}")
-    if n_segments < 2:
-        raise ConfigError("n_segments must be at least 2")
     L.check_window(s, t)
 
     n_bent = 4 if (t - s > 0.5 and L.multiwell) else 0
 
-    times = np.linspace(s, t, n_segments + 1)
-    frac = np.linspace(0.0, 1.0, n_segments + 1)
+    times = np.linspace(s, t, _SEGMENTS + 1)
+    frac = np.linspace(0.0, 1.0, _SEGMENTS + 1)
     straight = x[None, :] + frac[:, None] * (y - x)[None, :]
     starts = [straight]
     if n_bent > 0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_BENT_SEED)
         scale = max(1.0, float(np.linalg.norm(y - x)))
         starts.extend(_bent_inits(x, y, frac, n_bent, rng, scale))
 
@@ -310,12 +311,11 @@ def minimize_action(
                 best = (val, nodes)
     polyline_value, nodes = best
 
-    curve, residual = _refine_curve(L, times, nodes, tol)
+    curve, residual = _refine_curve(L, times, nodes)
     momenta = L.grad_v(curve.times, curve.points, curve.velocities)
-    if residual > tol * (1.0 + float(np.abs(momenta).max())):
-        raise NonConvergence(
-            f"Euler-Lagrange residual {residual:.3e} above tolerance {tol:.1e}"
-        )
+    if residual > _EL_TOL * (1.0 + float(np.abs(momenta).max())):
+        raise NonConvergence(f"Euler-Lagrange residual {residual:.3e} above "
+                             f"tolerance {_EL_TOL:.1e}")
     value = _curve_action(L, curve)
     if value > polyline_value + 1e-7 * (1.0 + abs(polyline_value)):
         raise NonConvergence(
@@ -339,7 +339,7 @@ def _subdivide(mesh: Array, fractions: Sequence[float]) -> Array:
         [mesh] + [mesh[:-1] + f * np.diff(mesh) for f in fractions]))
 
 
-def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array, tol: float
+def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array
                   ) -> tuple[Curve, float]:
     """Collocation solve of the Euler-Lagrange system seeded with the
     polyline nodes and three-point finite-difference node velocities.
@@ -360,7 +360,7 @@ def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array, tol: float
 
     try:
         sol = solve_bvp(rhs, bc, times, np.vstack([nodes.T, vel0.T]),
-                        tol=max(tol * 0.1, 1e-9), max_nodes=4000)
+                        tol=max(_EL_TOL * 0.1, 1e-9), max_nodes=4000)
     except Exception as exc:  # singular Jacobian etc.
         raise NonConvergence(f"collocation refinement failed: {exc}") from exc
     if sol.status != 0:

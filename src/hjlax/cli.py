@@ -246,7 +246,6 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
             "n_samples": (_int, 100), "window": (_floats(2), [0.05, 0.5]),
             "s_range": (_floats(2), [0.0, 0.0]), "box_radius": (_float, 1.0),
             "seed": (_int, 0), "gradient_check": (_flag, False),
-            "fd_step": (_float, 1e-5),
             "tolerances": ({"rel_error": (_positive, 1e-6),
                             "grad_rel_error": (_positive, 1e-3)}, {})},
         "operators": {
@@ -256,7 +255,6 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
                        "scale": (_float, 1.0)}, _REQUIRED),
             "taus": (_floats(None), _REQUIRED),
             "sign": (_choice("plus", "minus"), "plus"),
-            "kappa0": (_float, None),
             "tolerances": ({"sup_error": (_positive, 1e-4)}, {})},
         "discounted": {
             **_STATIONARY, "tol_fp": (_float, 1e-10),
@@ -267,13 +265,12 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "regularize": {
             **_STATIONARY, "t_grid": (_t_grid, _REQUIRED),
             "probes": (_unless("default", _floats(None, None)), "default"),
-            "seed": (_int, 0), "cauchy_tol": (_float, 1e-3),
-            "compare_qx": (_flag, True),
+            "seed": (_int, 0),
             "tolerances": ({"gradient_match": (_positive, None)}, {})},
         "singularity": {
             **_STATIONARY, "t_grid": (_t_grid, _REQUIRED),
             "x0": (_unless("auto", _floats(None)), "auto"),
-            "strict": (_flag, True), "window_samples": (_int, 64),
+            "window_samples": (_int, 64),
             "tolerances": ({"jump": (_positive, None),
                             "derivative_match": (_positive, None)}, {})},
         "propcheck": {
@@ -342,6 +339,9 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # experiment runners: each reads the parsed config and returns an exit code
 
+# central-difference step of the fundamental kind's gradient check
+_FD_STEP = 1e-5
+
 
 def run_fundamental(p: dict, ws: Workspace) -> int:
     L0, lam, n = p["lagrangian"], p["lambda"], p["n_samples"]
@@ -380,10 +380,10 @@ def run_fundamental(p: dict, ws: Workspace) -> int:
             for k, grad in enumerate((fs.grad_x, fs.grad_y)):
                 for i in range(dim):
                     e = np.zeros((2, dim))
-                    e[k, i] = p["fd_step"]
+                    e[k, i] = _FD_STEP
                     fd = (minimize_action(L, s, t, x + e[0], y + e[1]).value
                           - minimize_action(L, s, t, x - e[0], y - e[1]).value
-                          ) / (2.0 * p["fd_step"])
+                          ) / (2.0 * _FD_STEP)
                     worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-8))
             max_grad_rel = max(max_grad_rel, worst)
             row += [worst]
@@ -419,15 +419,13 @@ def run_operators(p: dict, ws: Workspace) -> int:
             return np.where(r <= scale * tau, -r * r / (2.0 * tau),
                             -scale * r + scale * scale * tau / 2.0)
 
-    kwargs = {} if p["kappa0"] is None else {"kappa0": p["kappa0"]}
-
     sup_errors = {}
     notes = {}
     max_ratio = 0.0
     kappa0_used = None
     code = EXIT_OK
     for tau in taus:
-        res = op(L, u, 0.0, tau, **kwargs)
+        res = op(L, u, 0.0, tau)
         kappa0_used = res.kappa0_ratio
         notes[str(tau)] = res.notes
         nodes = u.nodes()
@@ -509,8 +507,7 @@ def run_regularize(p: dict, ws: Workspace) -> int:
     L = p["lagrangian"]
     sol = solve_discounted(L, p["lambda"], p["grid"], p["dt"])
     sweep = convergence_sweep(sol, L, t_grid=p["t_grid"],
-                              probe_points=p["probes"], seed=p["seed"],
-                              cauchy_tol=p["cauchy_tol"])
+                              probe_points=p["probes"], seed=p["seed"])
     sweep.errors_to_csv(ws.path("errors.csv"))
     sweep.probes_to_csv(ws.path("probes.csv"))
     ws.write_json("sweep.json", sweep.as_dict())
@@ -523,17 +520,15 @@ def run_regularize(p: dict, ws: Workspace) -> int:
         "interp_budget": budget,
         "cauchy_ok": sweep.cauchy_ok,
     }
-    passed = monotone and not sweep.sup_errors[-1] > budget
-    if p["compare_qx"]:
-        H = hamiltonian_for(L)
-        match_tol = (p["tolerances"]["gradient_match"]
-                     or 3.0 * float(sol.u.spacing.max()))
-        comparisons = [gradient_limit_vs_qx(sweep, H, pt)
-                       for pt in sweep.probe_points]
-        passed = passed and not any(c.distance > match_tol
-                                    for c in comparisons)
-        report["qx_comparisons"] = [c.as_dict() for c in comparisons]
-        report["gradient_match_tol"] = match_tol
+    H = hamiltonian_for(L)
+    match_tol = (p["tolerances"]["gradient_match"]
+                 or 3.0 * float(sol.u.spacing.max()))
+    comparisons = [gradient_limit_vs_qx(sweep, H, pt)
+                   for pt in sweep.probe_points]
+    passed = (monotone and not sweep.sup_errors[-1] > budget
+              and not any(c.distance > match_tol for c in comparisons))
+    report["qx_comparisons"] = [c.as_dict() for c in comparisons]
+    report["gradient_match_tol"] = match_tol
     report["passed"] = passed
     ws.write_json("report.json", report)
     return EXIT_OK if passed else EXIT_VIOLATION
@@ -548,8 +543,7 @@ def run_singularity(p: dict, ws: Workspace) -> int:
         if not len(sing.points):
             raise ConfigError("x0: auto requires a nonempty singular set")
         x0 = sing.points[0]
-    tr = trace_singularity(sol, L, x0, t_grid=p["t_grid"],
-                           strict=p["strict"], sing=sing,
+    tr = trace_singularity(sol, L, x0, t_grid=p["t_grid"], sing=sing,
                            window_samples=p["window_samples"])
     tr.to_csv(ws.path("trace.csv"))
     ws.write_json("trace.json", tr.as_dict())

@@ -45,6 +45,7 @@ from .errors import (BoxExhausted, ConfigError, NonContraction,
                      NonConvergence, SingularStart)
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
+from .regularity import grid_classification
 
 Array = np.ndarray
 
@@ -66,7 +67,7 @@ class DiscountedSolution:
     fp_defect: float             # final sup-norm update size
     measured_contraction: float  # worst update ratio of the head (nan if too few steps)
     residual_tol: float          # declared first-order budget for `residual`
-    diff_mask: Array             # nodes where one-sided slopes agree (residual support)
+    diff_mask: Array             # grid_classification's differentiable nodes (residual support)
     meta: dict[str, Any] = field(default_factory=dict)
 
     def metadata(self) -> dict[str, Any]:
@@ -283,23 +284,6 @@ def _velocity_lattice(spacing: Array, dt: float, reach: Array,
 # residual on differentiability nodes
 
 
-def differentiability_mask(u: GridFunction) -> tuple[Array, Array]:
-    """Boolean mask of nodes whose one-sided slopes agree (along every axis)
-    plus the slope-jump field itself, built from u.shifted neighbours:
-    wrapped on periodic grids, +inf on the rims of a constant box, where a
-    slope is missing.  The threshold, six times the median jump (at least
-    1e-10 * (1 + Lip u)), separates the O(h*|u''|) jump of smooth profiles
-    from the O(1) jump at a kink."""
-    v = u.values
-    jump = np.zeros_like(v)
-    for e, h in zip(np.eye(u.dim, dtype=int), u.spacing):
-        jump = np.maximum(jump, np.abs((u.shifted(e) - v) / h
-                                       - (v - u.shifted(-e)) / h))
-    finite = jump[np.isfinite(jump)]
-    med = float(np.median(finite)) if finite.size else 0.0
-    return jump <= max(6.0 * med, 1e-10 * (1.0 + u.lipschitz())), jump
-
-
 def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian,
                   mask: Array) -> Array:
     """|lam*u + H(x, Du)| at the mask nodes, Du the central gradient."""
@@ -314,12 +298,12 @@ def _pde_residual(u: GridFunction, lam: float, ham: Hamiltonian,
 # value-iteration sweeps before policy iteration takes over; their update
 # ratios are the measured contraction
 _HEAD = 20
+# cap on the Bellman steps of one solve
+_MAX_ITER = 100000
 
 
 def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
-                     dt: float, tol_fp: float = 1e-10,
-                     max_iter: int = 100000,
-                     residual_tol: float | None = None) -> DiscountedSolution:
+                     dt: float, tol_fp: float = 1e-10) -> DiscountedSolution:
     """Fixed point of the discounted operator T, by policy iteration.
 
     The first _HEAD Bellman steps are value-iteration sweeps u <- T u, and
@@ -331,7 +315,7 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
     Stops when a Bellman update |T u - u| drops below
     tol_fp*(1 - e^{-lam*dt}), which bounds the distance of u to the fixed
     point by tol_fp; the solution is T u.  `iterations` counts Bellman
-    steps, and max_iter caps them.  Raises NonContraction if update sizes
+    steps, and _MAX_ITER caps them.  Raises NonContraction if update sizes
     grow three times in a row, NonConvergence at the iteration cap, and
     BoxExhausted when winning foot points leave a non-periodic box.
     """
@@ -363,7 +347,7 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
     lip_used = -np.inf
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         if iterations > _HEAD:
             u = _evaluate_policy(L, u, x, st, v_warm, feet_last)
         lip = u.lipschitz()
@@ -388,7 +372,7 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
             break
     else:
         raise NonConvergence(
-            f"no fixed point after {max_iter} iterations (defect {diffs[-1]:.3e}, "
+            f"no fixed point after {_MAX_ITER} iterations (defect {diffs[-1]:.3e}, "
             f"target {stop:.3e})")
 
     if u.boundary != "periodic" and feet_last is not None:
@@ -408,12 +392,13 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
     # nominal factor, while orbit mixing can only make single steps faster
     measured = float(np.max(ratios)) if len(ratios) >= 4 else float("nan")
 
-    mask, _ = differentiability_mask(u)
+    _, spread, resid = grid_classification(u)
+    mask = (spread <= 1.0) & (resid <= 1.0)
     residual = (float(_pde_residual(u, lam, ham, mask).max()) if mask.any()
                 else float("nan"))
     h_max = float(u.spacing.max())
-    declared = residual_tol if residual_tol is not None else max(
-        50.0 * tol_fp, 4.0 * (dt + h_max * h_max / (lam * dt)) * (1.0 + u.lipschitz()))
+    declared = max(50.0 * tol_fp, 4.0 * (dt + h_max * h_max / (lam * dt))
+                   * (1.0 + u.lipschitz()))
 
     return DiscountedSolution(
         lam=lam, u=u, residual=residual, iterations=iterations,
@@ -435,8 +420,7 @@ def lift_to_evolution(sol: DiscountedSolution, t: float) -> GridFunction:
 
 def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,
                               x: Array, tau: float, horizon: float,
-                              dt: float | None = None,
-                              rtol: float = 1e-10) -> CalibratedCurve:
+                              dt: float | None = None) -> CalibratedCurve:
     """Backward characteristic through a differentiability node.
 
     Integrates dx/ds = H_p(x, q), dq/ds = -lam*q + L_x(x, H_p(x, q)) from
@@ -458,7 +442,7 @@ def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,
     x0 = u.node_point(idx)
     if not bool(sol.diff_mask[idx]):
         raise SingularStart(
-            f"node {x0.tolist()} has distinct one-sided slopes; backward "
+            f"node {x0.tolist()} is not classified differentiable; backward "
             "curves are non-unique at such points")
     q0 = u.central_gradient()[idx]
 
@@ -474,7 +458,7 @@ def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,
     t_desc = tau - np.linspace(0.0, horizon, m + 1)
     ivp = solve_ivp(rhs, (tau, tau - horizon),
                     np.concatenate([x0, q0]), t_eval=t_desc,
-                    rtol=rtol, atol=1e-12, dense_output=False)
+                    rtol=1e-10, atol=1e-12, dense_output=False)
     if not ivp.success:
         raise NonConvergence(f"characteristic integration failed: {ivp.message}")
 

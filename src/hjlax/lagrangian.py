@@ -188,6 +188,9 @@ def _shape_range(potential: str, cut_lo: float, cut_hi: float) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # catalog Lagrangians: one separable form
 
+# certified time window of every catalog Lagrangian
+_WINDOW = (-100.0, 100.0)
+
 
 def _chord_kernel(clock: Callable[[Any], Array], pace: Callable[[Array], Array],
                   k: float, lift: Callable[[float], AnalyticKernel] | None = None
@@ -221,9 +224,8 @@ def _chord_kernel(clock: Callable[[Any], Array], pace: Callable[[Array], Array],
                           lift=lift)
 
 
-def _separable(dim: int, window: tuple[float, float], key: str,
-               params: dict[str, Any], m0: float = 1.0, m1: float = 0.0,
-               potential: str | None = None, coeff: float = 0.0,
+def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
+               m1: float = 0.0, potential: str | None = None, coeff: float = 0.0,
                shift: float = 0.0, cutoff: tuple[float, float] = (2.5, 3.5),
                kernel: AnalyticKernel | None = None) -> TonelliLagrangian:
     """L(x, v) = sum_k m(x_k) v_k^2 / 2 - V(x), m(xi) = m0 + m1 cos xi and
@@ -291,19 +293,19 @@ def _separable(dim: int, window: tuple[float, float], key: str,
         c0=max(0.0, v_hi), c=0.0)
     return TonelliLagrangian(
         dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
-        growth=growth, time_window=window, key=key, params=params, kernel=kernel,
+        growth=growth, time_window=_WINDOW, key=key, params=params, kernel=kernel,
         hamiltonian=Hamiltonian(dim=dim, eval=H, grad_p=H_p, provenance="closed-form"),
         multiwell=potential == "double_well")
 
 
-def free_lagrangian(dim: int = 1, window: tuple[float, float] = (-100.0, 100.0)) -> TonelliLagrangian:
+def free_lagrangian(dim: int = 1) -> TonelliLagrangian:
     """L(x, v) = |v|^2 / 2, with the chord kernel and its discounted lift."""
     def lift(lam):
         return _chord_kernel(lambda tau: -np.exp(-lam * tau),
                              lambda tau: lam * np.exp(-lam * tau), lam)
 
     kernel = _chord_kernel(lambda tau: tau, np.ones_like, 1.0, lift=lift)
-    return _separable(dim, window, "free", {"dim": dim}, kernel=kernel)
+    return _separable(dim, "free", {"dim": dim}, kernel=kernel)
 
 
 def mechanical_lagrangian(
@@ -312,7 +314,6 @@ def mechanical_lagrangian(
     coeff: float = 1.0,
     shift: float = 0.0,
     cutoff: tuple[float, float] = (2.5, 3.5),
-    window: tuple[float, float] = (-100.0, 100.0),
 ) -> TonelliLagrangian:
     """L(x, v) = |v|^2 / 2 - V(x) with V(x) = coeff * sum_k phi(x_k) + shift.
 
@@ -325,7 +326,7 @@ def mechanical_lagrangian(
         raise ConfigError(f"unknown potential {potential!r}")
     params = {"dim": dim, "potential": potential, "coeff": coeff, "shift": shift,
               "cutoff": list(cutoff)}
-    return _separable(dim, window, "mechanical", params, potential=potential,
+    return _separable(dim, "mechanical", params, potential=potential,
                       coeff=coeff, shift=shift, cutoff=cutoff)
 
 
@@ -333,7 +334,6 @@ def anisotropic_lagrangian(
     dim: int = 2,
     m0: float = 1.0,
     m1: float = 0.3,
-    window: tuple[float, float] = (-100.0, 100.0),
 ) -> TonelliLagrangian:
     """L(x, v) = <M(x) v, v> / 2 with M(x) = diag(m0 + m1 cos x_k).
 
@@ -341,7 +341,7 @@ def anisotropic_lagrangian(
     """
     if not m0 > abs(m1):
         raise ConfigError("anisotropic metric needs m0 > |m1|")
-    return _separable(dim, window, "anisotropic", {"dim": dim, "m0": m0, "m1": m1},
+    return _separable(dim, "anisotropic", {"dim": dim, "m0": m0, "m1": m1},
                       m0=m0, m1=m1)
 
 
@@ -421,6 +421,10 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
 # ---------------------------------------------------------------------------
 # Legendre transform and Hamiltonians
 
+# Newton stopping rule: residual |L_v - p| <= _LEGENDRE_TOL (1 + |p|)
+_LEGENDRE_TOL = 1e-10
+_LEGENDRE_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LegendreResult:
@@ -435,14 +439,13 @@ def legendre_transform(
     t: float,
     x: Array,
     p: Array,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> LegendreResult:
     """H(t, x, p) = sup_v { <p, v> - L(t, x, v) } by damped Newton on L_v = p.
 
     Starts from v = 0; each step is backtracked until the residual norm
     decreases (strong convexity makes the full step correct away from
-    pathologies).  Raises NonConvergence past max_iter.
+    pathologies), and stops at a residual of _LEGENDRE_TOL (1 + |p|).
+    Raises NonConvergence past _LEGENDRE_MAX_ITER steps.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -451,11 +454,10 @@ def legendre_transform(
     res = L.grad_v(t, x, v) - p
     rnorm = float(np.linalg.norm(res))
     it = 0
-    while rnorm > tol * scale:
-        if it >= max_iter:
-            raise NonConvergence(
-                f"legendre transform: residual {rnorm:.3e} after {max_iter} iterations"
-            )
+    while rnorm > _LEGENDRE_TOL * scale:
+        if it >= _LEGENDRE_MAX_ITER:
+            raise NonConvergence(f"legendre transform: residual {rnorm:.3e} "
+                                 f"after {_LEGENDRE_MAX_ITER} iterations")
         step = np.linalg.solve(L.hess_vv(t, x, v), -res)
         alpha = 1.0
         for _ in range(50):
@@ -476,24 +478,28 @@ def legendre_transform(
 def hamiltonian_for(L: TonelliLagrangian) -> Hamiltonian:
     """The dual its constructor attached to L, else a Newton-backed dual.
 
-    The fallback evaluates legendre_transform point by point, so any
-    Tonelli L gets a correct H whatever its key says.
+    The fallback evaluates legendre_transform point by point, each point at
+    its own time (t broadcasts against the leading shape of x and p), so
+    any Tonelli L gets a correct H whatever its key says.
     """
     if L.hamiltonian is not None:
         return L.hamiltonian
 
     def transforms(t, x, p):
-        flat_x = np.asarray(x, float).reshape(-1, L.dim)
-        flat_p = np.asarray(p, float).reshape(-1, L.dim)
-        return [legendre_transform(L, t, flat_x[i], flat_p[i])
-                for i in range(flat_p.shape[0])]
+        x, p = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
+        ts = _leading(t, p)
+        flat_x, flat_p = (np.broadcast_to(a, ts.shape + (L.dim,)).reshape(-1, L.dim)
+                          for a in (x, p))
+        return ts.shape, [legendre_transform(L, ti, xi, pi)
+                          for ti, xi, pi in zip(ts.ravel(), flat_x, flat_p)]
 
     def ev(t, x, p):
-        shape = np.shape(p)[:-1]
-        return np.array([r.value for r in transforms(t, x, p)]).reshape(shape)
+        shape, res = transforms(t, x, p)
+        return np.array([r.value for r in res]).reshape(shape)
 
     def gp(t, x, p):
-        return np.array([r.argmax for r in transforms(t, x, p)]).reshape(np.shape(p))
+        shape, res = transforms(t, x, p)
+        return np.array([r.argmax for r in res]).reshape(shape + (L.dim,))
 
     return Hamiltonian(dim=L.dim, eval=ev, grad_p=gp, provenance="legendre-of-L")
 

@@ -32,10 +32,6 @@ from .regularity import (SingularSet, min_H_over_superdiff,
 Array = np.ndarray
 
 
-def _finite_or_none(v: float) -> float | None:
-    return float(v) if np.isfinite(v) else None
-
-
 # ---------------------------------------------------------------------------
 # one regularization scale
 
@@ -54,17 +50,6 @@ class RegularizedField:
     probe_gradients: Array        # (m, n)
     probe_velocities: Array       # (m, n): (y* - x)/t
     probe_records: list[MaximizerRecord]
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lam": self.lam,
-            "sup_error": self.sup_error,
-            "c11_bound": _finite_or_none(self.c11_bound),
-            "probe_points": self.probe_points.tolist(),
-            "probe_gradients": self.probe_gradients.tolist(),
-            "probe_velocities": self.probe_velocities.tolist(),
-        }
 
 
 def _gradient_quotient_bound(u: GridFunction, grad: Array) -> float:
@@ -129,6 +114,9 @@ def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
 
 # ---------------------------------------------------------------------------
 # sweeps toward t -> 0+
+
+# agreement of the last three Aitken extrapolants that makes a limit trusted
+_CAUCHY_TOL = 1e-3
 
 
 def aitken_extrapolants(seq: Array) -> Array:
@@ -208,7 +196,7 @@ class RegularizationSweep:
             "lam": self.lam,
             "t_grid": self.t_grid.tolist(),
             "sup_errors": self.sup_errors.tolist(),
-            "c11_bounds": [_finite_or_none(b) for b in self.c11_bounds],
+            "c11_bounds": self.c11_bounds.tolist(),
             "probe_points": self.probe_points.tolist(),
             "probe_gradients": self.probe_gradients.tolist(),
             "probe_velocities": self.probe_velocities.tolist(),
@@ -236,13 +224,12 @@ class RegularizationSweep:
 def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
                       t_grid: Array | None = None,
                       probe_points: Array | None = None,
-                      seed: int = 0, cauchy_tol: float = 1e-3
-                      ) -> RegularizationSweep:
+                      seed: int = 0) -> RegularizationSweep:
     """Regularize along a geometric t-grid and extrapolate the gradients.
 
     Per probe point the gradient and velocity sequences are accelerated by
     Aitken's delta-squared; the sweep declares the limit trustworthy when
-    the last three extrapolants agree to cauchy_tol.
+    the last three extrapolants agree to _CAUCHY_TOL.
     """
     t_grid = _decreasing_t_grid(t_grid)
     if probe_points is None:
@@ -265,7 +252,7 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
         if len(ext) >= 3:
             tail = ext[-3:]
             gaps = np.linalg.norm(tail - tail[-1][None, :], axis=1)
-            cauchy[j] = bool(gaps.max() <= cauchy_tol)
+            cauchy[j] = bool(gaps.max() <= _CAUCHY_TOL)
     return RegularizationSweep(
         lam=sol.lam, t_grid=t_grid,
         sup_errors=np.array([f.sup_error for f in fields]),
@@ -273,7 +260,7 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
         probe_points=pts, probe_gradients=grads, probe_velocities=vels,
         gradient_limits=glimits, velocity_limits=vlimits, cauchy_ok=cauchy,
         base=sol.u, fields=fields,
-        meta={"cauchy_tol": cauchy_tol, "seed": seed},
+        meta={"cauchy_tol": _CAUCHY_TOL, "seed": seed},
     )
 
 
@@ -371,16 +358,15 @@ class SingularTrace:
 
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
                       x0: Array, t_grid: Array | None = None,
-                      strict: bool = True, sing: SingularSet | None = None,
+                      sing: SingularSet | None = None,
                       t2: float | None = None,
                       window_samples: int = 64) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
-    The start point must belong to the detected singular set.  With strict
-    on, a maximizer leaving the singular set raises NotSingular and one
-    leaving the cone |y - x0| <= kappa0*t raises ConeViolation; both are
-    always recorded in the flags either way.  t2 skips the concavity-window
-    probe and is reported as given.
+    The start point must belong to the detected singular set.  A maximizer
+    leaving the singular set raises NotSingular and one leaving the cone
+    |y - x0| <= kappa0*t raises ConeViolation, so every returned flag is
+    true.  t2 skips the concavity-window probe and is reported as given.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if sing is None:
@@ -399,7 +385,6 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
 
     ys = []
     ratios = []
-    flags = []
     unique_flags = []
     for t in t_grid:
         res = lax_plus(lifted, sol.u, 0.0, float(t),
@@ -408,13 +393,11 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
         y = rec.y_star
         ys.append(y)
         ratios.append(rec.distance_ratio)
-        is_sing = sing.contains(y)
-        flags.append(is_sing)
         unique_flags.append(rec.multiplicity <= 1)
-        if strict and not is_sing:
+        if not sing.contains(y):
             raise NotSingular(
                 f"maximizer {y.tolist()} at t={t} left the singular set")
-        if strict and rec.distance_ratio > kappa0 * (1.0 + 1e-6):
+        if rec.distance_ratio > kappa0 * (1.0 + 1e-6):
             raise ConeViolation(
                 f"|y - x0|/t = {rec.distance_ratio:.4g} exceeds "
                 f"kappa0 = {kappa0:.4g} at t={t}")
@@ -434,7 +417,7 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
         t2 = _concavity_window(sol, lifted, x0, t_grid, window_samples, seed=0)
     return SingularTrace(
         x0=x0, lam=sol.lam, t_grid=t_grid, maximizers=ys,
-        singular_flags=np.array(flags, dtype=bool),
+        singular_flags=np.ones(len(t_grid), dtype=bool),
         distance_ratios=np.array(ratios), kappa0=float(kappa0),
         max_jump=max_jump, right_derivative=right, q_lambda=q, v0=v0,
         t1=_uniqueness_window(t_grid, unique_flags), t2=float(t2),

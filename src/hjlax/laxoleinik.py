@@ -67,6 +67,8 @@ _BALL_MARGIN = 0.5
 _VALUE_TOL = 1e-7
 # cell polish: L-BFGS-B options
 _POLISH_OPTIONS = {"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-11}
+# candidates per point; a ball holding more is evenly subsampled
+_CANDIDATE_CAP = 600
 
 
 @dataclass
@@ -153,9 +155,9 @@ def estimate_kappa0(
 
 
 def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
-                     cap: int, notes: list[str]) -> tuple[Array, Array]:
+                     notes: list[str]) -> tuple[Array, Array]:
     """Grid nodes within the search ball and their values, evenly
-    subsampled down to cap; a cap hit is appended to notes.
+    subsampled down to _CANDIDATE_CAP; a cap hit is appended to notes.
 
     nodes is u.nodes(), computed once per operator by the caller.  Each
     node is taken at its nearest image (u.nearest_image), so on a periodic
@@ -169,7 +171,7 @@ def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
         idx = np.array([int(np.argmin(dist))])
     else:
         idx = np.nonzero(mask)[0]
-    found = len(idx)
+    found, cap = len(idx), _CANDIDATE_CAP
     if found > cap:
         idx = idx[np.linspace(0, found - 1, cap).astype(int)]
         notes.append(f"candidate cap {cap} hit at {x.tolist()}: "
@@ -344,8 +346,8 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
     return np.array([fs.value for fs in sols]), np.array(grads)
 
 
-def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
-                     notes) -> tuple[list[MaximizerRecord], list[list[str]]]:
+def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
+                     ) -> tuple[list[MaximizerRecord], list[list[str]]]:
     """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
     scan of the (points x candidates) actions, one polish of every member
     of every near-optimal cluster, selection, and the certificate.
@@ -355,8 +357,7 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, candidate_cap, nodes,
     records and per-point notes (candidate-cap hits); notes of the whole
     pass (an unconverged polish) go to notes."""
     node_notes: list[list[str]] = [[] for _ in pts]
-    gathered = [_grid_candidates(u, nodes, x, radius, candidate_cap,
-                                 point_notes)
+    gathered = [_grid_candidates(u, nodes, x, radius, point_notes)
                 for x, point_notes in zip(pts, node_notes)]
     counts = np.array([len(yi) for yi, _ in gathered])
     starts = np.cumsum(counts) - counts
@@ -401,7 +402,6 @@ def _apply_operator(
     points: Array | None = None,
     kappa0: float | None = None,
     strict_domain: bool = False,
-    candidate_cap: int = 600,
 ) -> OperatorResult:
     if not t > s:
         raise ConfigError(f"need s < t, got s={s}, t={t}")
@@ -433,14 +433,13 @@ def _apply_operator(
 
     notes: list[str] = []
     records, node_notes = _apply_pointwise(L, u, s, t, pts, sign, radius,
-                                           candidate_cap, nodes, notes)
+                                           nodes, notes)
     # expand clipped balls once; superlinearity makes a larger ball conclusive
     redo = [i for i, rec in enumerate(records) if rec.clipped]
     wide = {}
     if redo:
         wide_records, wide_notes = _apply_pointwise(
-            L, u, s, t, pts[redo], sign, 1.5 * radius, candidate_cap, nodes,
-            notes)
+            L, u, s, t, pts[redo], sign, 1.5 * radius, nodes, notes)
         wide = dict(zip(redo, zip(wide_records, wide_notes)))
     for i, x in enumerate(pts):
         notes += node_notes[i]

@@ -246,6 +246,12 @@ def superdifferential(u: GridFunction, x: Array, radius: float | None = None,
 # ---------------------------------------------------------------------------
 # minimizing H over the hull
 
+# projected-gradient certificate and step budget of min_H_over_superdiff
+_MIN_H_TOL = 1e-8
+_MIN_H_MAX_ITER = 1000
+# hull sampling step of brute_force_H_min
+_BRUTE_STEP = 1e-3
+
 
 def _proj_simplex(th: Array) -> Array:
     s = np.sort(th)[::-1]
@@ -369,15 +375,15 @@ def _frank_wolfe(fval, fgrad, verts: Array, max_iter: int = 2000) -> Array:
     return q
 
 
-def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
-                         tol: float = 1e-8, max_iter: int = 1000
+def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
                          ) -> tuple[Array, float]:
     """Unique minimizer of the convex p -> H(t, x, p) over the hull.
 
     Primary route: projected gradient on simplex weights over the hull
-    vertices.  An independent away-step Frank-Wolfe run always cross-checks
-    it and must agree to 1e-8 before the result is returned; either route
-    failing, or the two disagreeing, raises NonConvergence.
+    vertices, to tolerance _MIN_H_TOL within _MIN_H_MAX_ITER steps.  An
+    independent away-step Frank-Wolfe run always cross-checks it and must
+    agree to 1e-8 before the result is returned; either route failing, or
+    the two disagreeing, raises NonConvergence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     verts = np.atleast_2d(S.vertices)
@@ -394,7 +400,8 @@ def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
         q = verts[0]
         return q.copy(), fval(q)
 
-    q = _projected_gradient(fval, fgrad, verts, S.diameter, tol, max_iter)
+    q = _projected_gradient(fval, fgrad, verts, S.diameter, _MIN_H_TOL,
+                            _MIN_H_MAX_ITER)
     q_fw = _frank_wolfe(fval, fgrad, verts)
     if float(np.linalg.norm(q - q_fw)) > 1e-8 * (1.0 + S.diameter):
         raise NonConvergence(
@@ -403,9 +410,9 @@ def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
     return q, fval(q)
 
 
-def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
-                      step: float = 1e-3) -> tuple[Array, float]:
-    """Dense sampling of the hull at the given step, with one parabolic
+def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
+                      ) -> tuple[Array, float]:
+    """Dense sampling of the hull at step _BRUTE_STEP, with one parabolic
     refinement per axis around the best sample (exact for quadratic H)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     verts = np.atleast_2d(S.vertices)
@@ -424,7 +431,7 @@ def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
         d = vt[0]
         proj = span @ d
         a, b = verts[int(np.argmin(proj))], verts[int(np.argmax(proj))]
-        m = max(3, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
+        m = max(3, int(np.ceil(np.linalg.norm(b - a) / _BRUTE_STEP)) + 1)
         ts = np.linspace(0.0, 1.0, m)
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
         inside = np.ones(len(pts), dtype=bool)
@@ -432,7 +439,8 @@ def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
         from scipy.spatial import ConvexHull
         hull = ConvexHull(verts)
         lo, hi = verts.min(axis=0), verts.max(axis=0)
-        axes = [np.arange(lo[k], hi[k] + step, step) for k in range(n)]
+        axes = [np.arange(lo[k], hi[k] + _BRUTE_STEP, _BRUTE_STEP)
+                for k in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         slack = pts @ hull.equations[:, :-1].T + hull.equations[None, :, -1]
@@ -443,20 +451,20 @@ def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet,
     q, val = pts[best].copy(), float(vals[best])
 
     # parabolic refinement along each axis of the sample lattice
+    delta = _BRUTE_STEP
     for k in range(n):
-        for delta in (step,):
-            e = np.zeros(n)
-            e[k] = delta
-            trio = np.stack([q - e, q, q + e])
-            fm, f0, fp = fvals(trio)
-            denom = fm - 2.0 * f0 + fp
-            if denom > 1e-15:
-                shift = 0.5 * (fm - fp) / denom * delta
-                cand = q.copy()
-                cand[k] += float(np.clip(shift, -delta, delta))
-                fc = float(fvals(cand))
-                if fc <= val and _inside_hull(verts, cand):
-                    q, val = cand, fc
+        e = np.zeros(n)
+        e[k] = delta
+        trio = np.stack([q - e, q, q + e])
+        fm, f0, fp = fvals(trio)
+        denom = fm - 2.0 * f0 + fp
+        if denom > 1e-15:
+            shift = 0.5 * (fm - fp) / denom * delta
+            cand = q.copy()
+            cand[k] += float(np.clip(shift, -delta, delta))
+            fc = float(fvals(cand))
+            if fc <= val and _inside_hull(verts, cand):
+                q, val = cand, fc
     return q, val
 
 
@@ -501,20 +509,20 @@ class SingularSet:
         return bool(np.linalg.norm(delta, axis=1).min() <= tol)
 
 
-def singular_set(u: GridFunction, radius: float | None = None) -> SingularSet:
+def singular_set(u: GridFunction) -> SingularSet:
     """Nodes where the superdifferential is a genuine set.
 
     Nodes passing the differentiability classification are skipped; the
     rest get a full hull whose diameter is compared with the threshold
-    4*spacing.  The default ball is the minimal legal radius
-    2*spacing: any wider and a kink's hull leaks onto neighbors whose
-    own one-sided slopes agree, inflating the set by a node per side.
+    4*spacing.  The hull's ball has the minimal legal radius 2*spacing:
+    any wider and a kink's hull leaks onto neighbors whose own one-sided
+    slopes agree, inflating the set by a node per side.
     Rim nodes of a non-periodic grid cannot support the stencils and are
     never reported.
     """
     h_max = float(u.spacing.max())
     diam_threshold = 4.0 * h_max
-    radius = radius if radius is not None else 2.0 * h_max
+    radius = 2.0 * h_max
 
     _, spread, resid = grid_classification(u)
     suspicious = (spread > 1.0) | (resid > 1.0)
@@ -541,20 +549,16 @@ def singular_set(u: GridFunction, radius: float | None = None) -> SingularSet:
                        membership_tol=0.51 * h_max, grid=u)
 
 
-def semiconcavity_constant(u: GridFunction, region: Array | None = None,
-                           exclude_singular: bool = True,
-                           with_excluded: bool = False
-                           ) -> float | tuple[float, float]:
+def semiconcavity_constant(u: GridFunction, region: Array | None = None
+                           ) -> float:
     """Curvature magnitude max |u(x+z) + u(x-z) - 2 u(x)| / |z|^2 over node
     pairs, z running over lattice offsets up to two cells per axis.  Samples
     whose chord passes within half a cell of a node of singular_set(u)
-    measure the kink, not the smooth constant; they are excluded unless
-    exclude_singular is False.  with_excluded additionally returns the
-    worst excluded-bucket ratio (0 when nothing was excluded).  region, a
+    measure the kink, not the smooth constant, and are excluded.  region, a
     box [lo, hi] per axis, keeps the chord midpoints x whose nearest-image
     displacement from the box centre is within the half-width on every
     axis, with a relative slack (a box may straddle a periodic seam)."""
-    singular = singular_set(u) if exclude_singular else None
+    singular = singular_set(u)
     nodes = u.nodes().reshape(u.values.shape + (u.dim,))
     inside = np.ones(u.values.shape, dtype=bool)
     if region is not None:
@@ -563,7 +567,6 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
         inside = np.all(gap <= (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + 1e-9),
                         axis=-1)
     best = 0.0
-    best_excluded = 0.0
     seen: set[tuple[int, ...]] = set()
     for key in itertools.product(range(-2, 3), repeat=u.dim):
         if key in seen or all(i == 0 for i in key):
@@ -575,9 +578,8 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
             z = k * u.spacing
             ratio = (np.abs(u.shifted(k) + u.shifted(-k) - 2.0 * u.values)
                      / float(z @ z))
-        ok = np.isfinite(ratio) & inside
-        kept = ok
-        if exclude_singular and len(singular.points):
+        kept = np.isfinite(ratio) & inside
+        if len(singular.points):
             # drop samples whose chord comes within half a cell of a kink
             flat_x = nodes.reshape(-1, u.dim)
             half = 0.51 * float(u.spacing.max())
@@ -589,13 +591,7 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None,
                 s = np.clip((rel * zz).sum(axis=1) / denom, -1.0, 1.0)
                 foot = s[:, None] * zz
                 d = np.minimum(d, np.linalg.norm(rel - foot, axis=1))
-            near_kink = (d <= half).reshape(ratio.shape)
-            kept = ok & ~near_kink
-            if (ok & near_kink).any():
-                best_excluded = max(best_excluded,
-                                    float(ratio[ok & near_kink].max()))
+            kept &= (d > half).reshape(ratio.shape)
         if kept.any():
             best = max(best, float(ratio[kept].max()))
-    if with_excluded:
-        return best, best_excluded
     return best

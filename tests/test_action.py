@@ -177,10 +177,10 @@ def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hjlax.action, "solve_bvp", counting)
-    tol = 1e-8
+    tol = hjlax.action._EL_TOL
     try:
         fs = hj.minimize_action(aniso2, 0.0, 0.1, np.array([1.0, 0.0]),
-                                np.array([-1.0, 0.0]), tol=tol)
+                                np.array([-1.0, 0.0]))
     except NonConvergence:
         pass
     else:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import hjlax as hj
 import hjlax.discounted
 from hjlax.discounted import (_HEAD, backward_calibrated_curve,
-                              differentiability_mask, discounted_step,
-                              lift_to_evolution, solve_discounted)
+                              discounted_step, lift_to_evolution,
+                              solve_discounted)
 from hjlax.errors import (BoxExhausted, ConfigError, NonConvergence,
                           SingularStart)
 from hjlax.gridfn import GridSpec
@@ -152,21 +152,28 @@ def test_diff_mask_flags_the_kink(dw_sol):
     _, sol = dw_sol
     mask = sol.diff_mask
     n = mask.size
-    # rim nodes lack a one-sided slope; the ridge kink sits at the center node
-    assert not mask[0] and not mask[n - 1] and not mask[n // 2]
-    assert mask.sum() == n - 3
+    # the 5-point stencils of the two rim nodes per side reach past the box;
+    # the ridge kink sits at the center node
+    assert not mask[:2].any() and not mask[n - 2:].any() and not mask[n // 2]
+    assert mask.sum() == n - 5
     assert sol.residual <= sol.residual_tol
 
 
-def test_differentiability_mask_threshold(dw_sol):
-    _, sol = dw_sol
-    mask, jump = differentiability_mask(sol.u)
-    center = sol.u.values.size // 2
-    assert jump[center] > 10 * np.median(jump[np.isfinite(jump)])
-    assert not mask[center]
+def test_diff_mask_flags_the_kink_on_a_coarse_grid():
+    # 41 nodes: the ridge's slope jump (0.80) sits below six times the
+    # median jump (0.82), so a median rule would call the kink smooth
+    L = mechanical_lagrangian(dim=1, potential="double_well", coeff=-1.0,
+                              shift=-0.25)
+    grid = GridSpec(box=[(-2.0, 2.0)], num=[41], boundary="constant")
+    sol = solve_discounted(L, LAM, grid, dt=0.05)
+    center = sol.u.nearest_node(np.array([0.0]))
+    assert not sol.diff_mask[center]
+    with pytest.raises(SingularStart):
+        backward_calibrated_curve(sol, L, np.array([0.0]), tau=1.0,
+                                  horizon=0.5)
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
     grid = GridSpec(box=[(-np.pi, np.pi)], num=[64], boundary="periodic")
     with pytest.raises(ConfigError):
@@ -180,8 +187,9 @@ def test_validation_errors():
         # guard against an exploding foot lattice
         from hjlax.discounted import _velocity_lattice
         _velocity_lattice(np.array([1e-6]), 0.05, np.array([2.0]))
+    monkeypatch.setattr(hjlax.discounted, "_MAX_ITER", 5)
     with pytest.raises(hj.NonConvergence):
-        solve_discounted(L, LAM, grid, dt=0.05, max_iter=5)
+        solve_discounted(L, LAM, grid, dt=0.05)
 
 
 def counted_steps(monkeypatch):
@@ -217,8 +225,9 @@ def test_iteration_cap_counts_policy_steps(monkeypatch):
     L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
     grid = GridSpec(box=[(-np.pi, np.pi)], num=[64], boundary="periodic")
     calls = counted_steps(monkeypatch)
+    monkeypatch.setattr(hjlax.discounted, "_MAX_ITER", _HEAD + 2)
     with pytest.raises(NonConvergence):
-        solve_discounted(L, LAM, grid, dt=0.05, max_iter=_HEAD + 2)
+        solve_discounted(L, LAM, grid, dt=0.05)
     assert len(calls) == _HEAD + 2
 
 

@@ -60,10 +60,10 @@ def test_fenchel_inequality(pendulum, p, v, x):
     assert p * v <= lval + res.value + 1e-9 * (1 + abs(p) + abs(v))
 
 
-def test_legendre_nonconvergence_is_reported(free1):
+def test_legendre_nonconvergence_is_reported(free1, monkeypatch):
+    monkeypatch.setattr(hj.lagrangian, "_LEGENDRE_MAX_ITER", 0)
     with pytest.raises(NonConvergence):
-        hj.legendre_transform(free1, 0.0, np.zeros(1), np.array([2.0]),
-                              tol=1e-10, max_iter=0)
+        hj.legendre_transform(free1, 0.0, np.zeros(1), np.array([2.0]))
 
 
 def test_discount_lift_scales_running_cost(pendulum):
@@ -158,6 +158,22 @@ def test_hamiltonian_generic_fallback_agrees():
         expect = 1.3 * np.arcsinh(1.3) - np.sqrt(1 + 1.3**2) + 1 - 0.1 * 0.25
         assert abs(float(H.eval(0.0, x, p)) - expect) < 1e-9
         assert abs(float(H.grad_p(0.0, x, p)[..., 0]) - np.arcsinh(1.3)) < 1e-8
+
+
+def test_legendre_fallback_gives_each_point_its_time():
+    lam = 0.7
+    H = hj.hamiltonian_for(hj.discount_lift(hj.free_lagrangian(2), lam, 2.0))
+    assert H.provenance == "legendre-of-L"
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 2.0, 11)
+    x = rng.uniform(-1.0, 1.0, (11, 2))
+    p = rng.uniform(-2.0, 2.0, (11, 2))
+    decay = np.exp(-lam * t)
+    np.testing.assert_allclose(H.eval(t, x, p),
+                               decay * np.sum(p * p, axis=-1) / 2.0,
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(H.grad_p(t, x, p), decay[:, None] * p,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_catalog_rejects_unknown_key():

@@ -105,17 +105,19 @@ def test_two_step_semigroup_closes_at_grid_resolution(free1, vee_grid):
     assert np.abs(two.grid.values - whole.grid.values)[mask].max() < 2.0 * h * h / 0.2
 
 
-def test_direct_route_matches_dense_brute_force(pendulum):
+def test_direct_route_matches_dense_brute_force(pendulum, monkeypatch):
     u = hj.GridSpec(box=[(-3.0, 3.0)], num=[121]).build(
         lambda X: -np.abs(X[..., 0]))
     x = np.array([0.3])
     res = hj.lax_plus(pendulum, u, 0.0, 0.4, points=x[None, :])
 
+    # 8-segment phase-1 polylines keep the 1001-solve oracle fast; the
+    # operator's certificate above ran with the default 16
+    monkeypatch.setattr(hj.action, "_SEGMENTS", 8)
     ys = np.linspace(-2.5, 2.5, 1001)
     best = -np.inf
     for y in ys:
-        a = hj.minimize_action(pendulum, 0.0, 0.4, x, np.array([y]),
-                               n_segments=8).value
+        a = hj.minimize_action(pendulum, 0.0, 0.4, x, np.array([y])).value
         best = max(best, float(u(np.array([[y]]))[0]) - a)
     assert res.values[0] == pytest.approx(best, abs=5e-5)
 
@@ -144,10 +146,11 @@ def test_strict_domain_raises_when_ball_leaves_box(free1, vee_grid):
     assert res.records[0].value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_candidate_cap_hits_are_noted(free1, vee_grid):
+def test_candidate_cap_hits_are_noted(free1, vee_grid, monkeypatch):
     x = np.array([[0.0]])
     assert not hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=x).notes
-    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=x, candidate_cap=8)
+    monkeypatch.setattr(hj.laxoleinik, "_CANDIDATE_CAP", 8)
+    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4, points=x)
     assert len(res.notes) == 1
     assert res.notes[0].startswith("candidate cap 8 hit at [0.0]")
 

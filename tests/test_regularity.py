@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hjlax.regularity
 from hjlax import (ConfigError, GridSpec, InsufficientSamples, NonConvergence,
                    NotSemiconcave, brute_force_H_min, limiting_differentials,
                    min_H_over_superdiff, semiconcavity_constant, singular_set,
@@ -205,7 +206,7 @@ def test_min_H_2d_interior_and_brute_force_agree(square_set):
     H = quad_ham([0.3, 0.9])
     q, val = min_H_over_superdiff(H, 0.0, np.zeros(2), square_set)
     np.testing.assert_allclose(q, [0.3, 0.9], atol=1e-6)
-    qb, vb = brute_force_H_min(H, 0.0, np.zeros(2), square_set, step=1e-3)
+    qb, vb = brute_force_H_min(H, 0.0, np.zeros(2), square_set)
     assert np.abs(q - qb).max() < 1e-6
     assert abs(val - vb) < 1e-6
 
@@ -215,7 +216,7 @@ def test_min_H_face_and_vertex_cases(square_set):
     H = quad_ham([0.3, 1.7])
     q, val = min_H_over_superdiff(H, 0.0, np.zeros(2), square_set)
     np.testing.assert_allclose(q, [0.3, 1.0], atol=1e-7)
-    qb, vb = brute_force_H_min(H, 0.0, np.zeros(2), square_set, step=1e-3)
+    qb, vb = brute_force_H_min(H, 0.0, np.zeros(2), square_set)
     assert np.abs(q - qb).max() < 1e-6
     assert abs(val - vb) < 1e-6
     # projection lands on a vertex
@@ -229,16 +230,16 @@ def test_min_H_1d_brute_force_agrees(vee):
     for center in (0.0, 0.37, 2.0, -1.4):
         H = quad_ham([center])
         q, val = min_H_over_superdiff(H, 0.0, np.array([0.0]), S)
-        qb, vb = brute_force_H_min(H, 0.0, np.array([0.0]), S, step=1e-3)
+        qb, vb = brute_force_H_min(H, 0.0, np.array([0.0]), S)
         assert abs(q[0] - qb[0]) < 1e-6
         assert abs(val - vb) < 1e-6
 
 
-def test_min_H_iteration_budget_enforced(vee):
+def test_min_H_iteration_budget_enforced(vee, monkeypatch):
     S = superdifferential(vee, np.array([0.0]))
+    monkeypatch.setattr(hjlax.regularity, "_MIN_H_MAX_ITER", 0)
     with pytest.raises(NonConvergence):
-        min_H_over_superdiff(quad_ham([0.37]), 0.0, np.array([0.0]), S,
-                             max_iter=0)
+        min_H_over_superdiff(quad_ham([0.37]), 0.0, np.array([0.0]), S)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +286,21 @@ def test_singular_set_two_kinks_and_scaling():
 
 def test_semiconcavity_constant_quadratic_exact():
     u = grid1d(lambda x: -0.65 * x[..., 0] ** 2)
-    c2 = semiconcavity_constant(u, exclude_singular=False)
+    c2 = semiconcavity_constant(u)
     assert abs(c2 - 1.3) < 1e-9
 
 
 def test_semiconcavity_constant_linear_is_zero():
     u = grid1d(lambda x: 0.4 * x[..., 0] - 0.1)
-    assert semiconcavity_constant(u, exclude_singular=False) < 1e-10
+    assert semiconcavity_constant(u) < 1e-10
 
 
 def test_semiconcavity_kink_bucket_masked(vee):
     h = float(vee.spacing.max())
-    c2, excluded = semiconcavity_constant(vee, with_excluded=True)
-    assert c2 < 1e-10
-    assert abs(excluded - 2.0 / h) < 1.0
-    unmasked = semiconcavity_constant(vee, exclude_singular=False)
+    assert semiconcavity_constant(vee) < 1e-10
+    # the chords through the kink, which the constant masks, read 2/h
+    ratio = np.abs(vee.shifted([1]) + vee.shifted([-1]) - 2.0 * vee.values) / h**2
+    unmasked = float(ratio[np.isfinite(ratio)].max())
     assert abs(unmasked - 2.0 / h) < 1.0
 
 
@@ -307,10 +308,8 @@ def test_semiconcavity_region_restriction():
     u = grid1d(lambda x: np.where(x[..., 0] > 0.0,
                                   -1.9 * x[..., 0] ** 2,
                                   -0.2 * x[..., 0] ** 2))
-    left = semiconcavity_constant(u, region=np.array([[-1.5, -0.5]]),
-                                  exclude_singular=False)
-    both = semiconcavity_constant(u, region=np.array([[-1.5, 1.5]]),
-                                  exclude_singular=False)
+    left = semiconcavity_constant(u, region=np.array([[-1.5, -0.5]]))
+    both = semiconcavity_constant(u, region=np.array([[-1.5, 1.5]]))
     assert abs(left - 0.4) < 1e-6
     assert both > 3.0
 
