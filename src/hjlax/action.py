@@ -1,30 +1,26 @@
 """Fundamental solutions by direct action minimization.
 
 A_{s,t}(x, y) = inf { integral_s^t L(tau, xi, xidot) dtau } over absolutely
-continuous arcs joining x at time s to y at time t.  Minimizers are computed
-in two phases:
+continuous arcs joining x at time s to y at time t.  minimize_action
+represents the arc as one polynomial of degree N, stored at the N+1
+Legendre-Gauss-Lobatto (LGL) nodes of [s, t], with velocity D xi (D the LGL
+differentiation matrix) and action the LGL quadrature of L.  Damped Newton
+on the interior nodes, from the straight chord, minimizes that action; the
+Hessian's second derivatives L_xx and L_xv come from central differences of
+grad_x and grad_v.  The orders N = 8, 12, 16, 24, 32 are tried in turn, each
+seeded with the previous polynomial, and the first whose strong
+Euler-Lagrange residual |d/dtau L_v - L_x| certifies is kept; an arc that no
+order certifies raises NonConvergence.
 
-  1. descent on the interior nodes of a piecewise-linear arc, with the
-     action evaluated by composite 3-point Gauss quadrature per segment and
-     an analytic gradient (L-BFGS);
-  2. collocation refinement of the Euler-Lagrange system
-     d/dtau L_v(tau, xi, xidot) = L_x(tau, xi, xidot), solved as a two-point
-     boundary value problem by damped Newton on a C^1 piecewise-cubic
-     (Hermite) representation, seeded with the phase-1 polyline and
-     three-point finite-difference node velocities.
-
-Each minimizer comes from one collocation solve, certified by the
-Euler-Lagrange residual of the collocation spline; a failed solve, a
-residual above tolerance, or an arc whose action exceeds the phase-1 value
-raises NonConvergence.
-
-action_values_batch runs phase 1 alone on a batch of polylines with
-_SCAN_SEGMENTS segments, which is accurate enough to rank the candidate
+action_values_batch runs L-BFGS descent on a batch of polylines with
+_SCAN_SEGMENTS segments (composite 3-point Gauss quadrature per segment,
+analytic gradient), which is accurate enough to rank the candidate
 maximizers of a Lax-Oleinik scan.
 
-The momenta p(tau) = L_v(tau, xi(tau), xidot(tau)) are stored at the arc's
-Hermite nodes, and the endpoint gradients are read off them:
-D_y A = L_v at time t, D_x A = -L_v at time s.
+The arc is returned as Hermite data: the polynomial's positions and
+velocities at 8N+1 uniform times.  The momenta p(tau) = L_v(tau, xi(tau),
+xidot(tau)) are stored at those times, and the endpoint gradients are read
+off them: D_y A = L_v at time t, D_x A = -L_v at time s.
 
 The probe_* functions sweep minimize_action over sampled endpoint families
 and tabulate the empirical regularity constants (velocity/momentum bounds,
@@ -34,12 +30,17 @@ in (t, y) and local uniform convexity in y).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_bvp
+from numpy.linalg import LinAlgError
+# bound but not called: bench/spans.py wraps this name when it traces
+from scipy.integrate import solve_bvp  # noqa: F401
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
+from scipy.special import roots_jacobi
 
 from .errors import ConfigError, NonConvergence
 from .lagrangian import TonelliLagrangian
@@ -56,9 +57,11 @@ _GAUSS5_WEIGHTS = _GAUSS5_WEIGHTS / 2.0
 # polyline segments of the batched scan arcs and of the Lax-Oleinik cell
 # polish arcs
 _SCAN_SEGMENTS = 12
-# minimize_action: phase-1 polyline segments, the Euler-Lagrange residual
-# certificate, and the seed of the bent multiwell starts
-_SEGMENTS = 16
+# minimize_action: the LGL order ladder, the Newton steps per order, the
+# Euler-Lagrange residual certificate, and the seed of the bent multiwell
+# starts
+_ORDERS = (8, 12, 16, 24, 32)
+_NEWTON_STEPS = 50
 _EL_TOL = 1e-8
 _BENT_SEED = 0
 
@@ -113,7 +116,7 @@ class FundamentalSolution:
 
 
 # ---------------------------------------------------------------------------
-# phase 1: polyline descent
+# polyline descent: the batched scan and the Lax-Oleinik cell polish
 
 
 def _polyline_samples(times: Array, nodes: Array
@@ -194,7 +197,7 @@ def _polyline_values(L: TonelliLagrangian, times: Array, nodes: Array) -> Array:
 
 def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
                         y: Array) -> Array:
-    """Phase-1-only action values A_{s,t}(x_b, y_b) of a batch of arcs.
+    """Polyline action values A_{s,t}(x_b, y_b) of a batch of arcs.
 
     x and y (..., n) broadcast against each other; the result has their
     batch shape.  Used for ranking candidate maximizers inside operator
@@ -211,56 +214,130 @@ def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
 
 
 # ---------------------------------------------------------------------------
-# phase 2: Euler-Lagrange collocation
+# minimize_action: Newton on a Legendre-Gauss-Lobatto polynomial
 
 
-def _el_terms(L: TonelliLagrangian, tau: Array, pos: Array, vel: Array
-              ) -> tuple[Array, Array]:
-    """(L_x - L_vt - L_vx xidot, L_vv) at sampled states, so that the
-    Euler-Lagrange equation reads L_vv xiddot = first term.
+def _interpolation_matrix(nodes: Array, bary: Array, points: Array) -> Array:
+    """Rows map values at nodes to the interpolating polynomial at points
+    (barycentric formula; a point on a node gets a unit row)."""
+    gap = points[:, None] - nodes[None, :]
+    hit = gap == 0.0
+    rows = bary / np.where(hit, 1.0, gap)
+    rows /= rows.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    rows[on_node] = hit[on_node]
+    return rows
 
-    The mixed second derivatives are directional central differences of
-    grad_v, which keeps the Lagrangian interface at first derivatives plus
-    L_vv.  Vectorised over trailing sample axes (pos, vel are (m, n))."""
-    force = L.grad_x(tau, pos, vel)
+
+@functools.cache
+def _lgl(order: int) -> tuple[Array, ...]:
+    """Degree-order tables on [-1, 1]: the LGL nodes (ascending), their
+    quadrature and barycentric weights, the differentiation matrix, and the
+    interpolation matrices onto 4N+1 (residual) and 8N+1 (Curve) uniform
+    points."""
+    nodes = np.concatenate([[-1.0], roots_jacobi(order - 1, 1.0, 1.0)[0], [1.0]])
+    pn = np.polynomial.legendre.legval(nodes, np.eye(order + 1)[order])
+    weights = 2.0 / (order * (order + 1) * pn ** 2)
+    bary = (-1.0) ** np.arange(order + 1) * np.sqrt(weights)
+    gap = nodes[:, None] - nodes[None, :] + np.eye(order + 1)
+    diff = bary[None, :] / bary[:, None] / gap - np.eye(order + 1)
+    diff -= np.diag(diff.sum(axis=1))
+    return (nodes, weights, bary, diff,
+            *(_interpolation_matrix(nodes, bary, np.linspace(-1.0, 1.0, k * order + 1))
+              for k in (4, 8)))
+
+
+def _second_derivatives(L: TonelliLagrangian, tau: Array, pos: Array,
+                        vel: Array) -> tuple[Array, Array, Array | float]:
+    """L_xx, L_vx and L_vt at states (m, n) by central differences of grad_x
+    and grad_v, with steps 1e-5 (1 + |x|) per coordinate of x and
+    1e-5 (1 + |tau|) in time; L_vt is 0 unless L is time-dependent.
+    L_xx[i, a, b] = d_b (L_x)_a and L_vx[i, a, b] = d_b (L_v)_a, so L_xv is
+    L_vx transposed.  The Lagrangian interface stops at L_vv."""
+    n = pos.shape[-1]
+    h = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1))
+    shift = h[None, :, None] * np.eye(n)[:, None, :]          # (n, m, n)
+    pts = np.concatenate([pos + shift, pos - shift])
+    args = (np.broadcast_to(tau, pts.shape[:-1]), pts, np.broadcast_to(vel, pts.shape))
+    lxx, lvx = (np.moveaxis((g[:n] - g[n:]) / (2.0 * h[:, None]), 0, -1)
+                for g in (L.grad_x(*args), L.grad_v(*args)))
+    lvt = 0.0
     if L.time_dependent:
         dt = 1e-5 * (1.0 + np.abs(tau))
-        gv_p = L.grad_v(tau + dt, pos, vel)
-        gv_m = L.grad_v(tau - dt, pos, vel)
-        force = force - (gv_p - gv_m) / (2.0 * dt[..., None])
-    speed = np.linalg.norm(vel, axis=-1, keepdims=True)
-    dx = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1, keepdims=True)) / np.maximum(speed, 1.0)
-    gv_p = L.grad_v(tau, pos + dx * vel, vel)
-    gv_m = L.grad_v(tau, pos - dx * vel, vel)
-    force = force - (gv_p - gv_m) / (2.0 * dx)
-    return force, L.hess_vv(tau, pos, vel)
+        lvt = ((L.grad_v(tau + dt, pos, vel) - L.grad_v(tau - dt, pos, vel))
+               / (2.0 * dt[:, None]))
+    return lxx, lvx, lvt
 
 
-def _curve_action(L: TonelliLagrangian, curve: Curve) -> float:
-    """Composite 5-point Gauss quadrature of L along the Hermite arc."""
-    t0 = curve.times[:-1]
-    h = np.diff(curve.times)
-    taus = (t0[:, None] + _GAUSS5_NODES[None, :] * h[:, None]).ravel()
-    pos = curve.at(taus)
-    vel = curve.at(taus, deriv=1)
-    lvals = L.eval(taus, pos, vel).reshape(len(h), -1)
-    return float(np.sum(lvals @ _GAUSS5_WEIGHTS * h))
+def _lgl_newton(L: TonelliLagrangian, taus: Array, W: Array, D: Array,
+                chord: Array, speed: Array, bend: Array
+                ) -> tuple[Array, float, bool]:
+    """Damped Newton for the LGL action sum_i W_i L(tau_i, xi_i, xidot_i) of
+    the arc xi = chord + bend, xidot = speed + D bend, over the interior
+    nodes of bend (N+1, n; zero at both ends).  The bend is the unknown, so
+    its derivatives round in proportion to it, not to |xi|.  Returns the
+    last bend, its action, and whether it stopped on a full, unshifted
+    step below 1e-7 (1 + max |xi|)."""
+    n, m = bend.shape[1], (len(taus) - 2) * bend.shape[1]
+    Wc = W[:, None, None]
+
+    def action(arc: Array) -> float:
+        return float(W @ L.eval(taus, chord + arc, speed + D @ arc))
+
+    value = action(bend)
+    for _ in range(_NEWTON_STEPS):
+        xi, vel = chord + bend, speed + D @ bend
+        lxx, lvx, _ = _second_derivatives(L, taus, xi, vel)
+        grad = (W[:, None] * L.grad_x(taus, xi, vel)
+                + D.T @ (W[:, None] * L.grad_v(taus, xi, vel)))[1:-1].ravel()
+        # Hessian over the interior nodes, indexed (k, a, l, b):
+        # D^T W L_vv D + W L_xx + W L_xv D + its transpose
+        hess = np.einsum("ik,iab,il->kalb", D[:, 1:-1],
+                         Wc * L.hess_vv(taus, xi, vel), D[:, 1:-1])
+        cross = np.einsum("lk,lab->kalb", D[1:-1, 1:-1], (Wc * lvx)[1:-1])
+        hess += cross + cross.transpose(2, 3, 0, 1)
+        idx = np.arange(len(taus) - 2)
+        hess[idx, :, idx, :] += (Wc * lxx)[1:-1]
+        hess = hess.reshape(m, m)
+        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+            break
+        shift = 0.0
+        for _ in range(64):
+            try:
+                factor = cho_factor(hess + shift * np.eye(m), check_finite=False)
+                break
+            except LinAlgError:
+                shift = 2.0 * shift or 1e-6 * np.abs(np.diag(hess)).max()
+        else:
+            break
+        step = np.pad(-cho_solve(factor, grad, check_finite=False).reshape(-1, n),
+                      ((1, 1), (0, 0)))
+        if not shift and np.abs(step).max() <= 1e-7 * (1.0 + np.abs(xi).max()):
+            return bend + step, action(bend + step), True
+        # Armijo backtracking on the arc's own LGL action
+        slope = float(grad @ step[1:-1].ravel())
+        for alpha in 0.5 ** np.arange(40):
+            trial = bend + alpha * step
+            trial_value = action(trial)
+            if trial_value <= value + 1e-4 * alpha * slope:
+                break
+        else:
+            break
+        bend, value = trial, trial_value
+    return bend, value, False
 
 
-def _bent_inits(x: Array, y: Array, frac: Array, k: int, rng: np.random.Generator,
-                scale: float) -> Array:
-    """Randomized bent polyline starts: straight line plus a sine bump with
-    random amplitude and direction."""
-    n = x.shape[0]
-    base = x[None, :] + frac[:, None] * (y - x)[None, :]
-    bump = np.sin(np.pi * frac)[:, None]
-    arcs = []
+def _bends(frac: Array, n: int, k: int, rng: np.random.Generator,
+           scale: float) -> list[Array]:
+    """k randomized bent starts, as deviations from the chord at the arc
+    fractions frac: a sine bump with random amplitude and direction."""
+    bends = []
     for _ in range(k):
         direction = rng.standard_normal(n)
         direction /= max(np.linalg.norm(direction), 1e-12)
         amp = rng.uniform(0.3, 1.0) * scale
-        arcs.append(base + amp * bump * direction[None, :])
-    return np.stack(arcs, axis=0)
+        bends.append(amp * np.sin(np.pi * frac)[:, None] * direction)
+    return bends
 
 
 def minimize_action(
@@ -272,15 +349,17 @@ def minimize_action(
 ) -> FundamentalSolution:
     """Compute A_{s,t}(x, y) and its minimizing arc.
 
-    Phase 1 runs on polylines of _SEGMENTS segments.  Every arc gets a
-    straight-line start; when t - s > 0.5 and L.multiwell is set, 4
-    randomized bent starts (drawn from _BENT_SEED) are added.  Ties within
-    1e-9 relative are broken by the lexicographically smallest curve
-    midpoint.  The best phase-1 polyline seeds one collocation solve.
-    Raises NonConvergence when the collocation fails, when its
-    Euler-Lagrange residual is above _EL_TOL (1 + max |p|), or when it
-    lands on an arc whose action exceeds the phase-1 value; OutOfWindow
-    when [s, t] leaves the certified window.
+    The arc is one polynomial of degree N stored at the N+1 LGL nodes of
+    [s, t], found by damped Newton on its LGL action from the straight
+    chord, for N = 8, 12, 16, 24, 32 in turn (_ORDERS); each order starts
+    from the previous order's polynomial, and the first order whose strong
+    Euler-Lagrange residual certifies is kept.  When t - s > 0.5 and
+    L.multiwell is set, the first order also runs 4 randomized bent starts
+    (drawn from _BENT_SEED); ties within 1e-9 relative are broken by the
+    lexicographically smallest curve midpoint.  Raises NonConvergence when
+    no order certifies, i.e. none brings the residual
+    |d/dtau L_v - L_x| at 4N+1 uniform times below _EL_TOL (1 + max |p|);
+    OutOfWindow when [s, t] leaves the certified window.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -288,100 +367,60 @@ def minimize_action(
         raise ConfigError(f"need s < t, got s={s}, t={t}")
     L.check_window(s, t)
 
-    n_bent = 4 if (t - s > 0.5 and L.multiwell) else 0
+    speed = (y - x) / (t - s)
 
-    times = np.linspace(s, t, _SEGMENTS + 1)
-    frac = np.linspace(0.0, 1.0, _SEGMENTS + 1)
-    straight = x[None, :] + frac[:, None] * (y - x)[None, :]
-    starts = [straight]
-    if n_bent > 0:
+    def chord(times: Array) -> Array:
+        return x + ((times - s) / (t - s))[:, None] * (y - x)
+
+    frac = (_lgl(_ORDERS[0])[0] + 1.0) / 2.0
+    starts = [np.zeros((len(frac), len(x)))]
+    if t - s > 0.5 and L.multiwell:
         rng = np.random.default_rng(_BENT_SEED)
         scale = max(1.0, float(np.linalg.norm(y - x)))
-        starts.extend(_bent_inits(x, y, frac, n_bent, rng, scale))
+        starts.extend(_bends(frac, len(x), 4, rng, scale))
 
-    best: tuple[float, Array] | None = None
-    for init in starts:
-        nodes, val = _phase1_descent(L, times, init)
-        if best is None or val < best[0] - 1e-9 * (1.0 + abs(best[0])):
-            best = (val, nodes)
-        elif abs(val - best[0]) <= 1e-9 * (1.0 + abs(best[0])):
-            mid_new = nodes[len(nodes) // 2]
-            mid_old = best[1][len(best[1]) // 2]
-            if tuple(mid_new) < tuple(mid_old):
-                best = (val, nodes)
-    polyline_value, nodes = best
+    residual = np.inf
+    for order in _ORDERS:
+        nodes, weights, bary, diff, at_check, at_samples = _lgl(order)
+        seeds = ([_interpolation_matrix(*prev, nodes) @ bend]
+                 if order > _ORDERS[0] else starts)
+        prev = nodes, bary
+        taus = s + (t - s) * (nodes + 1.0) / 2.0
+        D = diff * (2.0 / (t - s))
+        results = [_lgl_newton(L, taus, weights * ((t - s) / 2.0), D,
+                               chord(taus), speed, seed) for seed in seeds]
+        low = min(r[1] for r in results)
+        bend, value, converged = min(
+            (r for r in results if r[1] <= low + 1e-9 * (1.0 + abs(low))),
+            key=lambda r: tuple(r[0][order // 2]))
+        if not converged:
+            continue
 
-    curve, residual = _refine_curve(L, times, nodes)
-    momenta = L.grad_v(curve.times, curve.points, curve.velocities)
-    if residual > _EL_TOL * (1.0 + float(np.abs(momenta).max())):
-        raise NonConvergence(f"Euler-Lagrange residual {residual:.3e} above "
-                             f"tolerance {_EL_TOL:.1e}")
-    value = _curve_action(L, curve)
-    if value > polyline_value + 1e-7 * (1.0 + abs(polyline_value)):
-        raise NonConvergence(
-            f"collocation converged to a worse stationary point: action "
-            f"{value:.10g} above the phase-1 value {polyline_value:.10g}"
-        )
-
-    return FundamentalSolution(
-        value=value, curve=curve, momenta=momenta,
-        grad_x=-momenta[0], grad_y=momenta[-1],
-        residual=residual,
-        velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
-        momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
-        n_starts=len(starts),
-    )
-
-
-def _subdivide(mesh: Array, fractions: Sequence[float]) -> Array:
-    """mesh with extra points at the given fractions of every interval."""
-    return np.sort(np.concatenate(
-        [mesh] + [mesh[:-1] + f * np.diff(mesh) for f in fractions]))
-
-
-def _refine_curve(L: TonelliLagrangian, times: Array, nodes: Array
-                  ) -> tuple[Curve, float]:
-    """Collocation solve of the Euler-Lagrange system seeded with the
-    polyline nodes and three-point finite-difference node velocities.
-    Returns the arc and the Euler-Lagrange defect of the collocation spline
-    itself (exact spline derivatives, at nodes, midpoints and quarter
-    points)."""
-    n = nodes.shape[1]
-    vel0 = np.gradient(nodes, times, axis=0, edge_order=2)
-    x0, y_end = nodes[0], nodes[-1]
-
-    def rhs(tau, state):
-        force, hess = _el_terms(L, tau, state[:n].T, state[n:].T)
-        acc = np.linalg.solve(hess, force[..., None])[..., 0]
-        return np.vstack([state[n:], acc.T])
-
-    def bc(ya, yb):
-        return np.concatenate([ya[:n] - x0, yb[:n] - y_end])
-
-    try:
-        sol = solve_bvp(rhs, bc, times, np.vstack([nodes.T, vel0.T]),
-                        tol=max(_EL_TOL * 0.1, 1e-9), max_nodes=4000)
-    except Exception as exc:  # singular Jacobian etc.
-        raise NonConvergence(f"collocation refinement failed: {exc}") from exc
-    if sol.status != 0:
-        raise NonConvergence(f"collocation refinement: {sol.message}")
-
-    mesh = sol.x
-    taus = _subdivide(mesh, (0.25, 0.5, 0.75))
-    state = sol.sol(taus)
-    dstate = sol.sol(taus, 1)
-    force, hess = _el_terms(L, taus, state[:n].T, state[n:].T)
-    defect = np.einsum("...ij,...j->...i", hess, dstate[n:].T) - force
-    consistency = np.linalg.norm(dstate[:n] - state[n:], axis=0)
-    residual = float(max(np.linalg.norm(defect, axis=-1).max(),
-                         consistency.max()))
-
-    # store the arc on a 3x-refined mesh so downstream Hermite evaluation
-    # keeps the collocation accuracy
-    fine = _subdivide(mesh, (1 / 3, 2 / 3)) if len(mesh) <= 400 else mesh
-    state = sol.sol(fine)
-    return Curve(times=fine, points=state[:n].T.copy(),
-                 velocities=state[n:].T.copy()), residual
+        dbend = D @ bend
+        tq = np.linspace(s, t, 4 * order + 1)
+        pos = chord(tq) + at_check @ bend
+        dpos, ddpos = speed + at_check @ dbend, at_check @ (D @ dbend)
+        _, lvx, lvt = _second_derivatives(L, tq, pos, dpos)
+        dp = (lvt + np.einsum("iab,ib->ia", lvx, dpos)
+              + np.einsum("iab,ib->ia", L.hess_vv(tq, pos, dpos), ddpos))
+        residual = float(np.linalg.norm(dp - L.grad_x(tq, pos, dpos),
+                                        axis=-1).max())
+        times = np.linspace(s, t, 8 * order + 1)
+        curve = Curve(times=times, points=chord(times) + at_samples @ bend,
+                      velocities=speed + at_samples @ dbend)
+        momenta = L.grad_v(curve.times, curve.points, curve.velocities)
+        if residual <= _EL_TOL * (1.0 + float(np.abs(momenta).max())):
+            return FundamentalSolution(
+                value=value, curve=curve, momenta=momenta,
+                grad_x=-momenta[0], grad_y=momenta[-1], residual=residual,
+                velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
+                momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
+                n_starts=len(starts),
+            )
+    raise NonConvergence(
+        f"no LGL order up to {_ORDERS[-1]} certified the arc: last "
+        f"Euler-Lagrange residual {residual:.3e}, tolerance {_EL_TOL:.1e} "
+        f"(1 + max |p|)")
 
 
 # ---------------------------------------------------------------------------

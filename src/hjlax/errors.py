@@ -19,8 +19,8 @@ class InvalidHorizon(HJLaxError):
 
 class NonConvergence(HJLaxError):
     """An iterative solve stopped above its tolerance; for action
-    minimization, the collocation failed, stalled above the Euler-Lagrange
-    residual tolerance, or landed above the phase-1 action."""
+    minimization, no polynomial order of the ladder brought the
+    Euler-Lagrange residual below its tolerance."""
 
 
 class SearchBallClipped(HJLaxError):

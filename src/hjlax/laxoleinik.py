@@ -25,7 +25,8 @@ L's closed-form kernel, when it has one, gives the scan values, the action
 term of the polish and the certificate.  Otherwise the scan is one batched
 descent of polylines with action._SCAN_SEGMENTS segments, the polish moves
 the interior nodes of polylines at that resolution along with their free
-endpoint, and the certificate is one collocation minimize_action per point.
+endpoint, and the certificate is one minimize_action per point, which
+certifies its arc by the Euler-Lagrange residual of an LGL polynomial.
 Each node's record keeps its maximizer, certified action and gradient, its
 distance ratio, whether the search ball clipped it, and how many maximizers
 tie with it.
@@ -334,7 +335,7 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
              y_star: Array, sign: int) -> tuple[Array, Array]:
     """Action and operator gradient of the arcs between pts and their chosen
     maximizers: D(T+ u)(x) = L_v(s, x, xidot(s)), D(T- u)(x) = L_v(t, x,
-    xidot(t)).  Closed forms under L's kernel, else one collocation
+    xidot(t)).  Closed forms under L's kernel, else one certified
     minimize_action per point."""
     ends = (pts, y_star) if sign > 0 else (y_star, pts)
     kern = L.kernel

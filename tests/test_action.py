@@ -80,7 +80,7 @@ def test_endpoint_gradients_match_finite_differences(pendulum):
 
 
 def test_endpoint_gradients_time_dependent_case(lifted_free):
-    # covers the mixed time-derivative path in the collocation right side
+    # covers the L_vt term of the Euler-Lagrange residual
     L = hj.discount_lift(
         hj.catalog("mechanical", dim=1, potential="cos", coeff=-1.0),
         lam=0.5, horizon=1.0)
@@ -165,27 +165,110 @@ def test_window_and_ordering_validation(lifted_free):
         hj.minimize_action(lifted_free, 0.5, 0.5, np.zeros(1), np.ones(1))
 
 
-def test_hard_arc_gets_one_collocation_solve(aniso2, monkeypatch):
-    # mean speed 20 on the anisotropic metric: the collocation either
-    # certifies the arc or the solve fails with NonConvergence, with no
-    # re-solve in between
+def test_hard_arc_is_certified(aniso2, monkeypatch):
+    # mean speed 20 on the anisotropic metric: one LGL polynomial certifies
+    # the arc, with no scipy solver call on the way
     calls = []
-    real = hjlax.action.solve_bvp
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(hjlax.action, name)
 
-    monkeypatch.setattr(hjlax.action, "solve_bvp", counting)
-    tol = hjlax.action._EL_TOL
-    try:
-        fs = hj.minimize_action(aniso2, 0.0, 0.1, np.array([1.0, 0.0]),
-                                np.array([-1.0, 0.0]))
-    except NonConvergence:
-        pass
-    else:
-        assert fs.residual <= tol * (1.0 + fs.momentum_sup)
-    assert len(calls) == 1
+        def count(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return count
+
+    for name in ("solve_bvp", "minimize"):
+        monkeypatch.setattr(hjlax.action, name, counting(name))
+    fs = hj.minimize_action(aniso2, 0.0, 0.1, np.array([1.0, 0.0]),
+                            np.array([-1.0, 0.0]))
+    assert fs.value == pytest.approx(25.0418375, rel=1e-7)
+    assert fs.residual <= hjlax.action._EL_TOL * (1.0 + fs.momentum_sup)
+    assert calls == []
+
+
+def test_order_ladder_never_truncates_silently(double_well, monkeypatch):
+    # this arc needs degree 24; a ladder that stops at 8 must raise
+    monkeypatch.setattr(hjlax.action, "_ORDERS", (8,))
+    with pytest.raises(NonConvergence):
+        hj.minimize_action(double_well, 0.0, 2.0, np.array([-1.0]),
+                           np.array([1.0]))
+
+
+def test_second_derivatives_match_closed_forms(pendulum, aniso2):
+    rng = np.random.default_rng(5)
+    tau = rng.uniform(-1.0, 1.0, 9)
+    x1, v1 = rng.uniform(-2.0, 2.0, (9, 1)), rng.uniform(-3.0, 3.0, (9, 1))
+    lxx, lvx, _ = hjlax.action._second_derivatives(pendulum, tau, x1, v1)
+    # L = v^2/2 + cos x
+    assert np.allclose(lxx[:, 0, 0], -np.cos(x1[:, 0]), rtol=0, atol=1e-6)
+    assert np.allclose(lvx, 0.0, rtol=0, atol=1e-6)
+
+    x2, v2 = rng.uniform(-2.0, 2.0, (9, 2)), rng.uniform(-3.0, 3.0, (9, 2))
+    lxx, lvx, _ = hjlax.action._second_derivatives(aniso2, tau, x2, v2)
+    # L = sum_k (1 + 0.3 cos x_k) v_k^2 / 2, so both are diagonal
+    m1 = 0.3
+    assert np.allclose(lxx, np.eye(2) * (-m1 * np.cos(x2) * v2**2 / 2)[:, None],
+                       rtol=0, atol=1e-6)
+    assert np.allclose(lvx, np.eye(2) * (-m1 * np.sin(x2) * v2)[:, None],
+                       rtol=0, atol=1e-6)
+
+
+def _straight_action(L, s, t, x, y):
+    """8 panels of 16-point Gauss-Legendre along the segment x -> y."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(s, t, 9)
+    a, b = edges[:-1, None], edges[1:, None]
+    taus = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * weights).ravel()
+    frac = ((taus - s) / (t - s))[:, None]
+    vel = np.broadcast_to((y - x) / (t - s), (len(taus), len(x)))
+    return float(np.sum(w * L.eval(taus, x + frac * (y - x), vel)))
+
+
+def _integrated_el_defect(L, curve):
+    """max_k |p(tau_k) - p(tau_0) - int L_x| along the cubic Hermite arc of
+    the curve's node data (8-point Gauss-Legendre per mesh interval)."""
+    q, qw = np.polynomial.legendre.leggauss(8)
+    q, qw = (q + 1.0) / 2.0, qw / 2.0
+    T, X, V = curve.times, curve.points, curve.velocities
+    h = np.diff(T)
+    taus = (T[:-1, None] + h[:, None] * q).ravel()
+    pos, vel = curve.at(taus), curve.at(taus, deriv=1)
+    lx = L.grad_x(taus, pos, vel).reshape(len(h), len(q), -1)
+    pieces = h[:, None] * np.einsum("q,iqd->id", qw, lx)
+    p = L.grad_v(T, X, V)
+    return float(np.abs(p[1:] - p[0] - np.cumsum(pieces, axis=0)).max())
+
+
+_ORACLE_ARCS = {
+    # name: (Lagrangian, dim, horizon range)
+    "cos": (hj.catalog("mechanical", dim=1, potential="cos", coeff=1.0),
+            1, (0.1, 1.0)),
+    "double_well": (hj.catalog("mechanical", dim=1, potential="double_well",
+                               coeff=-1.0, shift=-0.25), 1, (0.1, 2.0)),
+    "anisotropic": (hj.catalog("anisotropic", dim=2, m0=1.0, m1=0.3),
+                    2, (0.25, 1.0)),
+    "lifted_cos": (hj.discount_lift(hj.catalog("mechanical", dim=1,
+                                               potential="cos", coeff=1.0),
+                                    lam=1.0, horizon=1.0), 1, (0.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_ARCS))
+def test_arcs_pass_the_integrated_euler_lagrange_oracle(name):
+    # the returned Hermite data, integrated independently, must be an
+    # extremal to 1e-8 and no worse than the straight segment
+    L, dim, (lo, hi) = _ORACLE_ARCS[name]
+    rng = np.random.default_rng(11)
+    # four double-well spans exceed 0.5, so its 5-start path runs
+    for span in np.linspace(lo, hi, 6):
+        x, y = rng.uniform(-1.0, 1.0, (2, dim))
+        fs = hj.minimize_action(L, 0.0, span, x, y)
+        p_max = float(np.abs(fs.momenta).max())
+        assert _integrated_el_defect(L, fs.curve) <= 1e-8 * (1.0 + p_max)
+        straight = _straight_action(L, 0.0, span, x, y)
+        assert fs.value <= straight + 1e-9 * (1.0 + abs(fs.value))
 
 
 def test_cone_check_on_gradients(free1):
@@ -200,7 +283,7 @@ def test_batched_phase1_ranks_like_refined_values(aniso2):
     batch = hj.action_values_batch(aniso2, 0.0, 0.4, x, ys)
     refined = np.array([hj.minimize_action(aniso2, 0.0, 0.4, x, y).value
                         for y in ys])
-    # phase-1 polyline values are only O((t-s)^2 / _SCAN_SEGMENTS^2) accurate
+    # polyline scan values are only O((t-s)^2 / _SCAN_SEGMENTS^2) accurate
     assert np.abs(batch - refined).max() < 1e-5
     assert np.array_equal(np.argsort(batch), np.argsort(refined))
 

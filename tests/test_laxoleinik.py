@@ -105,15 +105,13 @@ def test_two_step_semigroup_closes_at_grid_resolution(free1, vee_grid):
     assert np.abs(two.grid.values - whole.grid.values)[mask].max() < 2.0 * h * h / 0.2
 
 
-def test_direct_route_matches_dense_brute_force(pendulum, monkeypatch):
+def test_direct_route_matches_dense_brute_force(pendulum):
     u = hj.GridSpec(box=[(-3.0, 3.0)], num=[121]).build(
         lambda X: -np.abs(X[..., 0]))
     x = np.array([0.3])
     res = hj.lax_plus(pendulum, u, 0.0, 0.4, points=x[None, :])
 
-    # 8-segment phase-1 polylines keep the 1001-solve oracle fast; the
-    # operator's certificate above ran with the default 16
-    monkeypatch.setattr(hj.action, "_SEGMENTS", 8)
+    # the oracle: one certified minimize_action per node of a dense grid
     ys = np.linspace(-2.5, 2.5, 1001)
     best = -np.inf
     for y in ys:
@@ -198,8 +196,9 @@ def test_condition_m_flags_symmetric_double_maximizer(free1):
 
 @pytest.mark.parametrize("name", ["lifted_free", "free2"])
 def test_kernel_and_direct_routes_agree(name, request):
-    # the closed-form kernel must reproduce the collocation action of the
-    # same Lagrangian without it, in 1d and on the nd direct route
+    # the closed-form kernel must reproduce the certified minimize_action
+    # action of the same Lagrangian without it, in 1d and on the nd direct
+    # route
     L = request.getfixturevalue(name)
     if L.dim == 1:
         u = hj.GridSpec(box=[(-3.0, 3.0)], num=[61]).build(
@@ -214,13 +213,13 @@ def test_kernel_and_direct_routes_agree(name, request):
     blind = replace(L, kernel=None)
     slow = hj.lax_plus(blind, u, 0.0, 0.3, points=pts)
     assert np.allclose(fast.values, slow.values, atol=1e-6)
-    # the direct route localizes the argmax through phase-1 surfaces, whose
+    # the direct route localizes the argmax through polyline surfaces, whose
     # O(h^2) bias shifts it by ~1e-5; gradients inherit that resolution
     assert np.allclose(fast.gradient, slow.gradient, atol=2e-4)
 
 
 def _certified(L, s, t, rec, sign):
-    """Action and operator gradient of rec's arc from a collocation solve."""
+    """Action and operator gradient of rec's arc from minimize_action."""
     if sign > 0:
         fs = hj.minimize_action(L, s, t, rec.x, rec.y_star)
         return fs.value, -fs.grad_x
@@ -256,7 +255,7 @@ def test_kernel_route_matches_collocation(name, sign, request):
 @pytest.mark.parametrize("name", ["free1", "pendulum"])
 def test_one_polish_per_operator_application(name, monkeypatch, request):
     # every Lagrangian takes the same pipeline: one batched L-BFGS-B polish
-    # per application and no scalar polisher; collocation certificates run
+    # per application and no scalar polisher; minimize_action certificates run
     # only where L has no closed-form kernel, one per node
     L = request.getfixturevalue(name)
     u = hj.GridSpec(box=[(-1.5, 1.5)], num=[31]).build(
