@@ -15,7 +15,6 @@ from .errors import (
     NotSingular,
     OutOfWindow,
     SearchBallClipped,
-    SingularStart,
 )
 from .lagrangian import (
     AnalyticKernel,
@@ -47,16 +46,13 @@ from .action import (
 from .laxoleinik import (
     MaximizerRecord,
     OperatorResult,
-    check_condition_M,
     estimate_kappa0,
     lax_minus,
     lax_plus,
     require_unique_maximizer,
 )
 from .discounted import (
-    CalibratedCurve,
     DiscountedSolution,
-    backward_calibrated_curve,
     discounted_step,
     lift_to_evolution,
     solve_discounted,

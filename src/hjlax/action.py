@@ -1,26 +1,25 @@
 """Fundamental solutions by direct action minimization.
 
 A_{s,t}(x, y) = inf { integral_s^t L(tau, xi, xidot) dtau } over absolutely
-continuous arcs joining x at time s to y at time t.  minimize_action
-represents the arc as one polynomial of degree N, stored at the N+1
+continuous arcs joining x at time s to y at time t.  Every action value of
+the package comes from one batched solver, _solve_arcs.  It represents each
+arc of a batch as one polynomial of degree N, stored at the N+1
 Legendre-Gauss-Lobatto (LGL) nodes of [s, t], with velocity D xi (D the LGL
 differentiation matrix) and action the LGL quadrature of L.  Damped Newton
-on the interior nodes, from the straight chord, minimizes that action; the
-Hessian's second derivatives L_xx and L_xv come from central differences of
-grad_x and grad_v.  The orders N = 8, 12, 16, 24, 32 are tried in turn, each
-seeded with the previous polynomial, and the first whose strong
-Euler-Lagrange residual |d/dtau L_v - L_x| certifies is kept; an arc that no
-order certifies raises NonConvergence.
+on the interior nodes, from the straight chord, minimizes that action, with
+one stacked solve of all the arcs' Hessians per round; the second
+derivatives L_xx and L_xv come from central differences of grad_x and
+grad_v.  The orders N = 8, 12, 16, 24, 32 are tried in turn, each seeded
+with the previous polynomial, and an arc leaves the ladder at the first
+order whose strong Euler-Lagrange residual |d/dtau L_v - L_x| certifies
+it; an arc that no order certifies raises NonConvergence.
 
-action_values_batch runs L-BFGS descent on a batch of polylines with
-_SCAN_SEGMENTS segments (composite 3-point Gauss quadrature per segment,
-analytic gradient), which is accurate enough to rank the candidate
-maximizers of a Lax-Oleinik scan.
-
-The arc is returned as Hermite data: the polynomial's positions and
-velocities at 8N+1 uniform times.  The momenta p(tau) = L_v(tau, xi(tau),
-xidot(tau)) are stored at those times, and the endpoint gradients are read
-off them: D_y A = L_v at time t, D_x A = -L_v at time s.
+action_values_batch returns the certified values of a batch of arcs (the
+Lax-Oleinik scan).  minimize_action solves one endpoint pair and returns
+its arc as Hermite data: the polynomial's positions and velocities at
+8N+1 uniform times.  The momenta p(tau) = L_v(tau, xi(tau), xidot(tau))
+are stored at those times.  Either way the endpoint gradients are read off
+the momenta: D_y A = L_v at time t, D_x A = -L_v at time s.
 
 The probe_* functions sweep minimize_action over sampled endpoint families
 and tabulate the empirical regularity constants (velocity/momentum bounds,
@@ -36,10 +35,9 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-# bound but not called: bench/spans.py wraps this name when it traces
+# bound but not called: bench/spans.py wraps these names when it traces
 from scipy.integrate import solve_bvp  # noqa: F401
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401
 from scipy.special import roots_jacobi
 
 from .errors import ConfigError, NonConvergence
@@ -51,13 +49,7 @@ Array = np.ndarray
 # 3-point Gauss-Legendre on [0, 1]
 _GAUSS3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-_GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GAUSS5_NODES = (_GAUSS5_NODES + 1.0) / 2.0
-_GAUSS5_WEIGHTS = _GAUSS5_WEIGHTS / 2.0
-# polyline segments of the batched scan arcs and of the Lax-Oleinik cell
-# polish arcs
-_SCAN_SEGMENTS = 12
-# minimize_action: the LGL order ladder, the Newton steps per order, the
+# _solve_arcs: the LGL order ladder, the Newton steps per order, the
 # Euler-Lagrange residual certificate, and the seed of the bent multiwell
 # starts
 _ORDERS = (8, 12, 16, 24, 32)
@@ -116,105 +108,7 @@ class FundamentalSolution:
 
 
 # ---------------------------------------------------------------------------
-# polyline descent: the batched scan and the Lax-Oleinik cell polish
-
-
-def _polyline_samples(times: Array, nodes: Array
-                      ) -> tuple[Array, Array, Array, Array]:
-    """Gauss-3 quadrature samples of piecewise-linear arcs.
-
-    nodes has shape (..., N+1, n); returns the segment lengths (N,) and the
-    sample times, positions and velocities, each shaped (..., N, 3[, n])."""
-    h = np.diff(times)                              # (N,)
-    seg_lo = nodes[..., :-1, :]
-    step = nodes[..., 1:, :] - seg_lo
-    vel = step / h[:, None]                         # (..., N, n)
-    pos = seg_lo[..., None, :] + _GAUSS3_NODES[:, None] * step[..., None, :]
-    tq = times[:-1, None] + _GAUSS3_NODES[None, :] * h[:, None]   # (N, 3)
-    return (h, np.broadcast_to(tq, pos.shape[:-1]), pos,
-            np.broadcast_to(vel[..., None, :], pos.shape))
-
-
-def _polyline_action_grad(L: TonelliLagrangian, times: Array, nodes: Array
-                          ) -> tuple[float, Array]:
-    """Action and its gradient w.r.t. all nodes of a piecewise-linear arc.
-
-    nodes has shape (..., N+1, n); returns (sum of actions, gradient of the
-    sum), which keeps independent arcs separable for batched descent.
-    """
-    h, tq, pos, velq = _polyline_samples(times, nodes)
-    lvals = L.eval(tq, pos, velq)                   # (..., N, 3)
-    gx = L.grad_x(tq, pos, velq)                    # (..., N, 3, n)
-    gv = L.grad_v(tq, pos, velq)
-
-    w = _GAUSS3_WEIGHTS
-    action = float((((lvals * w).sum(axis=-1)) * h).sum())
-
-    # d(action)/d(node k) = sum over adjacent segments of the chain rule
-    # through position (weights sig / 1-sig) and velocity (+-1/h)
-    sig = _GAUSS3_NODES
-    wl = (w * (1.0 - sig))[:, None]
-    wr = (w * sig)[:, None]
-    gpos_lo = np.sum(gx * wl, axis=-2) * h[:, None]          # (..., N, n)
-    gpos_hi = np.sum(gx * wr, axis=-2) * h[:, None]
-    gvel = np.sum(gv * w[:, None], axis=-2)                  # (..., N, n)
-
-    grad = np.zeros_like(nodes)
-    grad[..., :-1, :] += gpos_lo - gvel
-    grad[..., 1:, :] += gpos_hi + gvel
-    return action, grad
-
-
-def _phase1_descent(L: TonelliLagrangian, times: Array, init_nodes: Array,
-                    maxiter: int = 500) -> tuple[Array, float]:
-    """L-BFGS on the interior nodes; init_nodes is (..., N+1, n) with fixed
-    first/last nodes.  Batched arcs are optimized jointly (the objective is
-    their sum, which is separable)."""
-    interior = init_nodes[..., 1:-1, :]
-
-    def fun(flat: Array) -> tuple[float, Array]:
-        nodes = init_nodes.copy()
-        nodes[..., 1:-1, :] = flat.reshape(interior.shape)
-        a, g = _polyline_action_grad(L, times, nodes)
-        return a, g[..., 1:-1, :].ravel()
-
-    if interior.size == 0:
-        a, _ = _polyline_action_grad(L, times, init_nodes)
-        return init_nodes, a
-    res = minimize(fun, interior.ravel(), jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-11})
-    nodes = init_nodes.copy()
-    nodes[..., 1:-1, :] = res.x.reshape(interior.shape)
-    return nodes, float(res.fun)
-
-
-def _polyline_values(L: TonelliLagrangian, times: Array, nodes: Array) -> Array:
-    """Per-arc actions of piecewise-linear arcs, shape (...,)."""
-    h, tq, pos, velq = _polyline_samples(times, nodes)
-    lvals = L.eval(tq, pos, velq)
-    return np.sum((lvals * _GAUSS3_WEIGHTS).sum(axis=-1) * h, axis=-1)
-
-
-def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
-                        y: Array) -> Array:
-    """Polyline action values A_{s,t}(x_b, y_b) of a batch of arcs.
-
-    x and y (..., n) broadcast against each other; the result has their
-    batch shape.  Used for ranking candidate maximizers inside operator
-    scans; accuracy is O((t-s)^2 / _SCAN_SEGMENTS^2), refine the selected
-    candidate afterwards.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    times = np.linspace(s, t, _SCAN_SEGMENTS + 1)
-    frac = np.linspace(0.0, 1.0, _SCAN_SEGMENTS + 1)[:, None]
-    init = x[..., None, :] + frac * (y - x)[..., None, :]
-    nodes, _ = _phase1_descent(L, times, init, maxiter=400)
-    return _polyline_values(L, times, nodes)
-
-
-# ---------------------------------------------------------------------------
-# minimize_action: Newton on a Legendre-Gauss-Lobatto polynomial
+# batched Newton on Legendre-Gauss-Lobatto polynomials
 
 
 def _interpolation_matrix(nodes: Array, bary: Array, points: Array) -> Array:
@@ -249,95 +143,260 @@ def _lgl(order: int) -> tuple[Array, ...]:
 
 def _second_derivatives(L: TonelliLagrangian, tau: Array, pos: Array,
                         vel: Array) -> tuple[Array, Array, Array | float]:
-    """L_xx, L_vx and L_vt at states (m, n) by central differences of grad_x
-    and grad_v, with steps 1e-5 (1 + |x|) per coordinate of x and
+    """L_xx, L_vx and L_vt at states (..., n) by central differences of
+    grad_x and grad_v, with steps 1e-5 (1 + |x|) per coordinate of x and
     1e-5 (1 + |tau|) in time; L_vt is 0 unless L is time-dependent.
-    L_xx[i, a, b] = d_b (L_x)_a and L_vx[i, a, b] = d_b (L_v)_a, so L_xv is
-    L_vx transposed.  The Lagrangian interface stops at L_vv."""
+    L_xx[..., a, b] = d_b (L_x)_a and L_vx[..., a, b] = d_b (L_v)_a, so
+    L_xv is L_vx transposed.  The Lagrangian interface stops at L_vv."""
     n = pos.shape[-1]
     h = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1))
-    shift = h[None, :, None] * np.eye(n)[:, None, :]          # (n, m, n)
-    pts = np.concatenate([pos + shift, pos - shift])
-    args = (np.broadcast_to(tau, pts.shape[:-1]), pts, np.broadcast_to(vel, pts.shape))
-    lxx, lvx = (np.moveaxis((g[:n] - g[n:]) / (2.0 * h[:, None]), 0, -1)
+    shift = h[..., None, None] * np.eye(n)            # (..., b, a): step along b
+    pts = np.concatenate([pos[..., None, :] + shift, pos[..., None, :] - shift],
+                         axis=-2)
+    args = (np.broadcast_to(np.asarray(tau)[..., None], pts.shape[:-1]), pts,
+            np.broadcast_to(vel[..., None, :], pts.shape))
+    lxx, lvx = (((g[..., :n, :] - g[..., n:, :]) / (2.0 * h[..., None, None])
+                 ).swapaxes(-1, -2)
                 for g in (L.grad_x(*args), L.grad_v(*args)))
     lvt = 0.0
     if L.time_dependent:
         dt = 1e-5 * (1.0 + np.abs(tau))
         lvt = ((L.grad_v(tau + dt, pos, vel) - L.grad_v(tau - dt, pos, vel))
-               / (2.0 * dt[:, None]))
+               / (2.0 * dt[..., None]))
     return lxx, lvx, lvt
 
 
-def _lgl_newton(L: TonelliLagrangian, taus: Array, W: Array, D: Array,
-                chord: Array, speed: Array, bend: Array
-                ) -> tuple[Array, float, bool]:
-    """Damped Newton for the LGL action sum_i W_i L(tau_i, xi_i, xidot_i) of
-    the arc xi = chord + bend, xidot = speed + D bend, over the interior
-    nodes of bend (N+1, n; zero at both ends).  The bend is the unknown, so
-    its derivatives round in proportion to it, not to |xi|.  Returns the
-    last bend, its action, and whether it stopped on a full, unshifted
-    step below 1e-7 (1 + max |xi|)."""
-    n, m = bend.shape[1], (len(taus) - 2) * bend.shape[1]
+def _shifts(hess: Array) -> Array:
+    """Per-arc shifts making the stacked Hessians (B, m, m) positive definite:
+    0 for a positive spectrum, else the first of c, 2c, 4c, ...
+    (c = 1e-6 max |diag|) that reaches twice its most negative eigenvalue."""
+    try:
+        np.linalg.cholesky(hess)
+        return np.zeros(len(hess))
+    except LinAlgError:
+        pass
+    low = np.linalg.eigvalsh(hess)[:, 0]
+    unit = 1e-6 * np.abs(np.diagonal(hess, axis1=1, axis2=2)).max(axis=1)
+    need = np.maximum(-2.0 * low / unit, 1.0)
+    return np.where(low > 0.0, 0.0, unit * 2.0 ** np.ceil(np.log2(need)))
+
+
+def _newton(L: TonelliLagrangian, taus: Array, W: Array, D: Array,
+            chord: Array, speed: Array, bend: Array
+            ) -> tuple[Array, Array, Array]:
+    """Damped Newton for the LGL actions sum_i W_i L(tau_i, xi_i, xidot_i)
+    of B arcs xi = chord + bend, xidot = speed + D bend (chord and bend
+    (B, N+1, n), speed (B, 1, n)) over the interior nodes of each bend.
+    The bend is the unknown, so its derivatives round in proportion to it,
+    not to |xi|.  Each round solves the B stacked Hessians at once; the
+    Armijo search and the stop rule act per arc, and a stopped arc leaves
+    the batch.  Returns the last bends, their actions, and which arcs
+    stopped on a full, unshifted step below 1e-7 (1 + max |xi|)."""
+    B, nodes, n = bend.shape
+    m = (nodes - 2) * n
     Wc = W[:, None, None]
+    inner = np.arange(nodes - 2)
 
-    def action(arc: Array) -> float:
-        return float(W @ L.eval(taus, chord + arc, speed + D @ arc))
+    def action(rows: Array, arc: Array) -> Array:
+        return L.eval(taus, chord[rows] + arc, speed[rows] + D @ arc) @ W
 
-    value = action(bend)
+    bend = bend.copy()
+    value = action(np.arange(B), bend)
+    converged = np.zeros(B, dtype=bool)
+    live = np.arange(B)
     for _ in range(_NEWTON_STEPS):
-        xi, vel = chord + bend, speed + D @ bend
+        if not live.size:
+            break
+        arc = bend[live]
+        xi, vel = chord[live] + arc, speed[live] + D @ arc
         lxx, lvx, _ = _second_derivatives(L, taus, xi, vel)
         grad = (W[:, None] * L.grad_x(taus, xi, vel)
-                + D.T @ (W[:, None] * L.grad_v(taus, xi, vel)))[1:-1].ravel()
-        # Hessian over the interior nodes, indexed (k, a, l, b):
+                + D.T @ (W[:, None] * L.grad_v(taus, xi, vel)))[:, 1:-1]
+        grad = grad.reshape(len(live), m)
+        # Hessians over the interior nodes, indexed (arc, k, a, l, b):
         # D^T W L_vv D + W L_xx + W L_xv D + its transpose
-        hess = np.einsum("ik,iab,il->kalb", D[:, 1:-1],
+        hess = np.einsum("ik,jiab,il->jkalb", D[:, 1:-1],
                          Wc * L.hess_vv(taus, xi, vel), D[:, 1:-1])
-        cross = np.einsum("lk,lab->kalb", D[1:-1, 1:-1], (Wc * lvx)[1:-1])
-        hess += cross + cross.transpose(2, 3, 0, 1)
-        idx = np.arange(len(taus) - 2)
-        hess[idx, :, idx, :] += (Wc * lxx)[1:-1]
-        hess = hess.reshape(m, m)
-        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
-            break
-        shift = 0.0
-        for _ in range(64):
-            try:
-                factor = cho_factor(hess + shift * np.eye(m), check_finite=False)
+        cross = np.einsum("lk,jlab->jkalb", D[1:-1, 1:-1], (Wc * lvx)[:, 1:-1])
+        hess += cross + cross.transpose(0, 3, 4, 1, 2)
+        hess[:, inner, :, inner, :] += (Wc * lxx)[:, 1:-1].swapaxes(0, 1)
+        hess = hess.reshape(len(live), m, m)
+        finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            live, xi, hess, grad = live[finite], xi[finite], hess[finite], grad[finite]
+            if not live.size:
                 break
-            except LinAlgError:
-                shift = 2.0 * shift or 1e-6 * np.abs(np.diag(hess)).max()
-        else:
-            break
-        step = np.pad(-cho_solve(factor, grad, check_finite=False).reshape(-1, n),
-                      ((1, 1), (0, 0)))
-        if not shift and np.abs(step).max() <= 1e-7 * (1.0 + np.abs(xi).max()):
-            return bend + step, action(bend + step), True
-        # Armijo backtracking on the arc's own LGL action
-        slope = float(grad @ step[1:-1].ravel())
+        shift = _shifts(hess)
+        step = np.zeros((len(live), nodes, n))
+        step[:, 1:-1] = -np.linalg.solve(hess + shift[:, None, None] * np.eye(m),
+                                         grad[..., None]).reshape(len(live), -1, n)
+        stop = (shift == 0.0) & (np.abs(step).max(axis=(1, 2))
+                                 <= 1e-7 * (1.0 + np.abs(xi).max(axis=(1, 2))))
+        if stop.any():
+            done = live[stop]
+            bend[done] += step[stop]
+            value[done] = action(done, bend[done])
+            converged[done] = True
+
+        # Armijo backtracking on each remaining arc's own LGL action; an arc
+        # that finds no decrease in 40 halvings stops unconverged
+        live, step, grad = live[~stop], step[~stop], grad[~stop]
+        slope = np.einsum("jm,jm->j", grad, step[:, 1:-1].reshape(len(live), m))
+        todo = np.arange(len(live))
         for alpha in 0.5 ** np.arange(40):
-            trial = bend + alpha * step
-            trial_value = action(trial)
-            if trial_value <= value + 1e-4 * alpha * slope:
+            if not todo.size:
                 break
-        else:
-            break
-        bend, value = trial, trial_value
-    return bend, value, False
+            rows = live[todo]
+            trial = bend[rows] + alpha * step[todo]
+            trial_value = action(rows, trial)
+            ok = trial_value <= value[rows] + 1e-4 * alpha * slope[todo]
+            bend[rows[ok]], value[rows[ok]] = trial[ok], trial_value[ok]
+            todo = todo[~ok]
+        live = np.delete(live, todo)
+    return bend, value, converged
 
 
 def _bends(frac: Array, n: int, k: int, rng: np.random.Generator,
-           scale: float) -> list[Array]:
-    """k randomized bent starts, as deviations from the chord at the arc
-    fractions frac: a sine bump with random amplitude and direction."""
+           scale: Array) -> Array:
+    """k randomized bent starts (B, k, len(frac), n) off the chord at arc
+    fractions frac: sine bumps of random direction and amplitude, the same
+    for every arc but scaled per arc by scale (B,)."""
     bends = []
     for _ in range(k):
         direction = rng.standard_normal(n)
         direction /= max(np.linalg.norm(direction), 1e-12)
         amp = rng.uniform(0.3, 1.0) * scale
-        bends.append(amp * np.sin(np.pi * frac)[:, None] * direction)
-    return bends
+        bends.append(amp[:, None, None] * np.sin(np.pi * frac)[:, None] * direction)
+    return np.stack(bends, axis=1)
+
+
+def _certificate(L: TonelliLagrangian, s: float, t: float, order: int,
+                 x: Array, y: Array, bend: Array) -> tuple[Array, Array]:
+    """Strong Euler-Lagrange residuals max |d/dtau L_v - L_x| over 4N+1
+    uniform times of the arcs chord + bend (x, y (B, 1, n)), and the
+    momenta L_v (B, 4N+1, n) there."""
+    _, _, _, diff, at_check, _ = _lgl(order)
+    D = diff * (2.0 / (t - s))
+    dbend = D @ bend
+    tq = np.linspace(s, t, 4 * order + 1)
+    pos = x + ((tq - s) / (t - s))[:, None] * (y - x) + at_check @ bend
+    vel, acc = (y - x) / (t - s) + at_check @ dbend, at_check @ (D @ dbend)
+    _, lvx, lvt = _second_derivatives(L, tq, pos, vel)
+    dp = (lvt + np.einsum("...ab,...b->...a", lvx, vel)
+          + np.einsum("...ab,...b->...a", L.hess_vv(tq, pos, vel), acc))
+    residual = np.linalg.norm(dp - L.grad_x(tq, pos, vel), axis=-1).max(axis=-1)
+    return residual, L.grad_v(tq, pos, vel)
+
+
+@dataclass
+class _Arcs:
+    """Certified arcs: values and endpoint gradients in the batch's shape;
+    residuals, LGL orders and bends at those orders flattened."""
+
+    value: Array
+    grad_x: Array
+    grad_y: Array
+    residual: Array
+    order: Array
+    bend: list
+    n_starts: int
+
+
+def _solve_arcs(L: TonelliLagrangian, s: float, t: float, x: Array, y: Array
+                ) -> _Arcs:
+    """A_{s,t}(x_b, y_b) and the minimizing arcs of B endpoint pairs
+    (x and y (..., n) broadcast against each other).
+
+    Each arc is one polynomial of degree N stored at the N+1 LGL nodes of
+    [s, t], found by _newton from the straight chord, for N in _ORDERS in
+    turn: an arc that the current order does not certify climbs to the
+    next, seeded with its polynomial.  When t - s > 0.5 and L.multiwell is
+    set, the first order also runs 4 randomized bent starts per arc (drawn
+    from _BENT_SEED); ties within 1e-9 relative are broken by the
+    lexicographically smallest midpoint.  An arc certifies when its strong
+    Euler-Lagrange residual |d/dtau L_v - L_x| at 4N+1 uniform times is
+    below _EL_TOL (1 + max |p|) there.  The endpoint gradients are
+    D_x A = -L_v at time s and D_y A = L_v at time t.  Raises
+    NonConvergence when no order certifies some arc, OutOfWindow when
+    [s, t] leaves the certified window.
+    """
+    if not t > s:
+        raise ConfigError(f"need s < t, got s={s}, t={t}")
+    L.check_window(s, t)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    shape, n = x.shape, x.shape[-1]
+    x, y = x.reshape(-1, n), y.reshape(-1, n)
+    B = len(x)
+    out = _Arcs(value=np.empty(B), grad_x=np.empty((B, n)),
+                grad_y=np.empty((B, n)), residual=np.full(B, np.inf),
+                order=np.zeros(B, dtype=int), bend=[None] * B, n_starts=1)
+
+    frac = (_lgl(_ORDERS[0])[0] + 1.0) / 2.0
+    bend = np.zeros((B, 1, len(frac), n))
+    if t - s > 0.5 and L.multiwell:
+        rng = np.random.default_rng(_BENT_SEED)
+        scale = np.maximum(1.0, np.linalg.norm(y - x, axis=-1))
+        bend = np.concatenate([bend, _bends(frac, n, 4, rng, scale)], axis=1)
+        out.n_starts = bend.shape[1]
+    live = np.arange(B)
+    prev = None
+    for order in _ORDERS:
+        nodes, weights, bary, diff, _, _ = _lgl(order)
+        if prev is not None:
+            bend = _interpolation_matrix(*prev, nodes) @ bend
+        prev = nodes, bary
+        taus = s + (t - s) * (nodes + 1.0) / 2.0
+        x0, y0 = x[live, None, :], y[live, None, :]
+        chord = x0 + ((taus - s) / (t - s))[:, None] * (y0 - x0)
+        speed = (y0 - x0) / (t - s)
+        # every start of every arc in one batch; each arc keeps its best
+        k = bend.shape[1]
+        starts, values, stopped = _newton(
+            L, taus, weights * ((t - s) / 2.0), diff * (2.0 / (t - s)),
+            np.repeat(chord, k, 0), np.repeat(speed, k, 0),
+            bend.reshape(-1, *bend.shape[2:]))
+        starts, values = starts.reshape(bend.shape), values.reshape(-1, k)
+        low = values.min(axis=1, keepdims=True)
+        tied = values <= low + 1e-9 * (1.0 + np.abs(low))
+        mid = starts[:, :, order // 2, ::-1]
+        pick = np.lexsort((*np.moveaxis(mid, -1, 0), ~tied), axis=-1)[:, 0]
+        rows = np.arange(len(live))
+        bend, value = starts[rows, pick], values[rows, pick]
+        converged = np.flatnonzero(stopped.reshape(-1, k)[rows, pick])
+
+        residual, momenta = _certificate(L, s, t, order, x0[converged],
+                                         y0[converged], bend[converged])
+        out.residual[live[converged]] = residual
+        certified = residual <= _EL_TOL * (1.0 + np.abs(momenta).max(axis=(1, 2)))
+        good, momenta = converged[certified], momenta[certified]
+        done = live[good]
+        out.value[done] = value[good]
+        out.grad_x[done], out.grad_y[done] = -momenta[:, 0], momenta[:, -1]
+        out.order[done] = order
+        for arc, b in zip(done.tolist(), bend[good]):
+            out.bend[arc] = b
+        rest = np.delete(np.arange(len(live)), good)
+        live, bend = live[rest], bend[rest, None]
+        if not live.size:
+            break
+    else:
+        raise NonConvergence(
+            f"no LGL order up to {_ORDERS[-1]} certified {live.size} of {B} "
+            f"arcs: worst last Euler-Lagrange residual "
+            f"{out.residual[live].max():.3e}, tolerance {_EL_TOL:.1e} "
+            f"(1 + max |p|)")
+    out.value = out.value.reshape(shape[:-1])
+    out.grad_x, out.grad_y = out.grad_x.reshape(shape), out.grad_y.reshape(shape)
+    return out
+
+
+def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
+                        y: Array) -> Array:
+    """Certified action values A_{s,t}(x_b, y_b) of a batch of arcs, in the
+    batch shape of x and y (..., n), which broadcast against each other:
+    _solve_arcs, so an arc that no order certifies raises NonConvergence."""
+    return _solve_arcs(L, s, t, x, y).value
 
 
 def minimize_action(
@@ -347,80 +406,31 @@ def minimize_action(
     x: Array,
     y: Array,
 ) -> FundamentalSolution:
-    """Compute A_{s,t}(x, y) and its minimizing arc.
-
-    The arc is one polynomial of degree N stored at the N+1 LGL nodes of
-    [s, t], found by damped Newton on its LGL action from the straight
-    chord, for N = 8, 12, 16, 24, 32 in turn (_ORDERS); each order starts
-    from the previous order's polynomial, and the first order whose strong
-    Euler-Lagrange residual certifies is kept.  When t - s > 0.5 and
-    L.multiwell is set, the first order also runs 4 randomized bent starts
-    (drawn from _BENT_SEED); ties within 1e-9 relative are broken by the
-    lexicographically smallest curve midpoint.  Raises NonConvergence when
-    no order certifies, i.e. none brings the residual
-    |d/dtau L_v - L_x| at 4N+1 uniform times below _EL_TOL (1 + max |p|);
-    OutOfWindow when [s, t] leaves the certified window.
+    """Compute A_{s,t}(x, y) and its minimizing arc: _solve_arcs on the one
+    endpoint pair (with its multiwell starts, order ladder and
+    certificate), packaged with the arc's Hermite data and momenta.
+    Raises NonConvergence when no order certifies the arc, ConfigError
+    unless s < t, and OutOfWindow when [s, t] leaves the certified window.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not t > s:
-        raise ConfigError(f"need s < t, got s={s}, t={t}")
-    L.check_window(s, t)
-
-    speed = (y - x) / (t - s)
-
-    def chord(times: Array) -> Array:
-        return x + ((times - s) / (t - s))[:, None] * (y - x)
-
-    frac = (_lgl(_ORDERS[0])[0] + 1.0) / 2.0
-    starts = [np.zeros((len(frac), len(x)))]
-    if t - s > 0.5 and L.multiwell:
-        rng = np.random.default_rng(_BENT_SEED)
-        scale = max(1.0, float(np.linalg.norm(y - x)))
-        starts.extend(_bends(frac, len(x), 4, rng, scale))
-
-    residual = np.inf
-    for order in _ORDERS:
-        nodes, weights, bary, diff, at_check, at_samples = _lgl(order)
-        seeds = ([_interpolation_matrix(*prev, nodes) @ bend]
-                 if order > _ORDERS[0] else starts)
-        prev = nodes, bary
-        taus = s + (t - s) * (nodes + 1.0) / 2.0
-        D = diff * (2.0 / (t - s))
-        results = [_lgl_newton(L, taus, weights * ((t - s) / 2.0), D,
-                               chord(taus), speed, seed) for seed in seeds]
-        low = min(r[1] for r in results)
-        bend, value, converged = min(
-            (r for r in results if r[1] <= low + 1e-9 * (1.0 + abs(low))),
-            key=lambda r: tuple(r[0][order // 2]))
-        if not converged:
-            continue
-
-        dbend = D @ bend
-        tq = np.linspace(s, t, 4 * order + 1)
-        pos = chord(tq) + at_check @ bend
-        dpos, ddpos = speed + at_check @ dbend, at_check @ (D @ dbend)
-        _, lvx, lvt = _second_derivatives(L, tq, pos, dpos)
-        dp = (lvt + np.einsum("iab,ib->ia", lvx, dpos)
-              + np.einsum("iab,ib->ia", L.hess_vv(tq, pos, dpos), ddpos))
-        residual = float(np.linalg.norm(dp - L.grad_x(tq, pos, dpos),
-                                        axis=-1).max())
-        times = np.linspace(s, t, 8 * order + 1)
-        curve = Curve(times=times, points=chord(times) + at_samples @ bend,
-                      velocities=speed + at_samples @ dbend)
-        momenta = L.grad_v(curve.times, curve.points, curve.velocities)
-        if residual <= _EL_TOL * (1.0 + float(np.abs(momenta).max())):
-            return FundamentalSolution(
-                value=value, curve=curve, momenta=momenta,
-                grad_x=-momenta[0], grad_y=momenta[-1], residual=residual,
-                velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
-                momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
-                n_starts=len(starts),
-            )
-    raise NonConvergence(
-        f"no LGL order up to {_ORDERS[-1]} certified the arc: last "
-        f"Euler-Lagrange residual {residual:.3e}, tolerance {_EL_TOL:.1e} "
-        f"(1 + max |p|)")
+    arcs = _solve_arcs(L, s, t, x[None, :], y[None, :])
+    order, bend = int(arcs.order[0]), arcs.bend[0]
+    _, _, _, diff, _, at_samples = _lgl(order)
+    times = np.linspace(s, t, 8 * order + 1)
+    chord = x + ((times - s) / (t - s))[:, None] * (y - x)
+    dbend = (diff * (2.0 / (t - s))) @ bend
+    curve = Curve(times=times, points=chord + at_samples @ bend,
+                  velocities=(y - x) / (t - s) + at_samples @ dbend)
+    momenta = L.grad_v(curve.times, curve.points, curve.velocities)
+    return FundamentalSolution(
+        value=float(arcs.value[0]), curve=curve, momenta=momenta,
+        grad_x=-momenta[0], grad_y=momenta[-1],
+        residual=float(arcs.residual[0]),
+        velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
+        momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
+        n_starts=arcs.n_starts,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,7 @@ the interpolation weights at the feet x - dt*v; one Bellman step from w
 improves the policy.  Either way the loop stops on the same certificate,
 a Bellman update |T u - u| <= tol_fp*(1 - beta).
 
-Solutions lift to the evolution form v(t, x) = e^{lam*t} u(x).  Backward
-calibrated curves integrate the characteristic system
-
-    dx/ds = H_p(x, q),    dq/ds = -lam*q - H_x(x, q)
-
-from a differentiability node and are checked against the value identity
-v(tau, x) = v(tau - t, curve(tau - t)) + integral of e^{lam*s} L.
+Solutions lift to the evolution form v(t, x) = e^{lam*t} u(x).
 """
 from __future__ import annotations
 
@@ -36,13 +30,10 @@ from typing import Any
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import spsolve
 
-from .action import (_GAUSS3_NODES, _GAUSS3_WEIGHTS, _GAUSS5_NODES,
-                     _GAUSS5_WEIGHTS, Curve)
-from .errors import (BoxExhausted, ConfigError, NonContraction,
-                     NonConvergence, SingularStart)
+from .action import _GAUSS3_NODES, _GAUSS3_WEIGHTS
+from .errors import BoxExhausted, ConfigError, NonContraction, NonConvergence
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
 from .regularity import grid_classification
@@ -84,19 +75,6 @@ class DiscountedSolution:
         }
         out.update(self.meta)
         return out
-
-
-@dataclass(frozen=True)
-class CalibratedCurve:
-    """Backward characteristic from (x, tau) with its value-identity defect."""
-
-    x: Array
-    tau: float
-    horizon: float
-    curve: Curve                 # on [tau - horizon, tau], terminal point x
-    momenta: Array               # evolution momenta e^{lam*t} q(t) at curve.times
-    calibration_defect: float    # max value-identity defect over sampled times
-    defects: Array               # per-sample defects, aligned with curve.times[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,85 +388,9 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
 
 
 # ---------------------------------------------------------------------------
-# evolution lift and calibrated curves
+# evolution lift
 
 
 def lift_to_evolution(sol: DiscountedSolution, t: float) -> GridFunction:
     """e^{lam*t} u on the same grid (the evolution form at time t)."""
     return sol.u.with_values(np.exp(sol.lam * t) * sol.u.values)
-
-
-def backward_calibrated_curve(sol: DiscountedSolution, L: TonelliLagrangian,
-                              x: Array, tau: float, horizon: float,
-                              dt: float | None = None) -> CalibratedCurve:
-    """Backward characteristic through a differentiability node.
-
-    Integrates dx/ds = H_p(x, q), dq/ds = -lam*q + L_x(x, H_p(x, q)) from
-    s = tau down to tau - horizon, starting at the grid node nearest x with
-    q = Du (central difference).  The defect of the value identity
-    v(tau, x) = v(s, curve(s)) + int_s^tau e^{lam*r} L(curve, curve') dr
-    is recorded at every sample time.
-    """
-    if horizon <= 0:
-        raise ConfigError(f"need horizon > 0, got {horizon}")
-    dt = dt if dt is not None else horizon / 64.0
-    if dt <= 0 or dt > horizon:
-        raise ConfigError(f"need 0 < dt <= horizon, got dt={dt}")
-    lam, u = sol.lam, sol.u
-    ham = hamiltonian_for(L)
-
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = u.nearest_node(x)
-    x0 = u.node_point(idx)
-    if not bool(sol.diff_mask[idx]):
-        raise SingularStart(
-            f"node {x0.tolist()} is not classified differentiable; backward "
-            "curves are non-unique at such points")
-    q0 = u.central_gradient()[idx]
-
-    dim = u.dim
-
-    def rhs(_s: float, z: Array) -> Array:
-        pos, q = z[:dim], z[dim:]
-        vel = np.asarray(ham.grad_p(0.0, pos[None, :], q[None, :]))[0]
-        lx = np.asarray(L.grad_x(0.0, pos, vel)).reshape(-1)
-        return np.concatenate([vel, -lam * q + lx])
-
-    m = max(2, int(np.ceil(horizon / dt)))
-    t_desc = tau - np.linspace(0.0, horizon, m + 1)
-    ivp = solve_ivp(rhs, (tau, tau - horizon),
-                    np.concatenate([x0, q0]), t_eval=t_desc,
-                    rtol=1e-10, atol=1e-12, dense_output=False)
-    if not ivp.success:
-        raise NonConvergence(f"characteristic integration failed: {ivp.message}")
-
-    times = ivp.t[::-1]
-    pos = ivp.y[:dim].T[::-1]
-    qs = ivp.y[dim:].T[::-1]
-    if u.boundary != "periodic":
-        if np.any(pos < u.box[None, :, 0]) or np.any(pos > u.box[None, :, 1]):
-            raise BoxExhausted("backward curve leaves the grid box")
-    vel = np.asarray(ham.grad_p(0.0, pos, qs))
-    curve = Curve(times=times, points=pos, velocities=vel)
-
-    # value identity, integrating e^{lam*s} L segment by segment from the top
-    def seg_integral(a: float, b: float) -> float:
-        ts = a + (b - a) * _GAUSS5_NODES
-        p = curve.at(ts)
-        v = curve.at(ts, deriv=1)
-        lv = np.asarray(L.eval(0.0, p, v))
-        return float((b - a) * np.sum(_GAUSS5_WEIGHTS * np.exp(lam * ts) * lv))
-
-    top = float(np.exp(lam * tau) * u(x0[None, :])[0])
-    defects = np.empty(len(times) - 1)
-    acc = 0.0
-    for j in range(len(times) - 2, -1, -1):
-        acc += seg_integral(times[j], times[j + 1])
-        vj = float(np.exp(lam * times[j]) * u(pos[j][None, :])[0])
-        defects[j] = abs(top - vj - acc)
-
-    return CalibratedCurve(
-        x=x0, tau=float(tau), horizon=float(horizon), curve=curve,
-        momenta=np.exp(lam * times)[:, None] * qs,
-        calibration_defect=float(defects.max()), defects=defects,
-    )

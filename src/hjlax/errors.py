@@ -53,7 +53,3 @@ class NonContraction(HJLaxError):
 
 class BoxExhausted(HJLaxError):
     """Optimal characteristic feet leave the grid box."""
-
-
-class SingularStart(HJLaxError):
-    """Backward calibrated curve started at a non-differentiability node."""

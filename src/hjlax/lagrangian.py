@@ -89,8 +89,8 @@ class TonelliLagrangian:
     discounted lifts, boundedness of e^{lam t}) only hold there.  key and
     params are labels for reports.  The constructor attaches what it knows
     in closed form: the dual (read it through hamiltonian_for), the
-    fundamental-solution kernel, and multiwell, which asks minimize_action
-    for extra starts on long horizons.  Every catalog entry is the
+    fundamental-solution kernel, and multiwell, which asks the action
+    solver for extra starts on long horizons.  Every catalog entry is the
     separable form of the module docstring or its discounted lift.
     """
 

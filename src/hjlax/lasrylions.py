@@ -318,7 +318,6 @@ class SingularTrace:
     lam: float
     t_grid: Array                 # (K,), decreasing
     maximizers: Array             # (K, n)
-    singular_flags: Array         # (K,) bool
     distance_ratios: Array        # (K,): |y - x0| / t
     kappa0: float
     max_jump: float               # worst consecutive |y_{t_k} - y_{t_{k+1}}|
@@ -335,7 +334,6 @@ class SingularTrace:
             "lam": self.lam,
             "t_grid": self.t_grid.tolist(),
             "maximizers": self.maximizers.tolist(),
-            "singular_flags": [bool(b) for b in self.singular_flags],
             "distance_ratios": self.distance_ratios.tolist(),
             "kappa0": self.kappa0,
             "max_jump": self.max_jump,
@@ -349,11 +347,9 @@ class SingularTrace:
 
     def to_csv(self, path: str) -> None:
         n = len(self.x0)
-        cols = (["t"] + [f"y{k+1}" for k in range(n)]
-                + ["singular", "distance_ratio"])
-        write_csv(path, cols, ([t, *y, int(s), r] for t, y, s, r in zip(
-            self.t_grid, self.maximizers, self.singular_flags,
-            self.distance_ratios)))
+        cols = ["t"] + [f"y{k+1}" for k in range(n)] + ["distance_ratio"]
+        write_csv(path, cols, ([t, *y, r] for t, y, r in zip(
+            self.t_grid, self.maximizers, self.distance_ratios)))
 
 
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
@@ -365,8 +361,9 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
 
     The start point must belong to the detected singular set.  A maximizer
     leaving the singular set raises NotSingular and one leaving the cone
-    |y - x0| <= kappa0*t raises ConeViolation, so every returned flag is
-    true.  t2 skips the concavity-window probe and is reported as given.
+    |y - x0| <= kappa0*t raises ConeViolation, so a returned trace has
+    every maximizer singular and inside the cone.  t2 skips the
+    concavity-window probe and is reported as given.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if sing is None:
@@ -417,7 +414,6 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
         t2 = _concavity_window(sol, lifted, x0, t_grid, window_samples, seed=0)
     return SingularTrace(
         x0=x0, lam=sol.lam, t_grid=t_grid, maximizers=ys,
-        singular_flags=np.ones(len(t_grid), dtype=bool),
         distance_ratios=np.array(ratios), kappa0=float(kappa0),
         max_jump=max_jump, right_derivative=right, q_lambda=q, v0=v0,
         t1=_uniqueness_window(t_grid, unique_flags), t2=float(t2),

@@ -21,12 +21,13 @@ and operator gradient there:
 
     D(T+ u)(x) = L_v(s, x, xidot(s)),    D(T- u)(x) = L_v(t, x, xidot(t)).
 
-L's closed-form kernel, when it has one, gives the scan values, the action
-term of the polish and the certificate.  Otherwise the scan is one batched
-descent of polylines with action._SCAN_SEGMENTS segments, the polish moves
-the interior nodes of polylines at that resolution along with their free
-endpoint, and the certificate is one minimize_action per point, which
-certifies its arc by the Euler-Lagrange residual of an LGL polynomial.
+Every action value and endpoint gradient of the pipeline comes from
+_terms: L's closed-form kernel when it has one, else action's batched LGL
+Newton solve, whose values are certified by the Euler-Lagrange residual and
+whose endpoint gradients are the arcs' endpoint momenta, D_x A = -L_v(s)
+and D_y A = L_v(t).  The scan, the polish (whose only variables are the
+free endpoints) and the certificate all read it.
+
 Each node's record keeps its maximizer, certified action and gradient, its
 distance ratio, whether the search ball clipped it, and how many maximizers
 tie with it.
@@ -40,16 +41,12 @@ from typing import Any
 
 import numpy as np
 from scipy.optimize import Bounds, brentq, minimize
-# bound but not called: bench/spans.py wraps this name until the tracer moves
+# bound but not called: bench/spans.py wraps these names until the tracer
+# moves, and bench/test_bench.py checks the tracer rebinds minimize_action here
 from scipy.optimize import minimize_scalar  # noqa: F401
 
-from .action import (
-    _SCAN_SEGMENTS,
-    _polyline_action_grad,
-    _polyline_values,
-    action_values_batch,
-    minimize_action,
-)
+from .action import _solve_arcs, action_values_batch
+from .action import minimize_action  # noqa: F401
 from .errors import (
     BoxExhausted,
     ConfigError,
@@ -58,7 +55,6 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .lagrangian import TonelliLagrangian
-from .report import ProbeReport
 
 Array = np.ndarray
 
@@ -256,22 +252,38 @@ def _multilinear(v: Array, w: Array) -> tuple[Array, Array]:
     return val, grad
 
 
+def _terms(L: TonelliLagrangian, s: float, t: float, x: Array, y: Array,
+           grads: bool = True) -> tuple[Array, Array | None, Array | None]:
+    """A_{s,t}(x, y) of broadcast endpoint batches x and y (..., d) and,
+    with grads, its endpoint gradients D_x A and D_y A (else None): the one
+    choice of action model, L's closed-form kernel when it has one, else
+    action's certified batched LGL solve.  Values alone go through
+    action_values_batch, where a traced run counts the scan's arcs."""
+    kern = L.kernel
+    if not grads:
+        return (kern.value(s, t, x, y) if kern is not None
+                else action_values_batch(L, s, t, x, y)), None, None
+    if kern is not None:
+        return kern.value(s, t, x, y), kern.grad_x(s, t, x, y), kern.grad_y(s, t, x, y)
+    arcs = _solve_arcs(L, s, t, x, y)
+    return arcs.value, arcs.grad_x, arcs.grad_y
+
+
 def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
             x: Array, y0: Array, sign: int, notes: list[str]
             ) -> tuple[Array, Array]:
-    """Maximizers and maxima of sign*u(y) - A(arc) over each of the 2^d grid
-    cells touching the node y0 (Q, d), shaped (Q, 2^d, d) and (Q, 2^d); the
-    arc runs from x (Q, d) to y for T+ and from y to x for T-.
+    """Maximizers and maxima of sign*u(y) - A(x, y) (T+) or
+    sign*u(y) - A(y, x) (T-) over each of the 2^d grid cells touching the
+    node y0 (Q, d), for x (Q, d); shaped (Q, 2^d, d) and (Q, 2^d).
 
-    One L-BFGS-B run covers every (row, cell) pair.  The free endpoint y is
-    bounded to its cell, where u is multilinear, so a maximum on a kink of u
-    lies on a bound and is found exactly.  A is L's kernel when it has one,
-    else the action of a polyline arc whose interior nodes are variables
-    too.  A run that stops short of convergence appends a note.
+    One L-BFGS-B run covers every (row, cell) pair, and its only variables
+    are the free endpoints y.  Each is bounded to its cell, where u is
+    multilinear, so a maximum on a kink of u lies on a bound and is found
+    exactly.  The action term and its y-gradient come from _terms.  A run
+    that stops short of convergence appends a note.
     """
     d = u.dim
     h = u.spacing
-    kern = L.kernel
     cells = np.array(list(itertools.product((0, 1), repeat=d)))
     k0 = np.rint((y0 - u.box[:, 0]) / h).astype(np.int64)
     v = _corner_values(u, k0[:, None, :] + cells - 1)
@@ -279,72 +291,37 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
     lo = y0[:, None, :] + (cells - 1) * h
     hi = y0[:, None, :] + cells * h
     xb = np.broadcast_to(x[:, None, :], lo.shape)
-    yb = np.broadcast_to(y0[:, None, :], lo.shape)
-    end = -1 if sign > 0 else 0             # the arc node that is y
-    times = np.linspace(s, t, _SCAN_SEGMENTS + 1)
-    if kern is None:
-        frac = np.linspace(0.0, 1.0, _SCAN_SEGMENTS + 1)[:, None]
-        first, last = (xb, yb) if sign > 0 else (yb, xb)
-        arcs = first[..., None, :] + frac * (last - first)[..., None, :]
-        interior = arcs[..., 1:-1, :].ravel()
-    else:
-        interior = np.zeros(0)
-    n_y = lo.size
 
-    def split(z):
-        y = z[:n_y].reshape(lo.shape)
-        if kern is not None:
-            return y, None
-        arcs[..., 1:-1, :] = z[n_y:].reshape(arcs[..., 1:-1, :].shape)
-        arcs[..., end, :] = y
-        return y, arcs
-
-    def kernel_terms(y):
-        if sign > 0:
-            return kern.value(s, t, xb, y), kern.grad_y(s, t, xb, y)
-        return kern.value(s, t, y, xb), kern.grad_x(s, t, y, xb)
+    def action_terms(y):
+        value, grad_x, grad_y = _terms(L, s, t, *((xb, y) if sign > 0 else (y, xb)))
+        return value, grad_y if sign > 0 else grad_x
 
     def objective(z):
-        y, nodes = split(z)
+        y = z.reshape(lo.shape)
         uval, ugrad = _multilinear(v, (y - lo) / h)
-        if kern is None:
-            action, g = _polyline_action_grad(L, times, nodes)
-            g_y, g_rest = g[..., end, :], g[..., 1:-1, :].ravel()
-        else:
-            action, g_y = kernel_terms(y)
-            action, g_rest = action.sum(), interior
-        return (action - sign * uval.sum(),
-                np.concatenate([(g_y - sign * ugrad / h).ravel(), g_rest]))
+        action, g_y = action_terms(y)
+        return (action.sum() - sign * uval.sum(),
+                (g_y - sign * ugrad / h).ravel())
 
-    free = np.full(interior.size, np.inf)
-    res = minimize(objective, np.concatenate([yb.ravel(), interior]),
+    res = minimize(objective, np.broadcast_to(y0[:, None, :], lo.shape).ravel(),
                    jac=True, method="L-BFGS-B",
-                   bounds=Bounds(np.concatenate([lo.ravel(), -free]),
-                                 np.concatenate([hi.ravel(), free])),
+                   bounds=Bounds(lo.ravel(), hi.ravel()),
                    options=_POLISH_OPTIONS)
     if not res.success:
         notes.append(f"cell polish stopped after {res.nit} iterations: "
                      f"{res.message}")
-    y, nodes = split(res.x)
-    action = (_polyline_values(L, times, nodes) if kern is None
-              else kernel_terms(y)[0])
-    return y, sign * _multilinear(v, (y - lo) / h)[0] - action
+    y = res.x.reshape(lo.shape)
+    return y, sign * _multilinear(v, (y - lo) / h)[0] - action_terms(y)[0]
 
 
 def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
              y_star: Array, sign: int) -> tuple[Array, Array]:
     """Action and operator gradient of the arcs between pts and their chosen
-    maximizers: D(T+ u)(x) = L_v(s, x, xidot(s)), D(T- u)(x) = L_v(t, x,
-    xidot(t)).  Closed forms under L's kernel, else one certified
-    minimize_action per point."""
+    maximizers, from _terms: D(T+ u)(x) = -D_x A(x, y*) = L_v(s, x,
+    xidot(s)) and D(T- u)(x) = D_y A(y*, x) = L_v(t, x, xidot(t))."""
     ends = (pts, y_star) if sign > 0 else (y_star, pts)
-    kern = L.kernel
-    if kern is not None:
-        grad = -kern.grad_x(s, t, *ends) if sign > 0 else kern.grad_y(s, t, *ends)
-        return kern.value(s, t, *ends), grad
-    sols = [minimize_action(L, s, t, a, b) for a, b in zip(*ends)]
-    grads = [-fs.grad_x if sign > 0 else fs.grad_y for fs in sols]
-    return np.array([fs.value for fs in sols]), np.array(grads)
+    value, grad_x, grad_y = _terms(L, s, t, *ends)
+    return value, -grad_x if sign > 0 else grad_y
 
 
 def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
@@ -365,8 +342,7 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
     ys = np.concatenate([yi for yi, _ in gathered])
     xs = np.repeat(pts, counts, axis=0)
     ends = (xs, ys) if sign > 0 else (ys, xs)
-    acts = (L.kernel.value(s, t, *ends) if L.kernel is not None
-            else action_values_batch(L, s, t, *ends))
+    acts, _, _ = _terms(L, s, t, *ends, grads=False)
     scores = sign * np.concatenate([vi for _, vi in gathered]) - acts
 
     sep = 2.0 * float(np.max(u.spacing))
@@ -474,36 +450,6 @@ def lax_plus(L, u, s, t, **kwargs) -> OperatorResult:
 def lax_minus(L, u, s, t, **kwargs) -> OperatorResult:
     """T-_{s,t} u on the whole grid (or at points=... only)."""
     return _apply_operator(L, u, s, t, -1, **kwargs)
-
-
-def check_condition_M(
-    L: TonelliLagrangian,
-    u: GridFunction,
-    s: float,
-    t: float,
-    points: Array,
-    **kwargs: Any,
-) -> ProbeReport:
-    """Uniqueness of the barrier maximizer at each probe point.
-
-    Records a violation wherever two polished maximizers are separated by
-    more than twice the grid spacing yet agree in value to the relative
-    tie tolerance _VALUE_TOL."""
-    res = _apply_operator(L, u, s, t, +1, points=points, **kwargs)
-    report = ProbeReport(name="condition_M", samples=len(res.records))
-    sep = 2.0 * float(np.max(u.spacing))
-    for rec in res.records:
-        unique = rec.multiplicity <= 1
-        report.record_slack(1.0 if unique else -1.0,
-                            check="unique_maximizer",
-                            x=rec.x.tolist(),
-                            multiplicity=rec.multiplicity,
-                            separation_threshold=sep)
-    report.constants = {
-        "value_tol": _VALUE_TOL,
-        "max_multiplicity": max(r.multiplicity for r in res.records),
-    }
-    return report
 
 
 def require_unique_maximizer(rec: MaximizerRecord) -> None:

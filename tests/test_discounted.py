@@ -1,4 +1,4 @@
-"""Discounted-equation solver: fixed points, contraction, calibrated curves."""
+"""Discounted-equation solver: fixed points, contraction, evolution lift."""
 import dataclasses
 import json
 
@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
 import hjlax.discounted
-from hjlax.discounted import (_HEAD, backward_calibrated_curve,
-                              discounted_step, lift_to_evolution,
+from hjlax.discounted import (_HEAD, discounted_step, lift_to_evolution,
                               solve_discounted)
-from hjlax.errors import (BoxExhausted, ConfigError, NonConvergence,
-                          SingularStart)
+from hjlax.errors import BoxExhausted, ConfigError, NonConvergence
 from hjlax.gridfn import GridSpec
 from hjlax.lagrangian import discount_lift, mechanical_lagrangian
 
@@ -168,9 +166,6 @@ def test_diff_mask_flags_the_kink_on_a_coarse_grid():
     sol = solve_discounted(L, LAM, grid, dt=0.05)
     center = sol.u.nearest_node(np.array([0.0]))
     assert not sol.diff_mask[center]
-    with pytest.raises(SingularStart):
-        backward_calibrated_curve(sol, L, np.array([0.0]), tau=1.0,
-                                  horizon=0.5)
 
 
 def test_validation_errors(monkeypatch):
@@ -311,47 +306,6 @@ def test_lift_to_evolution(dw_sol):
     assert np.array_equal(t0.values, sol.u.values)
     tln2 = lift_to_evolution(sol, np.log(2.0) / LAM)
     assert np.abs(tln2.values - 2.0 * sol.u.values).max() <= 1e-12
-
-
-def test_backward_curve_constant_case():
-    a = 0.7
-    L = const_lagrangian(a)
-    grid = GridSpec(box=[(-2.0, 2.0)], num=[81], boundary="constant")
-    sol = solve_discounted(L, LAM, grid, dt=0.05)
-    cc = backward_calibrated_curve(sol, L, np.array([0.5]), tau=1.0,
-                                   horizon=1.0, dt=1 / 32)
-    assert np.abs(cc.curve.points - 0.5).max() <= 1e-10
-    assert np.abs(cc.momenta).max() <= 1e-10
-    assert cc.calibration_defect <= 1e-10
-
-
-def test_backward_curve_cos_attractor(cos_sol):
-    L, sol = cos_sol
-    cc = backward_calibrated_curve(sol, L, np.array([1.5]), tau=1.0,
-                                   horizon=1.0, dt=1 / 64)
-    assert cc.calibration_defect <= 1e-3
-    # the past of the curve sits closer to the equilibrium at pi
-    first, last = cc.curve.points[0, 0], cc.curve.points[-1, 0]
-    assert abs(last - cc.x[0]) <= 1e-9     # terminal point = snapped start node
-    assert 2.0 < first < np.pi
-
-
-def test_backward_curve_defect_drops_with_solver_dt():
-    L = mechanical_lagrangian(dim=1, potential="cos", coeff=-1.0)
-    grid = GridSpec(box=[(-np.pi, np.pi)], num=[512], boundary="periodic")
-    defects = []
-    for dtv in (0.4, 0.2):
-        sol = solve_discounted(L, LAM, grid, dt=dtv, tol_fp=1e-9)
-        cc = backward_calibrated_curve(sol, L, np.array([1.5]), tau=1.0,
-                                       horizon=1.0, dt=1 / 64)
-        defects.append(cc.calibration_defect)
-    assert defects[1] <= defects[0] / 1.8   # at least first order (measured ~3.8x)
-
-
-def test_backward_curve_singular_start(cos_sol):
-    L, sol = cos_sol
-    with pytest.raises(SingularStart):
-        backward_calibrated_curve(sol, L, np.array([0.0]), tau=1.0, horizon=0.5)
 
 
 def test_metadata_serializable(tmp_path, dw_sol):

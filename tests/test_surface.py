@@ -10,7 +10,7 @@ import pkgutil
 import hjlax
 from hjlax import cli
 
-MAX_OPTIONS = 39
+MAX_OPTIONS = 37
 MAX_CONFIG_KEYS = 66
 
 
