@@ -11,7 +11,11 @@ s -> x - s*v, s in [0, dt], by a 3-point Gauss rule with weights
 proportional to e^{-lam*s} and normalized to total (1 - e^{-lam*dt})/lam.
 Constant Lagrangians therefore have exact fixed points (u = L/lam), and
 adding a constant c to L shifts the solution by exactly c/lam.  T
-contracts in sup norm with factor beta = e^{-lam*dt}.
+contracts in sup norm with factor beta = e^{-lam*dt}.  A Bellman step
+scans a velocity lattice and Newton-polishes its winner; the Newton model
+keeps only the L_vv curvature, and backtracking guards the kinks at cell
+faces.  A Newton round costs one gradient call and one call over all eight
+backtracking trials, and nodes whose trials all failed drop out.
 
 The solver runs a head of value-iteration sweeps u <- T u, whose update
 ratios measure the contraction, and then Howard policy iteration: the
@@ -80,8 +84,8 @@ class DiscountedSolution:
 # ---------------------------------------------------------------------------
 # one Bellman step
 
-# feet per block of the velocity-lattice scan (bounds its memory)
-_SCAN_FEET = 1 << 20
+# feet per block of the velocity-lattice scan, 3 stage samples each (bounds memory)
+_SCAN_FEET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -93,23 +97,30 @@ class _Stage:
     s: Array                     # (3,) sample times in [0, dt]
     w: Array                     # (3,) weights, sum = (1 - beta)/lam
 
-    def cost(self, L: TonelliLagrangian, x: Array, v: Array) -> Array:
+    def _samples(self, x: Array, v: Array) -> tuple[Array, Array]:
+        """The three sample points x - s_j*v stacked on a new leading axis,
+        with v broadcast to their shape; x and v take any leading shape."""
+        pos = x - self.s.reshape((3,) + (1,) * max(np.ndim(x), np.ndim(v))) * v
+        return pos, np.broadcast_to(v, pos.shape)
+
+    def _quad(self, terms: Array) -> Array:
+        """sum_j w_j terms[j], accumulated in sample order."""
         out = 0.0
-        for sj, wj in zip(self.s, self.w):
-            out = out + wj * np.asarray(L.eval(0.0, x - sj * v, v))
+        for wj, term in zip(self.w, terms):
+            out = out + wj * term
         return out
+
+    def cost(self, L: TonelliLagrangian, x: Array, v: Array) -> Array:
+        return self._quad(np.asarray(L.eval(0.0, *self._samples(x, v))))
 
     def cost_grad_v(self, L: TonelliLagrangian, x: Array, v: Array
                     ) -> tuple[Array, Array]:
         """d/dv of the stage cost and its L_vv part (the Newton model)."""
-        grad = 0.0
-        hess = 0.0
-        for sj, wj in zip(self.s, self.w):
-            pos = x - sj * v
-            grad = grad + wj * (np.asarray(L.grad_v(0.0, pos, v))
-                                - sj * np.asarray(L.grad_x(0.0, pos, v)))
-            hess = hess + wj * np.asarray(L.hess_vv(0.0, pos, v))
-        return grad, hess
+        pos, vb = self._samples(x, v)
+        s = self.s.reshape((3,) + (1,) * (pos.ndim - 1))
+        grad = (np.asarray(L.grad_v(0.0, pos, vb))
+                - s * np.asarray(L.grad_x(0.0, pos, vb)))
+        return self._quad(grad), self._quad(np.asarray(L.hess_vv(0.0, pos, vb)))
 
 
 def _make_stage(lam: float, dt: float) -> _Stage:
@@ -129,61 +140,59 @@ def _objective(L: TonelliLagrangian, u: GridFunction, x: Array, v: Array,
 
 def _interp_gradient(u: GridFunction, pts: Array, delta: Array) -> Array:
     """Central difference of the interpolant; exact inside a cell since the
-    multilinear interpolant is affine along each axis."""
-    g = np.empty_like(pts)
-    for a in range(pts.shape[1]):
-        e = np.zeros(pts.shape[1])
-        e[a] = delta[a]
-        g[:, a] = (u(pts + e) - u(pts - e)) / (2.0 * delta[a])
-    return g
+    multilinear interpolant is affine along each axis.  One interpolation
+    covers the 2*dim shifted copies of pts (any leading shape)."""
+    dim = len(delta)
+    e = np.diag(delta).reshape((dim,) + (1,) * (np.ndim(pts) - 1) + (dim,))
+    vals = u(np.concatenate([pts + e, pts - e]))
+    return np.moveaxis((vals[:dim] - vals[dim:]) / (2.0 * delta.reshape(e.shape[:-1])),
+                       0, -1)
 
 
 def _polish(L: TonelliLagrangian, u: GridFunction, x: Array, v0: Array,
             st: _Stage, iters: int = 40) -> tuple[Array, Array]:
     """Damped Newton on v -> stage(x,v) + beta*u(x - dt*v), vectorized over
     nodes.  The Newton model keeps only the L_vv curvature (the interpolant
-    is piecewise affine); backtracking guards the kinks at cell faces."""
+    is piecewise affine); backtracking guards the kinks at cell faces.
+
+    A round costs one gradient call and one objective call over all eight
+    trials alpha = 1, 1/2, ..., 1/128; each node takes its first trial that
+    decreases it.  A node whose eight trials all fail would repeat them
+    unchanged, so it is frozen: later rounds see only the nodes that moved,
+    and the stop test reads every node's last step."""
     v = np.array(v0, dtype=float)
     m, feet = _objective(L, u, x, v, st)
     delta = 1e-5 * u.spacing
-    npts = len(v)
+    step = np.empty_like(v)
+    live = np.arange(len(v))
     for _ in range(iters):
-        sgrad, hess = st.cost_grad_v(L, x, v)
-        grad = sgrad - st.beta * st.dt * _interp_gradient(u, feet, delta)
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        sgrad, hess = st.cost_grad_v(L, x[live], v[live])
+        grad = sgrad - st.beta * st.dt * _interp_gradient(u, feet[live], delta)
+        step[live] = np.linalg.solve(hess, grad[..., None])[..., 0]
         if float(np.max(np.abs(step))) <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
             break
-        alpha = np.ones(npts)
-        done = np.zeros(npts, dtype=bool)
-        for _bt in range(8):
-            idx = ~done
-            if not idx.any():
-                break
-            vt = v.copy()
-            vt[idx] = v[idx] - alpha[idx, None] * step[idx]
-            mt, ft = _objective(L, u, x, vt, st)
-            better = idx & (mt <= m - 1e-15 * (1.0 + np.abs(m)))
-            v[better] = vt[better]
-            m[better] = mt[better]
-            feet[better] = ft[better]
-            done |= better
-            alpha[~done] *= 0.5
-        if not done.any():
+        trial = v[live] - 0.5 ** np.arange(8.0)[:, None, None] * step[live]
+        mt, ft = _objective(L, u, x[live], trial, st)
+        ok = mt <= m[live] - 1e-15 * (1.0 + np.abs(m[live]))
+        cols = np.flatnonzero(ok.any(axis=0))
+        if not len(cols):
             break
+        rows = ok[:, cols].argmax(axis=0)
+        live = live[cols]
+        v[live], m[live], feet[live] = trial[rows, cols], mt[rows, cols], ft[rows, cols]
     return v, m
 
 
 def _velocity_reach(ham: Hamiltonian, nodes: Array, p_bound: float) -> Array:
-    """Per-axis bound on |optimal velocity| = |H_p| over momenta up to p_bound."""
+    """Per-axis bound on |optimal velocity| = |H_p| over momenta up to p_bound,
+    from one call over the momenta +-p_bound e_a of every axis a."""
     dim = nodes.shape[1]
-    reach = np.zeros(dim)
-    for a in range(dim):
-        for sgn in (1.0, -1.0):
-            p = np.zeros((len(nodes), dim))
-            p[:, a] = sgn * p_bound
-            vel = np.asarray(ham.grad_p(0.0, nodes, p))
-            reach = np.maximum(reach, np.abs(vel).max(axis=0))
-    return reach
+    p = np.zeros((2 * dim, len(nodes), dim))
+    axis = np.arange(dim)
+    p[axis, :, axis] = p_bound
+    p[axis + dim, :, axis] = -p_bound
+    vel = np.asarray(ham.grad_p(0.0, np.broadcast_to(nodes, p.shape), p))
+    return np.abs(vel).reshape(-1, dim).max(axis=0)
 
 
 def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,

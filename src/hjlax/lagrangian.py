@@ -130,7 +130,8 @@ def _leading(t: Any, x: Array) -> Array:
 
 
 def _cos_shape(xi: Array) -> tuple[Array, Array, Array]:
-    return np.cos(xi), -np.sin(xi), -np.cos(xi)
+    c = np.cos(xi)
+    return c, -np.sin(xi), -c
 
 
 def _smoothstep(w: Array) -> tuple[Array, Array, Array]:

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import hjlax as hj
 import hjlax.discounted
-from hjlax.discounted import (_HEAD, discounted_step, lift_to_evolution,
-                              solve_discounted)
+from hjlax.discounted import (_HEAD, _interp_gradient, _make_stage, _objective,
+                              _polish, _step, _velocity_lattice, _velocity_reach,
+                              discounted_step, lift_to_evolution, solve_discounted)
 from hjlax.errors import BoxExhausted, ConfigError, NonConvergence
 from hjlax.gridfn import GridSpec
-from hjlax.lagrangian import discount_lift, mechanical_lagrangian
+from hjlax.lagrangian import discount_lift, hamiltonian_for, mechanical_lagrangian
 
 LAM = 0.5
 
@@ -279,6 +280,120 @@ def test_lattice_scan_blocks_are_bit_identical(monkeypatch):
     monkeypatch.setattr(hjlax.discounted, "_SCAN_FEET", 1000)
     blocked = discounted_step(L, 2.0, u, 0.05)
     assert np.array_equal(whole.values, blocked.values)
+
+
+def _sequential_polish(L, u, x, v0, stage, iters=40):
+    """The Bellman polish as one loop per halving: at every node, the first
+    alpha in 1, 1/2, ..., 1/128 that decreases the objective.  Also returns
+    how many rounds left some node without a decrease while others moved,
+    and how many steps took an alpha < 1."""
+    v = np.array(v0, dtype=float)
+    m, feet = _objective(L, u, x, v, stage)
+    delta = 1e-5 * u.spacing
+    stalled = short = 0
+    for _ in range(iters):
+        sgrad, hess = stage.cost_grad_v(L, x, v)
+        grad = sgrad - stage.beta * stage.dt * _interp_gradient(u, feet, delta)
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(v))):
+            break
+        alpha = np.ones(len(v))
+        done = np.zeros(len(v), dtype=bool)
+        for k in range(8):
+            vt = v.copy()
+            vt[~done] = v[~done] - alpha[~done, None] * step[~done]
+            mt, ft = _objective(L, u, x, vt, stage)
+            better = ~done & (mt <= m - 1e-15 * (1.0 + np.abs(m)))
+            v[better], m[better], feet[better] = vt[better], mt[better], ft[better]
+            short += int(better.sum()) if k else 0
+            done |= better
+            alpha[~done] *= 0.5
+        if not done.any():
+            break
+        stalled += int(not done.all())
+    return v, m, stalled, short
+
+
+def _case(name):
+    if name == "cos128":
+        L = mechanical_lagrangian(dim=1, potential="cos", coeff=1.0)
+        grid, lam, dt = GridSpec(box=[(-np.pi, np.pi)], num=[128],
+                                 boundary="periodic"), 0.5, 0.05
+    elif name == "cos21x21":
+        L = mechanical_lagrangian(dim=2, potential="cos", coeff=1.0)
+        grid, lam, dt = GridSpec(box=[(-np.pi, np.pi)] * 2, num=[21, 21],
+                                 boundary="periodic"), 2.0, 0.05
+    else:
+        L = mechanical_lagrangian(dim=1, potential="double_well", coeff=-1.0,
+                                  shift=-0.25)
+        grid, lam, dt = GridSpec(box=[(-2.0, 2.0)], num=[41]), LAM, 0.1
+    u = grid.build(lambda p: np.sum(np.sin(1.3 * p) + 0.3 * np.cos(2.0 * p),
+                                    axis=-1))
+    return L, u, lam, dt
+
+
+@pytest.mark.parametrize("name", ["cos128", "cos21x21", "double_well41"])
+def test_polish_matches_sequential_backtracking(name):
+    # one Bellman step gives a warm start, as in policy iteration; the
+    # next step polishes it on the updated field
+    L, u, lam, dt = _case(name)
+    stage = _make_stage(lam, dt)
+    x = u.nodes()
+    reach = _velocity_reach(hamiltonian_for(L), x, stage.beta * u.lipschitz() + 1e-9)
+    vals, v_warm, _ = _step(L, u, x, stage, _velocity_lattice(u.spacing, dt, reach), None)
+    u1 = u.with_values(vals.reshape(u.values.shape))
+    v, m = _polish(L, u1, x, v_warm, stage)
+    v_ref, m_ref, stalled, short = _sequential_polish(L, u1, x, v_warm, stage)
+    assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
+    # both paths run: a node froze before the last round, and a step
+    # accepted a halved trial
+    assert stalled > 0 and short > 0
+
+
+def _looped_cost(stage, L, x, v):
+    out = 0.0
+    for sj, wj in zip(stage.s, stage.w):
+        out = out + wj * np.asarray(L.eval(0.0, x - sj * v, v))
+    return out
+
+
+def _looped_cost_grad_v(stage, L, x, v):
+    grad = hess = 0.0
+    for sj, wj in zip(stage.s, stage.w):
+        pos = x - sj * v
+        grad = grad + wj * (np.asarray(L.grad_v(0.0, pos, v))
+                            - sj * np.asarray(L.grad_x(0.0, pos, v)))
+        hess = hess + wj * np.asarray(L.hess_vv(0.0, pos, v))
+    return grad, hess
+
+
+def _looped_interp_gradient(u, pts, delta):
+    g = np.empty_like(pts)
+    for a in range(pts.shape[-1]):
+        e = np.zeros(pts.shape[-1])
+        e[a] = delta[a]
+        g[..., a] = (u(pts + e) - u(pts - e)) / (2.0 * delta[a])
+    return g
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+@pytest.mark.parametrize("lead", [(37,), (5, 37)])
+def test_stacked_quadratures_match_per_sample_loops(dim, boundary, lead):
+    rng = np.random.default_rng(dim + 10 * len(lead))
+    L = mechanical_lagrangian(dim=dim, potential="cos", coeff=0.8)
+    u = GridSpec(box=[(-2.0, 2.0)] * dim, num=[13] * dim,
+                 boundary=boundary).build(lambda p: np.cos(2.0 * p).sum(axis=-1))
+    stage = _make_stage(1.5, 0.05)
+    x = rng.uniform(-2.5, 2.5, lead + (dim,))
+    v = rng.normal(scale=3.0, size=lead + (dim,))
+    assert np.array_equal(stage.cost(L, x, v), _looped_cost(stage, L, x, v))
+    for got, want in zip(stage.cost_grad_v(L, x, v),
+                         _looped_cost_grad_v(stage, L, x, v)):
+        assert np.array_equal(got, want)
+    delta = 1e-5 * u.spacing
+    assert np.array_equal(_interp_gradient(u, x, delta),
+                          _looped_interp_gradient(u, x, delta))
 
 
 def test_legendre_fallback_residual_matches_closed_form_dual(double_well):
