@@ -10,21 +10,33 @@ own run length) as a subprocess in PARENT and in DIR, PAIRS times with the
 workloads interleaved and the side that runs first alternating, and then one
 ``--trace 1`` run per side and workload.  It reads only each run's last
 stdout line (one JSON object) and the record the run leaves under
-bench/out/, and writes DIR/BENCH_<PR>.json: the machine block, each side's
-median, quartiles and every run of the end-to-end metrics, per workload the
-pairs the change won on solve_s with the median difference beside the
-parent's quartile spread, the traced counters, and each side's src/ line
-count.  Exits 1 when a run failed a check or exited non-zero.
+bench/out/.  Then, once per side, it times the tier-1 suite
+(``python -m pytest -q --continue-on-collection-errors`` with src/ on
+PYTHONPATH) and runs scripts/run_experiments.sh into a temporary directory.
+It writes DIR/BENCH_<PR>.json: the machine block, each side's median,
+quartiles and every run of the end-to-end metrics, per workload the pairs
+the change won on solve_s with the median difference beside the parent's
+quartile spread, the traced counters, each side's src/ line count, tier-1
+wall time and pass count, and the timing.txt of every experiment, and the
+scripts/artifact_drift.py summary from the parent's results to the
+change's.  Exits 1 when a bench run failed a check, or any run, test or
+experiment exited non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+import artifact_drift
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("solve_s", "peak_rss_mb", "setup_s")
@@ -54,6 +66,38 @@ def bench(checkout: Path, workload: str, trace: int) -> dict:
             "machine": machine}
 
 
+def tier1(checkout: Path) -> dict:
+    """Wall time, exit code and outcome counts of the checkout's test suite."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")   # as scripts/run_experiments.sh
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=7200)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (\w+)", lines[-1])
+              } if lines else {}
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("errors", 0)
+            + counts.get("error", 0)}
+
+
+def experiments(checkout: Path, results: Path) -> dict:
+    """Run scripts/run_experiments.sh into results: its exit code and each
+    experiment's timing.txt as key -> number."""
+    proc = subprocess.run(["bash", "scripts/run_experiments.sh", str(results)],
+                          cwd=checkout, capture_output=True, text=True,
+                          timeout=7200)
+    timing = {}
+    for path in sorted(results.glob("*/timing.txt")):
+        pairs = (line.split("=", 1) for line in path.read_text().split())
+        timing[path.parent.name] = {k: float(v) for k, v in pairs}
+    return {"returncode": proc.returncode, "timing": timing}
+
+
 def summary(values: list[float]) -> dict:
     """Median, first and third quartile, and every run."""
     q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
@@ -79,6 +123,16 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side][w].append(bench(sides[side], w, 0))
     traced = {side: {w: bench(path, w, 1) for w in workloads}
               for side, path in sides.items()}
+    tests = {side: tier1(path) for side, path in sides.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {side: Path(tmp) / side for side in sides}
+        exps = {side: experiments(path, results[side])
+                for side, path in sides.items()}
+        report, drifted = artifact_drift.compare(results["parent"],
+                                                 results["change"])
+    # the report without the list of byte-identical files
+    identical = int(report[0].split(": ")[1])
+    drift = {"drifted": drifted, "report": report[:1] + report[1 + identical:]}
 
     table: dict = {}
     for w in workloads:
@@ -105,13 +159,17 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {k: v for k, v in first["change"].items() if k != "src_lines"},
         "src_lines": {side: m["src_lines"] for side, m in first.items()},
         "workloads": table,
+        "tier1": tests,
+        "experiments": exps,
+        "artifact_drift": drift,
     }
     path = sides["change"] / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     every = [r for side in sides for w in workloads
              for r in runs[side][w] + [traced[side][w]]]
-    return 1 if any(r["returncode"] or r["failed"] for r in every) else 0
+    every += list(tests.values()) + list(exps.values())
+    return 1 if any(r["returncode"] or r.get("failed") for r in every) else 0
 
 
 if __name__ == "__main__":

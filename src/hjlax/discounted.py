@@ -17,6 +17,13 @@ keeps only the L_vv curvature, and backtracking guards the kinks at cell
 faces.  A Newton round costs one gradient call and one call over all eight
 backtracking trials, and nodes whose trials all failed drop out.
 
+The scan reads a table that does not depend on u: per block of nodes, the
+stage cost of every (lattice velocity, node) pair and the sparse matrix P
+of multilinear weights at their feet, so a scan is cost + beta * P u.
+The lattice is shared by all nodes and is sized by the Lipschitz constant
+of u; the solver keeps the table across Bellman steps and rebuilds it only
+when a growing Lipschitz constant changes the lattice.
+
 The solver runs a head of value-iteration sweeps u <- T u, whose update
 ratios measure the contraction, and then Howard policy iteration: the
 velocities v of the last Bellman step define a policy, whose value w
@@ -30,7 +37,7 @@ Solutions lift to the evolution form v(t, x) = e^{lam*t} u(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +93,8 @@ class DiscountedSolution:
 
 # feet per block of the velocity-lattice scan, 3 stage samples each (bounds memory)
 _SCAN_FEET = 1 << 18
+# one block of the scan table: start node, node count, stage costs, foot matrix
+_Block = tuple[int, int, Array, sparse.csr_matrix]
 
 
 @dataclass(frozen=True)
@@ -150,10 +159,11 @@ def _interp_gradient(u: GridFunction, pts: Array, delta: Array) -> Array:
 
 
 def _polish(L: TonelliLagrangian, u: GridFunction, x: Array, v0: Array,
-            st: _Stage, iters: int = 40) -> tuple[Array, Array]:
+            m0: Array, st: _Stage, iters: int = 40) -> tuple[Array, Array]:
     """Damped Newton on v -> stage(x,v) + beta*u(x - dt*v), vectorized over
-    nodes.  The Newton model keeps only the L_vv curvature (the interpolant
-    is piecewise affine); backtracking guards the kinks at cell faces.
+    nodes, from v0 with objective values m0.  The Newton model keeps only
+    the L_vv curvature (the interpolant is piecewise affine); backtracking
+    guards the kinks at cell faces.
 
     A round costs one gradient call and one objective call over all eight
     trials alpha = 1, 1/2, ..., 1/128; each node takes its first trial that
@@ -161,7 +171,8 @@ def _polish(L: TonelliLagrangian, u: GridFunction, x: Array, v0: Array,
     unchanged, so it is frozen: later rounds see only the nodes that moved,
     and the stop test reads every node's last step."""
     v = np.array(v0, dtype=float)
-    m, feet = _objective(L, u, x, v, st)
+    m = np.array(m0, dtype=float)
+    feet = x - st.dt * v
     delta = 1e-5 * u.spacing
     step = np.empty_like(v)
     live = np.arange(len(v))
@@ -195,33 +206,44 @@ def _velocity_reach(ham: Hamiltonian, nodes: Array, p_bound: float) -> Array:
     return np.abs(vel).reshape(-1, dim).max(axis=0)
 
 
-def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
-          offsets_v: Array, v_warm: Array | None
-          ) -> tuple[Array, Array, Array]:
-    """One Bellman update.  Scans feet on the velocity lattice (one shared
-    lattice for all nodes, the grid being uniform), at most _SCAN_FEET feet
-    at a time, then Newton-polishes from the better of the scan winner and
-    the warm start."""
-    nof, npts, dim = len(offsets_v), len(x), x.shape[1]
-    jbest = np.empty(npts, dtype=np.int64)
-    m_scan = np.empty(npts)
+def _scan_blocks(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
+                 offsets_v: Array) -> Iterator[_Block]:
+    """The scan table of the velocity lattice (one shared lattice for all
+    nodes, the grid being uniform), one block of at most _SCAN_FEET feet at
+    a time: (start, count, cost, P) for the count nodes from node start,
+    with the (nof, count) stage costs of their (lattice velocity, node)
+    pairs and the foot matrix P of their feet, so the scan of the block is
+    cost + beta * P u.  Only u's grid enters, not its values."""
+    nof, dim = offsets_v.shape
     block = max(1, _SCAN_FEET // nof)
-    for lo in range(0, npts, block):
+    for lo in range(0, len(x), block):
         xs = x[lo:lo + block]
         shape = (nof, len(xs), dim)
         xb = np.broadcast_to(xs[None, :, :], shape)
         vb = np.broadcast_to(offsets_v[:, None, :], shape)
-        uf = u((xb - st.dt * vb).reshape(-1, dim)).reshape(shape[:2])
-        scan = st.cost(L, xb, vb) + st.beta * uf
+        yield lo, len(xs), st.cost(L, xb, vb), u.foot_matrix(xb - st.dt * vb)
+
+
+def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
+          offsets_v: Array, table: Iterable[_Block], v_warm: Array | None
+          ) -> tuple[Array, Array, Array]:
+    """One Bellman update.  Scans the velocity lattice through its scan
+    table (_scan_blocks), then Newton-polishes from the better of the scan
+    winner and the warm start."""
+    jbest = np.empty(len(x), dtype=np.int64)
+    m_init = np.empty(len(x))
+    for lo, count, cost, P in table:
+        scan = cost + st.beta * (P @ u.values.ravel()).reshape(cost.shape)
         j = np.argmin(scan, axis=0)
-        jbest[lo:lo + block] = j
-        m_scan[lo:lo + block] = scan[j, np.arange(len(xs))]
+        jbest[lo:lo + count] = j
+        m_init[lo:lo + count] = scan[j, np.arange(count)]
     v_init = offsets_v[jbest]
     if v_warm is not None:
         m_warm, _ = _objective(L, u, x, v_warm, st)
-        take = m_warm < m_scan
+        take = m_warm < m_init
         v_init = np.where(take[:, None], v_warm, v_init)
-    v_opt, m_opt = _polish(L, u, x, v_init, st)
+        m_init = np.where(take, m_warm, m_init)
+    v_opt, m_opt = _polish(L, u, x, v_init, m_init, st)
     return m_opt, v_opt, x - st.dt * v_opt
 
 
@@ -248,7 +270,8 @@ def discounted_step(L: TonelliLagrangian, lam: float, u: GridFunction,
     x = u.nodes()
     reach = _velocity_reach(ham, x, st.beta * u.lipschitz() + 1e-9)
     offsets_v = _velocity_lattice(u.spacing, dt, reach)
-    vals, _, _ = _step(L, u, x, st, offsets_v, None)
+    vals, _, _ = _step(L, u, x, st, offsets_v,
+                       _scan_blocks(L, u, x, st, offsets_v), None)
     return u.with_values(vals.reshape(u.values.shape))
 
 
@@ -340,9 +363,12 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
         lip = u.lipschitz()
         if offsets_v is None or lip > 1.2 * lip_used:
             reach = _velocity_reach(ham, x, beta * lip + 1e-9)
-            offsets_v = _velocity_lattice(u.spacing, dt, reach)
+            lattice = _velocity_lattice(u.spacing, dt, reach)
             lip_used = lip
-        vals, v_warm, feet_last = _step(L, u, x, st, offsets_v, v_warm)
+            if offsets_v is None or not np.array_equal(lattice, offsets_v):
+                offsets_v = lattice
+                table = list(_scan_blocks(L, u, x, st, offsets_v))
+        vals, v_warm, feet_last = _step(L, u, x, st, offsets_v, table, v_warm)
         d = float(np.abs(vals - u.values.ravel()).max())
         u = u.with_values(vals.reshape(u.values.shape))
         scale = 1.0 + float(np.abs(u.values).max())

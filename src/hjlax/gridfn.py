@@ -102,18 +102,19 @@ class GridFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _corners(self, pts: Array) -> Iterator[tuple[tuple[Array, ...], Array]]:
+    def _corners(self, pts: Array) -> Iterator[tuple[Array, Array]]:
         """Cell corners and multilinear weights at points of shape (n, dim):
-        one (index tuple, weight) pair per corner of the 2^dim cell, made
-        as the caller consumes them (see interp for the boundary policies).
+        one (flat row-major node index, weight) pair per corner of the
+        2^dim cell, in itertools.product order, made as the caller consumes
+        them (see interp for the boundary policies).
         """
-        n = pts.shape[0]
+        n, shape, spacing = pts.shape[0], self.values.shape, self.spacing
         i0 = np.empty((n, self.dim), dtype=np.int64)
         i1 = np.empty((n, self.dim), dtype=np.int64)
         w = np.empty((n, self.dim))
         for k in range(self.dim):
-            m = self.values.shape[k]
-            u = (pts[:, k] - self.box[k, 0]) / self.spacing[k]
+            m = shape[k]
+            u = (pts[:, k] - self.box[k, 0]) / spacing[k]
             if self.boundary == "periodic":
                 u = np.mod(u, m)
                 base = np.floor(u)
@@ -126,12 +127,16 @@ class GridFunction:
                 i0[:, k] = base.astype(np.int64)
                 i1[:, k] = i0[:, k] + 1
                 w[:, k] = u - base
+        stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+        i0 *= stride
+        i1 *= stride
+        index, factor = (i0, i1), (1.0 - w, w)
         for corner in itertools.product((0, 1), repeat=self.dim):
-            idx = tuple((i1 if c else i0)[:, k] for k, c in enumerate(corner))
-            weight = np.ones(n)
-            for k, c in enumerate(corner):
-                weight = weight * (w[:, k] if c else 1.0 - w[:, k])
-            yield idx, weight
+            flat, weight = index[corner[0]][:, 0], factor[corner[0]][:, 0]
+            for k in range(1, self.dim):
+                flat = flat + index[corner[k]][:, k]
+                weight = weight * factor[corner[k]][:, k]
+            yield flat, weight
 
     def interp(self, points: Array) -> Array:
         """Multilinear interpolation at points of shape (..., dim).
@@ -142,9 +147,10 @@ class GridFunction:
         pts = np.asarray(points, dtype=float)
         lead = pts.shape[:-1]
         pts = pts.reshape(-1, self.dim)
+        values = self.values.ravel()
         out = np.zeros(pts.shape[0])
-        for idx, weight in self._corners(pts):
-            out += weight * self.values[idx]
+        for flat, weight in self._corners(pts):
+            out += weight * values[flat]
         return out.reshape(lead)
 
     def foot_matrix(self, points: Array) -> sparse.csr_matrix:
@@ -152,11 +158,11 @@ class GridFunction:
         that P @ values.ravel() is interp(points) (2^dim entries per row,
         summed in interp's corner order)."""
         pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        corners = list(self._corners(pts))
-        cols = np.stack([np.ravel_multi_index(idx, self.values.shape)
-                         for idx, _ in corners], axis=1)
-        data = np.stack([weight for _, weight in corners], axis=1)
-        indptr = np.arange(0, cols.size + 1, len(corners))
+        cols = np.empty((len(pts), 2 ** self.dim), dtype=np.int64)
+        data = np.empty(cols.shape)
+        for c, (flat, weight) in enumerate(self._corners(pts)):
+            cols[:, c], data[:, c] = flat, weight
+        indptr = np.arange(0, cols.size + 1, cols.shape[1])
         return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr),
                                  shape=(len(pts), self.values.size))
 

@@ -232,7 +232,8 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
     """L(x, v) = sum_k m(x_k) v_k^2 / 2 - V(x), m(xi) = m0 + m1 cos xi and
     V(x) = coeff * sum_k phi(x_k) + shift (V = 0 without a potential), with
     its closed-form dual sum_k p_k^2 / (2 m(x_k)) + V(x) and growth record.
-    Exact identities (m = 1, m' = 0, V = 0) are skipped: they cost no pass."""
+    Exact identities (m = 1, m' = 0, V = 0, V = shift when coeff = 0) are
+    skipped: they cost no pass."""
     cut_lo, cut_hi = cutoff
     shape = _SHAPES.get(potential)
     unit = m0 == 1.0 and not m1
@@ -241,10 +242,14 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
         return m0 + m1 * np.cos(np.asarray(x, float)) if m1 else m0
 
     def V(x):
+        if not coeff:
+            return np.full(np.shape(x)[:-1], float(shift))
         f, _, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
         return coeff * np.sum(f, axis=-1) + shift
 
     def force(x):
+        if not coeff:
+            return np.zeros(np.shape(x))
         _, df, _ = shape(np.asarray(x, float), cut_lo, cut_hi)
         return -coeff * df
 

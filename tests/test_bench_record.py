@@ -26,13 +26,40 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics":
 '''
 
 
-def checkout(root: Path, solve: float, interp: int, lines: int) -> Path:
+# two experiments: "steady" writes the same artifact on both sides, "moved"
+# writes VALUE
+EXPERIMENTS = """#!/usr/bin/env bash
+for name in steady moved; do
+    mkdir -p "$1/$name"
+    echo "wall_seconds=SOLVE" > "$1/$name/timing.txt"
+done
+echo '{"a": 1.0}' > "$1/steady/report.json"
+echo '{"a": VALUE}' > "$1/moved/report.json"
+"""
+
+TESTS = """
+def test_one():
+    pass
+
+
+def test_two():
+    assert FAIL is False
+"""
+
+
+def checkout(root: Path, solve: float, interp: int, lines: int,
+             value: float = 2.0, fail: bool = False) -> Path:
     (root / "bench").mkdir(parents=True)
     (root / "bench" / "run.py").write_text(
         STUB.replace("SOLVE", str(solve)).replace("INTERP", str(interp))
         .replace("LINES", str(lines)))
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": "one"}, {"name": "two"}]}))
+    (root / "scripts").mkdir()
+    (root / "scripts" / "run_experiments.sh").write_text(
+        EXPERIMENTS.replace("SOLVE", str(solve)).replace("VALUE", str(value)))
+    (root / "tests").mkdir()
+    (root / "tests" / "test_stub.py").write_text(TESTS.replace("FAIL", str(fail)))
     return root
 
 
@@ -58,7 +85,34 @@ def test_record_has_medians_counters_and_line_counts(tmp_path):
                                   "parent_quartile_spread": 0.0}
         assert row["change"]["trace_seed0"]["gridfn.interp_calls"] == 949
         assert row["parent"]["trace_seed0"]["lagrangian.calls"] is None
+    for side, tier1 in rec["tier1"].items():
+        assert tier1["returncode"] == 0 and tier1["wall_s"] > 0.0
+        assert (tier1["passed"], tier1["failed"]) == (2, 0)
+    assert rec["experiments"]["parent"] == {
+        "returncode": 0, "timing": {"moved": {"wall_seconds": 1.0},
+                                    "steady": {"wall_seconds": 1.0}}}
+    assert rec["experiments"]["change"]["timing"]["moved"] == {"wall_seconds": 0.6}
+    assert rec["artifact_drift"] == {"drifted": False, "report": [
+        "byte-identical: 2", "missing: 0", "extra: 0", "differing: 0"]}
     assert not (parent / "BENCH_99.json").exists()
+
+
+def test_drift_and_failing_tests_are_recorded(tmp_path):
+    parent = checkout(tmp_path / "parent", 1.0, 3760, 4380)
+    change = checkout(tmp_path / "change", 0.6, 949, 4390, value=2.5, fail=True)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "99", str(parent), "--change", str(change),
+         "--pairs", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    rec = json.loads((change / "BENCH_99.json").read_text())
+    assert rec["tier1"]["parent"]["failed"] == 0
+    change_tier1 = rec["tier1"]["change"]
+    assert change_tier1["returncode"] == 1
+    assert (change_tier1["passed"], change_tier1["failed"]) == (1, 1)
+    assert rec["artifact_drift"] == {"drifted": True, "report": [
+        "byte-identical: 1", "missing: 0", "extra: 0", "differing: 1",
+        "  moved/report.json", "    a: max abs 0.5, max rel 0.25"]}
 
 
 def test_failed_run_is_reported_not_read_from_a_stale_record(tmp_path):

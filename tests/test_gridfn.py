@@ -174,3 +174,59 @@ def test_node_index_wraps_or_clamps():
     # 0.999 rounds to node 5 of the periodic axis, which is node 0
     assert per.nearest_node(np.array([0.999, 0.0])) == (0, 0)
     assert const.nearest_node(np.array([1.7, -0.4])) == (4, 0)
+
+
+def _tuple_index_interp(g, points):
+    """Multilinear interpolation that indexes values by per-axis index
+    tuples, corner by corner in itertools.product order."""
+    pts = np.asarray(points, dtype=float).reshape(-1, g.dim)
+    n = len(pts)
+    i0 = np.empty((n, g.dim), dtype=np.int64)
+    i1 = np.empty((n, g.dim), dtype=np.int64)
+    w = np.empty((n, g.dim))
+    for k in range(g.dim):
+        m = g.values.shape[k]
+        u = (pts[:, k] - g.box[k, 0]) / g.spacing[k]
+        if g.boundary == "periodic":
+            u = np.mod(u, m)
+            base = np.floor(u)
+            i0[:, k] = base.astype(np.int64) % m
+            i1[:, k] = (i0[:, k] + 1) % m
+        else:
+            u = np.clip(u, 0.0, m - 1.0)
+            base = np.minimum(np.floor(u), m - 2)
+            i0[:, k] = base.astype(np.int64)
+            i1[:, k] = i0[:, k] + 1
+        w[:, k] = u - base
+    out = np.zeros(n)
+    for corner in itertools.product((0, 1), repeat=g.dim):
+        idx = tuple((i1 if c else i0)[:, k] for k, c in enumerate(corner))
+        weight = np.ones(n)
+        for k, c in enumerate(corner):
+            weight = weight * (w[:, k] if c else 1.0 - w[:, k])
+        out += weight * g.values[idx]
+    return out.reshape(np.shape(points)[:-1])
+
+
+@pytest.mark.parametrize("boundary", ["constant", "periodic"])
+@pytest.mark.parametrize("box, num", [
+    ([(-1.0, 2.0)], [9]),
+    ([(-np.pi, np.pi), (0.0, 1.5)], [7, 5]),
+    ([(-1.0, 1.0), (0.0, 2.0), (-3.0, -1.0)], [4, 6, 3]),
+], ids=["1d", "2d", "3d"])
+def test_flat_index_interp_matches_tuple_indexing(box, num, boundary):
+    rng = np.random.default_rng(len(num))
+    g = hj.GridSpec(box=box, num=num, boundary=boundary).build(
+        lambda p: rng.normal(size=len(p)))
+    lo, hi = np.array(box).T
+    # up to three half-widths from the center: most points lie outside the
+    # box, where the constant policy clamps and the periodic one wraps
+    pts = (lo + hi) / 2.0 + 3.0 * (hi - lo) / 2.0 * rng.uniform(
+        -1.0, 1.0, size=(4, 50, len(num)))
+    assert np.any((pts < lo) | (pts > hi))
+    got = g(pts)
+    assert got.shape == (4, 50)
+    assert np.array_equal(got, _tuple_index_interp(g, pts))
+    # the nodes and the box corners themselves
+    for exact in (g.nodes(), np.array([lo, hi])):
+        assert np.array_equal(g(exact), _tuple_index_interp(g, exact))

@@ -252,3 +252,30 @@ def test_derivatives_match_central_differences(name, request):
         y = x + v
         close(K.grad_x(s, tt, x, y), central(lambda z: K.value(s, tt, z, y), x, h))
         close(K.grad_y(s, tt, x, y), central(lambda z: K.value(s, tt, x, z), y, h))
+
+
+@pytest.mark.parametrize("potential", ["cos", "double_well"])
+@pytest.mark.parametrize("shift", [0.0, -0.8])
+def test_zero_potential_skips_the_shape(monkeypatch, potential, shift):
+    # coeff = 0 gives V = shift and force 0 without evaluating phi; the
+    # oracle is the general formula, coeff * sum_k phi(x_k) + shift
+    from hjlax import lagrangian
+
+    shape = lagrangian._SHAPES[potential]
+    calls = []
+    monkeypatch.setitem(lagrangian._SHAPES, potential,
+                        lambda *a: calls.append(1) or shape(*a))
+    L = hj.mechanical_lagrangian(dim=2, potential=potential, coeff=0.0,
+                                 shift=shift)
+    calls.clear()   # the growth record's range of phi, made once
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-4.0, 4.0, (3, 17, 2))
+    v = rng.normal(size=(3, 17, 2))
+    f, df, _ = shape(x, 2.5, 3.5)
+    V = 0.0 * np.sum(f, axis=-1) + shift
+    assert np.array_equal(L.eval(0.0, x, v), np.sum(v * v, axis=-1) / 2.0 - V)
+    assert np.array_equal(L.grad_x(0.0, x, v), -0.0 * df)
+    assert np.array_equal(L.hamiltonian.eval(0.0, x, v),
+                          np.sum(v ** 2, axis=-1) / 2.0 + V)
+    assert L.eval(0.0, x, v).shape == L.grad_x(0.0, x, v).shape[:-1] == (3, 17)
+    assert not calls
