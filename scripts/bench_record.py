@@ -16,8 +16,10 @@ PYTHONPATH) and runs scripts/run_experiments.sh into a temporary directory.
 It writes DIR/BENCH_<PR>.json: the machine block, each side's median,
 quartiles and every run of the end-to-end metrics, per workload the pairs
 the change won on solve_s with the median difference beside the parent's
-quartile spread, the traced counters, each side's src/ line count, tier-1
-wall time and pass count, and the timing.txt of every experiment, and the
+quartile spread, the traced counters, each side's src/ line count and
+public surface (option, config key and export counts of its src/hjlax, as
+this script's tests/test_surface.py counts them), tier-1 wall time and pass
+count, and the timing.txt of every experiment, and the
 scripts/artifact_drift.py summary from the parent's results to the
 change's.  Exits 1 when a bench run failed a check, or any run, test or
 experiment exited non-zero.
@@ -39,6 +41,16 @@ from pathlib import Path
 import artifact_drift
 
 ROOT = Path(__file__).resolve().parents[1]
+# prints the surface counts of the hjlax package on PYTHONPATH; argv[1] is
+# the directory holding test_surface.py
+SURFACE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_surface as s
+print(json.dumps({"options": len(s.public_options()),
+                  "config_keys": len(s.config_keys()),
+                  "exports": len(s.exports())}))
+"""
 END_TO_END = ("solve_s", "peak_rss_mb", "setup_s")
 SEED = 0
 COUNTERS = ("discounted.sweeps", "discounted.s_per_sweep",
@@ -64,6 +76,19 @@ def bench(checkout: Path, workload: str, trace: int) -> dict:
     return {"returncode": proc.returncode, "failed": last["failed"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "machine": machine}
+
+
+def surface(checkout: Path) -> dict:
+    """Public option, config key and export counts of the checkout's
+    src/hjlax, counted by tests/test_surface.py next to this script."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SURFACE, str(ROOT / "tests")], cwd=checkout,
+        env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        capture_output=True, text=True, timeout=300)
+    if proc.returncode:
+        raise SystemExit(f"bench_record: counting the surface of {checkout} "
+                         f"exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def tier1(checkout: Path) -> dict:
@@ -115,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    surfaces = {side: surface(path) for side, path in sides.items()}
 
     runs: dict = {side: {w: [] for w in workloads} for side in sides}
     for i in range(args.pairs):
@@ -158,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "machine": {k: v for k, v in first["change"].items() if k != "src_lines"},
         "src_lines": {side: m["src_lines"] for side, m in first.items()},
+        "surface": surfaces,
         "workloads": table,
         "tier1": tests,
         "experiments": exps,

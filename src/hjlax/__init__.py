@@ -14,14 +14,12 @@ from .errors import (
     NotSemiconcave,
     NotSingular,
     OutOfWindow,
-    SearchBallClipped,
 )
 from .lagrangian import (
     AnalyticKernel,
     GrowthRecord,
     Hamiltonian,
     LegendreResult,
-    SampleSpec,
     TonelliLagrangian,
     anisotropic_lagrangian,
     catalog,

@@ -66,30 +66,6 @@ class Curve:
     points: Array
     velocities: Array
 
-    def at(self, taus: Array, deriv: int = 0) -> Array:
-        """Evaluate the cubic Hermite interpolant, or with deriv=1 its
-        exact derivative (the velocity)."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        idx = np.clip(np.searchsorted(self.times, taus, side="right") - 1,
-                      0, len(self.times) - 2)
-        t0 = self.times[idx]
-        h = self.times[idx + 1] - t0
-        s = ((taus - t0) / h)[:, None]
-        p0, p1 = self.points[idx], self.points[idx + 1]
-        v0, v1 = self.velocities[idx], self.velocities[idx + 1]
-        hh = h[:, None]
-        if deriv == 0:
-            h00 = 2 * s**3 - 3 * s**2 + 1
-            h10 = s**3 - 2 * s**2 + s
-            h01 = -2 * s**3 + 3 * s**2
-            h11 = s**3 - s**2
-            return h00 * p0 + h10 * hh * v0 + h01 * p1 + h11 * hh * v1
-        d00 = (6 * s**2 - 6 * s) / hh
-        d10 = 3 * s**2 - 4 * s + 1
-        d01 = (6 * s - 6 * s**2) / hh
-        d11 = 3 * s**2 - 2 * s
-        return d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
-
 
 @dataclass
 class FundamentalSolution:

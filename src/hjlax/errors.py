@@ -23,10 +23,6 @@ class NonConvergence(HJLaxError):
     Euler-Lagrange residual below its tolerance."""
 
 
-class SearchBallClipped(HJLaxError):
-    """Maximizer search ball leaves the grid box in strict-domain mode."""
-
-
 class NonUniqueMaximizer(HJLaxError):
     """Barrier has several maximizers within tolerance (condition (M) fails)."""
 

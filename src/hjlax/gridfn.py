@@ -60,10 +60,6 @@ class GridFunction:
         return self.box.shape[0]
 
     @property
-    def num(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
     def spacing(self) -> Array:
         widths = self.box[:, 1] - self.box[:, 0]
         m = np.array(self.values.shape, dtype=float)

@@ -58,16 +58,14 @@ class AnalyticKernel:
     """Closed-form fundamental solution attached to a catalog Lagrangian.
 
     value(s, t, x, y) accepts y of shape (..., dim) and returns (...);
-    grad_x / grad_y match; curve(s, t, x, y, taus) returns the minimizing
-    arc sampled at taus as (positions, velocities).  lift(lam), when set,
-    returns the kernel of the discounted lift e^{lam t} L.  The catalog's
-    kernels are chord kernels: the free particle's and its lift's.
+    grad_x / grad_y match.  lift(lam), when set, returns the kernel of the
+    discounted lift e^{lam t} L.  The catalog's kernels are chord kernels:
+    the free particle's and its lift's.
     """
 
     value: Callable[..., Array]
     grad_x: Callable[..., Array]
     grad_y: Callable[..., Array]
-    curve: Callable[..., tuple[Array, Array]]
     lift: Callable[[float], AnalyticKernel] | None = None
 
 
@@ -193,10 +191,10 @@ def _shape_range(potential: str, cut_lo: float, cut_hi: float) -> tuple[float, f
 _WINDOW = (-100.0, 100.0)
 
 
-def _chord_kernel(clock: Callable[[Any], Array], pace: Callable[[Array], Array],
-                  k: float, lift: Callable[[float], AnalyticKernel] | None = None
+def _chord_kernel(clock: Callable[[Any], Array], k: float,
+                  lift: Callable[[float], AnalyticKernel] | None = None
                   ) -> AnalyticKernel:
-    """Kernel whose minimizer runs the chord x -> y on the clock c (pace = c'):
+    """Kernel whose minimizer runs the chord x -> y on the clock c:
     xi(tau) = x + (c(tau) - c(s)) / (c(t) - c(s)) (y - x), and A_{s,t}(x, y) =
     |y - x|^2 / (2 span) with span = (c(t) - c(s)) / k.  The free particle has
     c = tau, k = 1; its lift e^{lam tau}|v|^2/2 has c = -e^{-lam tau}, k = lam."""
@@ -213,16 +211,7 @@ def _chord_kernel(clock: Callable[[Any], Array], pace: Callable[[Array], Array],
     def grad_x(s, t, x, y):
         return -(np.asarray(y, float) - np.asarray(x, float)) / span(s, t)
 
-    def curve(s, t, x, y, taus):
-        d = np.asarray(y, float) - np.asarray(x, float)
-        taus = np.asarray(taus, float)
-        width = clock(t) - clock(s)
-        frac = (clock(taus) - clock(s)) / width
-        pos = np.asarray(x, float)[None, :] + frac[:, None] * d[None, :]
-        return pos, (pace(taus) / width)[:, None] * d[None, :]
-
-    return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, curve=curve,
-                          lift=lift)
+    return AnalyticKernel(value=value, grad_x=grad_x, grad_y=grad_y, lift=lift)
 
 
 def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
@@ -307,10 +296,9 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
 def free_lagrangian(dim: int = 1) -> TonelliLagrangian:
     """L(x, v) = |v|^2 / 2, with the chord kernel and its discounted lift."""
     def lift(lam):
-        return _chord_kernel(lambda tau: -np.exp(-lam * tau),
-                             lambda tau: lam * np.exp(-lam * tau), lam)
+        return _chord_kernel(lambda tau: -np.exp(-lam * tau), lam)
 
-    kernel = _chord_kernel(lambda tau: tau, np.ones_like, 1.0, lift=lift)
+    kernel = _chord_kernel(lambda tau: tau, 1.0, lift=lift)
     return _separable(dim, "free", {"dim": dim}, kernel=kernel)
 
 
@@ -514,39 +502,30 @@ def hamiltonian_for(L: TonelliLagrangian) -> Hamiltonian:
 # certificate verification
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Sampling box for verify_tonelli; None t_range means the certified window
-    clipped to [-1, 1]."""
-
-    count: int = 10000
-    t_range: tuple[float, float] | None = None
-    x_low: float = -3.0
-    x_high: float = 3.0
-    v_low: float = -3.0
-    v_high: float = 3.0
-    seed: int = 0
+# verify_tonelli's sample: _TONELLI_SAMPLES draws of (t, x, v) with t in the
+# certified window clipped to [-1, 1] (the whole window if that is empty) and
+# every coordinate of x and v in _TONELLI_BOX
+_TONELLI_SAMPLES = 10000
+_TONELLI_BOX = (-3.0, 3.0)
+_TONELLI_SEED = 0
 
 
-def verify_tonelli(L: TonelliLagrangian, sample_spec: SampleSpec | None = None) -> ProbeReport:
+def verify_tonelli(L: TonelliLagrangian) -> ProbeReport:
     """Sample (t, x, v) and check (L1)-(L3) against the stored certificates.
 
     The report lists the minimal eigenvalue of L_vv, the worst growth-bound
     slacks, and the worst finite (L3) ratio |L_t| / (1 + L); samples where
     1 + L <= 0 while |L_t| > 0 are genuine (L3) violations and recorded.
     """
-    spec = sample_spec or SampleSpec()
     a, b = L.time_window
-    if spec.t_range is not None:
-        ta, tb = spec.t_range
-    else:
-        ta, tb = max(a, -1.0), min(b, 1.0)
-        if not ta < tb:
-            ta, tb = a, b
-    rng = np.random.default_rng(spec.seed)
-    t = rng.uniform(ta, tb, spec.count)
-    x = rng.uniform(spec.x_low, spec.x_high, (spec.count, L.dim))
-    v = rng.uniform(spec.v_low, spec.v_high, (spec.count, L.dim))
+    ta, tb = max(a, -1.0), min(b, 1.0)
+    if not ta < tb:
+        ta, tb = a, b
+    n = _TONELLI_SAMPLES
+    rng = np.random.default_rng(_TONELLI_SEED)
+    t = rng.uniform(ta, tb, n)
+    x = rng.uniform(*_TONELLI_BOX, (n, L.dim))
+    v = rng.uniform(*_TONELLI_BOX, (n, L.dim))
 
     vals = L.eval(t, x, v)
     hess = L.hess_vv(t, x, v)
@@ -564,7 +543,7 @@ def verify_tonelli(L: TonelliLagrangian, sample_spec: SampleSpec | None = None) 
     pos = den > 1e-12
     worst_ratio = float(np.max(lt[pos] / den[pos])) if pos.any() else 0.0
 
-    report = ProbeReport(name=f"verify_tonelli({L.key})", samples=spec.count)
+    report = ProbeReport(name=f"verify_tonelli({L.key})", samples=n)
     report.constants = {
         "min_eig_hess_vv": min_eig,
         "worst_growth_slack_lower": float(slack_lo.min()),

@@ -355,15 +355,13 @@ class SingularTrace:
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
                       x0: Array, t_grid: Array | None = None,
                       sing: SingularSet | None = None,
-                      t2: float | None = None,
                       window_samples: int = 64) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
     The start point must belong to the detected singular set.  A maximizer
     leaving the singular set raises NotSingular and one leaving the cone
     |y - x0| <= kappa0*t raises ConeViolation, so a returned trace has
-    every maximizer singular and inside the cone.  t2 skips the
-    concavity-window probe and is reported as given.
+    every maximizer singular and inside the cone.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if sing is None:
@@ -410,13 +408,12 @@ def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
     q, _ = min_H_over_superdiff(H, 0.0, x0, S)
     v0 = np.atleast_1d(np.asarray(H.grad_p(0.0, x0, q), dtype=float))
 
-    if t2 is None:
-        t2 = _concavity_window(sol, lifted, x0, t_grid, window_samples, seed=0)
+    t2 = _concavity_window(sol, lifted, x0, t_grid, window_samples, seed=0)
     return SingularTrace(
         x0=x0, lam=sol.lam, t_grid=t_grid, maximizers=ys,
         distance_ratios=np.array(ratios), kappa0=float(kappa0),
         max_jump=max_jump, right_derivative=right, q_lambda=q, v0=v0,
-        t1=_uniqueness_window(t_grid, unique_flags), t2=float(t2),
+        t1=_uniqueness_window(t_grid, unique_flags), t2=t2,
         meta={"ball_radius": est["ball_radius"]},
     )
 

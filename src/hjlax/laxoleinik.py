@@ -15,9 +15,9 @@ that inequality for the largest velocity ratio.
 Every Lagrangian goes through one array pipeline over all points: gather
 the candidates (grid nodes inside the ball), scan the (points x candidates)
 actions in one call, cluster each point's near-optimal candidates, polish
-every member of every cluster in one bounded L-BFGS-B run over the grid
-cells around it, select the best polished maximizer, and certify the action
-and operator gradient there:
+in one bounded L-BFGS-B run the grid cells around them that can beat the
+best node, select the best maximizer, and certify the action and operator
+gradient there:
 
     D(T+ u)(x) = L_v(s, x, xidot(s)),    D(T- u)(x) = L_v(t, x, xidot(t)).
 
@@ -36,8 +36,9 @@ tie with it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.optimize import Bounds, brentq, minimize
@@ -47,12 +48,7 @@ from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .action import _solve_arcs, action_values_batch
 from .action import minimize_action  # noqa: F401
-from .errors import (
-    BoxExhausted,
-    ConfigError,
-    NonUniqueMaximizer,
-    SearchBallClipped,
-)
+from .errors import BoxExhausted, ConfigError, NonUniqueMaximizer
 from .gridfn import GridFunction
 from .lagrangian import TonelliLagrangian
 
@@ -64,6 +60,8 @@ _BALL_MARGIN = 0.5
 _VALUE_TOL = 1e-7
 # cell polish: L-BFGS-B options
 _POLISH_OPTIONS = {"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-11}
+# _bend's curvature, measured at one node, is taken this many times over
+_BEND_MARGIN = 2.0
 # candidates per point; a ball holding more is evenly subsampled
 _CANDIDATE_CAP = 600
 
@@ -152,9 +150,10 @@ def estimate_kappa0(
 
 
 def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
-                     notes: list[str]) -> tuple[Array, Array]:
-    """Grid nodes within the search ball and their values, evenly
-    subsampled down to _CANDIDATE_CAP; a cap hit is appended to notes.
+                     notes: list[str]) -> tuple[Array, Array, Array]:
+    """Grid nodes within the search ball, their values and their flat
+    indices (ascending), evenly subsampled down to _CANDIDATE_CAP; a cap
+    hit is appended to notes.
 
     nodes is u.nodes(), computed once per operator by the caller.  Each
     node is taken at its nearest image (u.nearest_image), so on a periodic
@@ -173,32 +172,103 @@ def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
         idx = idx[np.linspace(0, found - 1, cap).astype(int)]
         notes.append(f"candidate cap {cap} hit at {x.tolist()}: "
                      f"{found} nodes in the ball")
-    return x[None, :] + delta[idx], u.values.ravel()[idx]
+    return x[None, :] + delta[idx], u.values.ravel()[idx], idx
 
 
-def _near_clusters(ys: Array, scores: Array, sep: float) -> list[list[int]]:
-    """At most three clusters of one point's near-optimal candidates, best
+def _near_clusters(ys: Array, near: list[int], sep: float) -> list[list[int]]:
+    """Clusters of one point's near-optimal candidates, given ranked best
     first.  Each lists its representative (the best candidate farther than
     sep from every earlier representative), then the near-optimal
     candidates within sep of it."""
-    gap_tol = max(_VALUE_TOL * 10.0, 1e-7 * (1.0 + float(np.abs(scores).max())))
-    near = np.nonzero(scores >= float(scores.max()) - gap_tol)[0]
-    near = near[np.argsort(-scores[near])]
+    if len(near) == 1:
+        return [near]
     clusters: list[list[int]] = []
-    for i in near:
-        for members in clusters:
-            if np.linalg.norm(ys[i] - ys[members[0]]) <= sep:
-                members.append(int(i))
+    reps: list[list[float]] = []
+    for i, y in zip(near, ys[near].tolist()):
+        for members, rep in zip(clusters, reps):
+            if math.dist(y, rep) <= sep:
+                members.append(i)
                 break
         else:
-            clusters.append([int(i)])
-    return clusters[:3]
+            clusters.append([i])
+            reps.append(y)
+    return clusters
+
+
+def _node_actions(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
+                  pts: Array, sign: int, owner: Array, node: Array,
+                  lattice: Array, acts: Array) -> Callable[[Array, Array], Array]:
+    """Lookup of the action between a point of pts and a grid node: the
+    scan's where it scored the node, else computed by _terms.  owner, node,
+    lattice and acts are the scan's candidates (their point, flat node
+    index, unwrapped lattice index and action), ascending in (owner, node)."""
+    size = u.values.size
+    keys = owner * size + node
+
+    def action_at(i: Array, k: Array) -> Array:
+        """A between the points i (...) and the lattice nodes k (..., d),
+        the arc running from the point for T+ and to it for T-."""
+        flat = np.ravel_multi_index(tuple(np.moveaxis(u.node_index(k), -1, 0)),
+                                    u.values.shape)
+        wanted = i * size + flat
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        miss = (keys[pos] != wanted) | np.any(lattice[pos] != k, axis=-1)
+        out = acts[pos]
+        if miss.any():
+            x, y = pts[i[miss]], u.box[:, 0] + k[miss] * u.spacing
+            out[miss] = _terms(L, s, t, *((x, y) if sign > 0 else (y, x)),
+                               grads=False)[0]
+        return out
+
+    return action_at
+
+
+def _bend(action_at: Callable[[Array, Array], Array], top: Array, h: Array
+          ) -> Array:
+    """How far A bends below its multilinear interpolant A_I on the grid
+    cells near each point's best node, at lattice index top (Q, d): a bend
+    (Q, d) with A_I - A <= sum_k bend_k w_k (1 - w_k) at local cell
+    coordinates w, bend_k = h_k^2 K_k / 2 when K_k bounds the curvature of
+    the free endpoint -> A along axis k.  K_k is A's second difference at
+    the best node, taken _BEND_MARGIN times, since it is measured there
+    only."""
+    q, d = top.shape
+    steps = np.array([-1, 0, 1])[:, None, None] * np.eye(d, dtype=np.int64)
+    k = top[:, None, None, :] + steps                        # (Q, 3, d, d)
+    a = action_at(np.broadcast_to(np.arange(q)[:, None, None], k.shape[:-1]), k)
+    curvature = (a[:, 0] - 2.0 * a[:, 1] + a[:, 2]) / h ** 2
+    return _BEND_MARGIN * np.maximum(curvature, 0.0) * h ** 2 / 2.0
+
+
+def _cell_bound(f: Array, bend: Array) -> Array:
+    """Upper bound (M,) on sign*u - A over grid cells whose corner values
+    are f (M, 2^d, corners in itertools.product order) and whose bend is
+    (M, d).  u is multilinear on a cell, so sign*u - A is a multilinear
+    form plus at most sum_k bend_k w_k (1 - w_k).  From the best corner c
+    the multilinear form rises along axis k by at most D_k per unit, the
+    largest rise of an axis-k edge leaving c's side, so the bound is
+    f_c + sum_k max over r in [0, 1] of D_k r + bend_k r (1 - r)."""
+    rows, d = np.arange(len(f)), bend.shape[1]
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    best = np.argmax(f, axis=1)
+    bound = f[rows, best]
+    for k in range(d):
+        flipped = np.arange(len(corners)) ^ (1 << (d - 1 - k))
+        leaving = corners[None, :, k] == corners[best, k][:, None]
+        rise = np.where(leaving, f[:, flipped] - f, -np.inf).max(axis=1)
+        q = bend[:, k]
+        peak = np.zeros(len(f))
+        np.divide((rise + q) ** 2, 4.0 * q, out=peak, where=q > 0)
+        bound += np.where(rise >= q, rise, np.where(rise > -q, peak, 0.0))
+    return bound
 
 
 def _select(polished: list[tuple[float, Array]], sep: float
             ) -> tuple[Array, int]:
     """The best polished maximizer and the number of maximizers tied with
     it (itself and those farther than sep)."""
+    if len(polished) == 1:
+        return polished[0][1], 1
     polished.sort(key=lambda pv: (-pv[0], tuple(pv[1])))
     best_phi, y_star = polished[0]
     multiplicity = sum(
@@ -270,30 +340,27 @@ def _terms(L: TonelliLagrangian, s: float, t: float, x: Array, y: Array,
 
 
 def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
-            x: Array, y0: Array, sign: int, notes: list[str]
+            x: Array, y0: Array, lower: Array, sign: int, notes: list[str]
             ) -> tuple[Array, Array]:
-    """Maximizers and maxima of sign*u(y) - A(x, y) (T+) or
-    sign*u(y) - A(y, x) (T-) over each of the 2^d grid cells touching the
-    node y0 (Q, d), for x (Q, d); shaped (Q, 2^d, d) and (Q, 2^d).
+    """Maximizers (M, d) and maxima (M,) of sign*u(y) - A(x, y) (T+) or
+    sign*u(y) - A(y, x) (T-) over the grid cells whose lowest node has
+    lattice index lower (M, d), for x (M, d), each run started from its
+    corner node y0 (M, d).
 
-    One L-BFGS-B run covers every (row, cell) pair, and its only variables
-    are the free endpoints y.  Each is bounded to its cell, where u is
-    multilinear, so a maximum on a kink of u lies on a bound and is found
-    exactly.  The action term and its y-gradient come from _terms.  A run
-    that stops short of convergence appends a note.
+    One L-BFGS-B run covers every cell, and its only variables are the
+    free endpoints y.  Each is bounded to its cell, where u is multilinear,
+    so a maximum on a kink of u lies on a bound and is found exactly.  The
+    action term and its y-gradient come from _terms.  A run that stops
+    short of convergence appends a note.
     """
-    d = u.dim
     h = u.spacing
-    cells = np.array(list(itertools.product((0, 1), repeat=d)))
-    k0 = np.rint((y0 - u.box[:, 0]) / h).astype(np.int64)
-    v = _corner_values(u, k0[:, None, :] + cells - 1)
+    v = _corner_values(u, lower)
     # cell bounds, both exact at y0
-    lo = y0[:, None, :] + (cells - 1) * h
-    hi = y0[:, None, :] + cells * h
-    xb = np.broadcast_to(x[:, None, :], lo.shape)
+    k0 = np.rint((y0 - u.box[:, 0]) / h).astype(np.int64)
+    lo, hi = y0 + (lower - k0) * h, y0 + (lower - k0 + 1) * h
 
     def action_terms(y):
-        value, grad_x, grad_y = _terms(L, s, t, *((xb, y) if sign > 0 else (y, xb)))
+        value, grad_x, grad_y = _terms(L, s, t, *((x, y) if sign > 0 else (y, x)))
         return value, grad_y if sign > 0 else grad_x
 
     def objective(z):
@@ -303,8 +370,7 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
         return (action.sum() - sign * uval.sum(),
                 (g_y - sign * ugrad / h).ravel())
 
-    res = minimize(objective, np.broadcast_to(y0[:, None, :], lo.shape).ravel(),
-                   jac=True, method="L-BFGS-B",
+    res = minimize(objective, y0.ravel(), jac=True, method="L-BFGS-B",
                    bounds=Bounds(lo.ravel(), hi.ravel()),
                    options=_POLISH_OPTIONS)
     if not res.success:
@@ -312,6 +378,20 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
                      f"{res.message}")
     y = res.x.reshape(lo.shape)
     return y, sign * _multilinear(v, (y - lo) / h)[0] - action_terms(y)[0]
+
+
+def _open_cells(u: GridFunction, action_at: Callable[[Array, Array], Array],
+                i: Array, lower: Array, sign: int, bend: Array, floor: Array
+                ) -> Array:
+    """Mask (M,) of the grid cells, by the lattice index lower (M, d) of
+    their lowest node, whose _cell_bound for the points i (M,) reaches
+    floor (M,): the cells worth a polish."""
+    corners = np.array(list(itertools.product((0, 1), repeat=u.dim)))
+    k = lower[:, None, :] + corners                          # (M, 2^d, d)
+    f = sign * _corner_values(u, lower) - action_at(
+        np.broadcast_to(i[:, None], k.shape[:-1]), k)
+    bound = _cell_bound(f, bend)
+    return bound >= floor
 
 
 def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
@@ -327,8 +407,9 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
 def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
                      ) -> tuple[list[MaximizerRecord], list[list[str]]]:
     """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
-    scan of the (points x candidates) actions, one polish of every member
-    of every near-optimal cluster, selection, and the certificate.
+    scan of the (points x candidates) actions, one polish of the cells
+    around the near-optimal nodes that can beat the best node, selection,
+    and the certificate.
 
     Internally always maximizes sign*u(y) - A(arc), where for T- the arc
     runs y -> x; the records store the operator's values.  Returns the
@@ -337,29 +418,62 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
     node_notes: list[list[str]] = [[] for _ in pts]
     gathered = [_grid_candidates(u, nodes, x, radius, point_notes)
                 for x, point_notes in zip(pts, node_notes)]
-    counts = np.array([len(yi) for yi, _ in gathered])
+    counts = np.array([len(yi) for yi, _, _ in gathered])
     starts = np.cumsum(counts) - counts
-    ys = np.concatenate([yi for yi, _ in gathered])
+    ys = np.concatenate([yi for yi, _, _ in gathered])
     xs = np.repeat(pts, counts, axis=0)
     ends = (xs, ys) if sign > 0 else (ys, xs)
     acts, _, _ = _terms(L, s, t, *ends, grads=False)
-    scores = sign * np.concatenate([vi for _, vi in gathered]) - acts
+    scores = sign * np.concatenate([vi for _, vi, _ in gathered]) - acts
+    owner = np.repeat(np.arange(len(pts)), counts)
+    lattice = np.rint((ys - u.box[:, 0]) / u.spacing).astype(np.int64)
+    action_at = _node_actions(L, u, s, t, pts, sign, owner,
+                              np.concatenate([ni for _, _, ni in gathered]),
+                              lattice, acts)
 
+    # each point's first best candidate
+    tops = np.flatnonzero(scores == np.maximum.reduceat(scores, starts)[owner])
+    tops = tops[np.searchsorted(owner[tops], np.arange(len(pts)))]
+    bend = _bend(action_at, lattice[tops], u.spacing)
+    # a node trailing the best score by more than a cell's bend cannot lead
+    # to a better maximizer, so the clusters hold every node that can: the
+    # pick is then the same whatever the level of u
+    slack = _VALUE_TOL * 10.0
+    floor = scores[tops] - slack - bend.sum(axis=1) / 4.0
+    near = np.flatnonzero(scores >= floor[owner])
+    near = near[np.lexsort((-scores[near], owner[near]))]
+    cuts = np.searchsorted(owner[near], np.arange(len(pts) + 1))
     sep = 2.0 * float(np.max(u.spacing))
-    clusters = [_near_clusters(ys[a:a + n], scores[a:a + n], sep)
-                for a, n in zip(starts, counts)]
-    # polish every member, so that which of several tied nodes represents a
-    # cluster cannot change the result; the best member and cell stand for it
-    flat = np.array([(i, starts[i] + j) for i, cl in enumerate(clusters)
-                     for members in cl for j in members])
-    y_pol, f_pol = _polish(L, u, s, t, pts[flat[:, 0]], ys[flat[:, 1]], sign,
-                           notes)
-    y_pol, f_pol = y_pol.reshape(-1, L.dim), f_pol.ravel()
-    sizes = [len(members) * 2 ** L.dim for cl in clusters for members in cl]
-    stops = np.cumsum(sizes)
-    best = [a + int(np.argmax(f_pol[a:b])) for a, b in zip(stops - sizes, stops)]
-    polished = iter((f_pol[k], y_pol[k]) for k in best)
-    picks = [_select([next(polished) for _ in cl], sep) for cl in clusters]
+    clusters = [_near_clusters(ys, near[a:b].tolist(), sep)
+                for a, b in zip(cuts[:-1], cuts[1:])]
+    # each cluster stands at its representative node until a polished cell
+    # beats it; every member's cells are candidates, so that which of
+    # several tied nodes represents a cluster cannot change the result
+    polished = [[(scores[cl[0]], ys[cl[0]]) for cl in point_clusters]
+                for point_clusters in clusters]
+    rows = np.array([(i, j, m) for i, cl in enumerate(clusters)
+                     for j, members in enumerate(cl) for m in members])
+    # the cells around every member, each once per point, for the best
+    # member that touches it
+    corners = np.array(list(itertools.product((0, 1), repeat=u.dim)))
+    lower = (lattice[rows[:, 2], None, :] + corners - 1).reshape(-1, u.dim)
+    cell_rows = np.repeat(rows, len(corners), axis=0)
+    low = lower.min(axis=0)
+    extent = lower.max(axis=0) - low + 1
+    keys = (cell_rows[:, 0] * np.prod(extent)
+            + np.ravel_multi_index(tuple((lower - low).T), extent))
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    cell_rows, lower = cell_rows[first], lower[first]
+    i = cell_rows[:, 0]
+    keep = _open_cells(u, action_at, i, lower, sign, bend[i],
+                       scores[tops][i] - slack)
+    # (the best node's cells always stay: their bound is at least its score)
+    i, j, m = cell_rows[keep].T
+    y_pol, f_pol = _polish(L, u, s, t, pts[i], ys[m], lower[keep], sign, notes)
+    for pi, cj, f, y in zip(i, j, f_pol, y_pol):
+        if f > polished[pi][cj][0]:
+            polished[pi][cj] = (f, y)
+    picks = [_select(point_polished, sep) for point_polished in polished]
 
     y_star = np.array([p[0] for p in picks])
     action, gradient = _certify(L, s, t, pts, y_star, sign)
@@ -378,7 +492,6 @@ def _apply_operator(
     sign: int,
     points: Array | None = None,
     kappa0: float | None = None,
-    strict_domain: bool = False,
 ) -> OperatorResult:
     if not t > s:
         raise ConfigError(f"need s < t, got s={s}, t={t}")
@@ -400,13 +513,6 @@ def _apply_operator(
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         full_grid = False
-
-    if strict_domain and u.boundary != "periodic":
-        lo, hi = u.box[:, 0], u.box[:, 1]
-        for x in pts:
-            if np.any(x - radius < lo) or np.any(x + radius > hi):
-                raise SearchBallClipped(
-                    f"search ball of radius {radius:.4g} at {x} leaves the domain")
 
     notes: list[str] = []
     records, node_notes = _apply_pointwise(L, u, s, t, pts, sign, radius,

@@ -191,14 +191,6 @@ class SuperdiffSet:
     vertices: Array       # (m, n) hull vertices
     diameter: float
 
-    def as_dict(self) -> dict:
-        return {
-            "point": self.x.tolist(),
-            "limiting": self.limiting.tolist(),
-            "vertices": self.vertices.tolist(),
-            "diameter": self.diameter,
-        }
-
 
 def superdifferential(u: GridFunction, x: Array, radius: float | None = None,
                       c2_bound: float | None = None) -> SuperdiffSet:

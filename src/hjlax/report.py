@@ -69,11 +69,12 @@ class ProbeReport:
         return not self.violations
 
     def record_slack(self, slack: float, tol: float = 0.0, **context: Any) -> None:
-        """Fold one margin into the report; negative beyond tol is a violation."""
+        """Fold one margin into the report; a margin that is not >= -tol
+        (NaN included) is a violation, and a NaN margin the worst."""
         slack = float(slack)
-        if slack < self.worst_slack:
+        if slack < self.worst_slack or np.isnan(slack):
             self.worst_slack = slack
-        if slack < -tol:
+        if not slack >= -tol:
             self.violations.append({"slack": slack, **_jsonable(context)})
 
     def as_dict(self) -> dict[str, Any]:

@@ -58,10 +58,16 @@ def test_discounted_free_matches_lifted_kernel(lifted_free):
         assert abs(fs.value - kv) <= 1e-8 * (1 + abs(kv))
         assert np.allclose(fs.grad_y, k.grad_y(s, t, x, y[None, :])[0],
                            atol=1e-7)
-        taus = np.linspace(s, t, 9)
-        kp, kvel = k.curve(s, t, x, y, taus)
-        assert np.allclose(fs.curve.at(taus), kp, atol=1e-8)
-        assert np.allclose(fs.curve.at(taus, deriv=1), kvel, atol=1e-6)
+        # the lifted kernel's arc runs the chord x -> y on the clock
+        # c(tau) = -e^{-tau} (lam = 1), with speed c'(tau) |y - x| / width
+        taus = fs.curve.times
+        width = np.exp(-s) - np.exp(-t)
+        frac = (np.exp(-s) - np.exp(-taus)) / width
+        assert np.allclose(fs.curve.points, x + frac[:, None] * (y - x),
+                           atol=1e-8)
+        assert np.allclose(fs.curve.velocities,
+                           (np.exp(-taus) / width)[:, None] * (y - x),
+                           atol=1e-6)
 
 
 def test_endpoint_gradients_match_finite_differences(pendulum):
@@ -97,9 +103,10 @@ def test_markov_subdivision_consistency(pendulum):
     x = np.array([-0.4])
     y = np.array([1.1])
     whole = hj.minimize_action(pendulum, 0.0, 0.6, x, y)
-    mid = whole.curve.at(np.array([0.3]))[0]
-    first = hj.minimize_action(pendulum, 0.0, 0.3, x, mid)
-    second = hj.minimize_action(pendulum, 0.3, 0.6, mid, y)
+    k = len(whole.curve.times) // 2
+    tm, mid = whole.curve.times[k], whole.curve.points[k]
+    first = hj.minimize_action(pendulum, 0.0, tm, x, mid)
+    second = hj.minimize_action(pendulum, tm, 0.6, mid, y)
     assert abs(whole.value - (first.value + second.value)) < 1e-5
 
 
@@ -117,8 +124,8 @@ def test_dual_arc_follows_hamiltonian_flow(pendulum):
                     rtol=1e-11, atol=1e-12, dense_output=True)
     assert abs(sol.y[0, -1] - y[0]) < 1e-6
     assert abs(sol.y[1, -1] - fs.momenta[-1, 0]) < 1e-6
-    mids = np.linspace(0.05, 0.55, 7)
-    assert np.allclose(sol.sol(mids)[0], fs.curve.at(mids)[:, 0], atol=1e-6)
+    assert np.allclose(sol.sol(fs.curve.times)[0], fs.curve.points[:, 0],
+                       atol=1e-6)
 
 
 def test_momenta_equal_velocity_gradient(aniso2):
@@ -244,8 +251,16 @@ def _integrated_el_defect(L, curve):
     T, X, V = curve.times, curve.points, curve.velocities
     h = np.diff(T)
     taus = (T[:-1, None] + h[:, None] * q).ravel()
-    pos, vel = curve.at(taus), curve.at(taus, deriv=1)
-    lx = L.grad_x(taus, pos, vel).reshape(len(h), len(q), -1)
+    # the cubic Hermite interpolant at the nodes q of every mesh interval
+    s, hh = q[None, :, None], h[:, None, None]
+    x0, x1, v0, v1 = X[:-1, None], X[1:, None], V[:-1, None], V[1:, None]
+    pos = ((2 * s**3 - 3 * s**2 + 1) * x0 + (s**3 - 2 * s**2 + s) * hh * v0
+           + (3 * s**2 - 2 * s**3) * x1 + (s**3 - s**2) * hh * v1)
+    vel = ((6 * s**2 - 6 * s) / hh * (x0 - x1) + (3 * s**2 - 4 * s + 1) * v0
+           + (3 * s**2 - 2 * s) * v1)
+    n = len(taus)
+    lx = L.grad_x(taus, pos.reshape(n, -1),
+                  vel.reshape(n, -1)).reshape(len(h), len(q), -1)
     pieces = h[:, None] * np.einsum("q,iqd->id", qw, lx)
     p = L.grad_v(T, X, V)
     return float(np.abs(p[1:] - p[0] - np.cumsum(pieces, axis=0)).max())

@@ -37,6 +37,14 @@ echo '{"a": 1.0}' > "$1/steady/report.json"
 echo '{"a": VALUE}' > "$1/moved/report.json"
 """
 
+# a package surface: OPTIONS defaulted parameters, two config keys and
+# two exports (a function and a constant; the submodules do not count)
+PACKAGE = {
+    "__init__.py": "from .lib import solve\nLIMIT = 1\n",
+    "lib.py": "def solve(a, OPTIONS):\n    return a\n",
+    "cli.py": "_SCHEMAS = {'run': {'n': (int, 1), 'tol': ({'err': (float, 1.0)}, {})}}\n",
+}
+
 TESTS = """
 def test_one():
     pass
@@ -48,8 +56,13 @@ def test_two():
 
 
 def checkout(root: Path, solve: float, interp: int, lines: int,
-             value: float = 2.0, fail: bool = False) -> Path:
+             value: float = 2.0, fail: bool = False,
+             options: str = "b=1, c=2") -> Path:
     (root / "bench").mkdir(parents=True)
+    package = root / "src" / "hjlax"
+    package.mkdir(parents=True)
+    for name, text in PACKAGE.items():
+        (package / name).write_text(text.replace("OPTIONS", options))
     (root / "bench" / "run.py").write_text(
         STUB.replace("SOLVE", str(solve)).replace("INTERP", str(interp))
         .replace("LINES", str(lines)))
@@ -65,7 +78,7 @@ def checkout(root: Path, solve: float, interp: int, lines: int,
 
 def test_record_has_medians_counters_and_line_counts(tmp_path):
     parent = checkout(tmp_path / "parent", 1.0, 3760, 4380)
-    change = checkout(tmp_path / "change", 0.6, 949, 4390)
+    change = checkout(tmp_path / "change", 0.6, 949, 4390, options="b=1")
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "99", str(parent), "--change", str(change),
          "--pairs", "2"],
@@ -74,6 +87,9 @@ def test_record_has_medians_counters_and_line_counts(tmp_path):
     rec = json.loads((change / "BENCH_99.json").read_text())
     assert rec["pairs"] == 2 and rec["machine"] == {"nproc": 2}
     assert rec["src_lines"] == {"parent": 4380, "change": 4390}
+    assert rec["surface"] == {
+        "parent": {"options": 2, "config_keys": 2, "exports": 2},
+        "change": {"options": 1, "config_keys": 2, "exports": 2}}
     for w in ("one", "two"):
         row = rec["workloads"][w]
         assert row["parent"]["solve_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0,

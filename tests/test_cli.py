@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import hjlax.cli
 from hjlax.cli import (_SCHEMAS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                        EXIT_VIOLATION, Workspace, _parse, _parse_override,
                        _set_dotted, _t_grid, load_config, main)
@@ -218,6 +219,16 @@ def test_json_outputs_are_strict(tmp_path):
                     "flag": True}
 
 
+def test_nan_slack_is_a_violation():
+    rep = ProbeReport(name="nan")
+    rep.record_slack(0.5)
+    rep.record_slack(float("nan"), check="undefined margin")
+    rep.record_slack(0.25)
+    assert not rep.passed and np.isnan(rep.worst_slack)
+    assert len(rep.violations) == 1 and np.isnan(rep.violations[0]["slack"])
+    assert rep.as_dict()["worst_slack"] is None
+
+
 def test_unknown_keys_rejected(tmp_path):
     bad = dict(FREE_FUNDAMENTAL, typo_key=1)
     cfg = write_config(tmp_path / "c.yaml", bad)
@@ -304,6 +315,42 @@ def test_propcheck_duplicate_labels_rejected(tmp_path):
         == EXIT_CONFIG
     manifest = json.loads((out / "manifest.json").read_text())
     assert "label" in manifest["error_message"]
+
+
+def test_propcheck_reports_the_tonelli_certificates(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "c.yaml", {
+        "lagrangians": [{"key": "free", "dim": 1},
+                        {"key": "mechanical", "dim": 1, "potential": "cos",
+                         "label": "cos"}],
+        "lambda": 1.0,
+        "T_grid": [0.1],
+        "time_pairs": [[0.0, 0.2]],
+        "n_samples": 8,
+    })
+    out = tmp_path / "out"
+    assert main(["propcheck", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    for label, key in (("free", "free"), ("cos", "mechanical")):
+        rep = json.loads((out / f"probe_tonelli_{label}.json").read_text())
+        # the configured L, not its discount lift, whose (L3) fails
+        assert rep["name"] == f"verify_tonelli({key})"
+        assert rep["passed"] and rep["samples"] == 10000
+    report = json.loads((out / "report.json").read_text())
+    assert report["probes"]["cos"]["tonelli"] == {"passed": True,
+                                                  "violations": 0}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "probe_tonelli_cos.json" in manifest["artifacts"]
+
+    def decertified(L):
+        rep = ProbeReport(name="decertified")
+        rep.record_slack(-1.0, check="growth_lower")
+        return rep
+    monkeypatch.setattr(hjlax.cli, "verify_tonelli", decertified)
+    assert main(["propcheck", "--config", cfg, "--out", str(out)]) \
+        == EXIT_VIOLATION
+    report = json.loads((out / "report.json").read_text())
+    assert report["probes"]["free"]["tonelli"] == {"passed": False,
+                                                   "violations": 1}
+    assert not report["passed"]
 
 
 def test_config_helpers():

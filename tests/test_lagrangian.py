@@ -10,7 +10,7 @@ from hjlax.errors import ConfigError, InvalidHorizon, NonConvergence, OutOfWindo
 
 def test_catalog_entries_satisfy_tonelli_conditions(free2, pendulum, double_well, aniso2):
     for L in (free2, pendulum, double_well, aniso2):
-        rep = hj.verify_tonelli(L, hj.SampleSpec(count=4000, seed=3))
+        rep = hj.verify_tonelli(L)
         assert rep.passed, (L.key, rep.violations[:3])
         assert rep.constants["L3_violation_count"] == 0
         assert rep.constants["min_eig_hess_vv"] > 0.0
@@ -21,7 +21,7 @@ def test_verify_rejects_decertified_growth(free1):
     bad = replace(free1, growth=hj.GrowthRecord(
         theta=lambda r: r**2, theta_bar=free1.growth.theta_bar,
         c0=0.0, c=0.0))
-    rep = hj.verify_tonelli(bad, hj.SampleSpec(count=2000, seed=0))
+    rep = hj.verify_tonelli(bad)
     assert not rep.passed
 
 
@@ -118,7 +118,7 @@ def test_lifted_minus_cos_l3_certificate_fails_off_window():
     # must report that honestly rather than paper over it.
     L = hj.catalog("mechanical", dim=1, potential="cos", coeff=1.0)
     lifted = hj.discount_lift(L, lam=1.0, horizon=2.0)
-    rep = hj.verify_tonelli(lifted, hj.SampleSpec(count=20000, seed=1))
+    rep = hj.verify_tonelli(lifted)
     assert rep.constants["L3_violation_count"] > 0
     assert not rep.passed
 

@@ -328,7 +328,7 @@ def test_tilted_well_moves_kink_but_not_its_velocity():
     assert sing.points[0, 0] == pytest.approx(0.5)
     tr = trace_singularity(sol, L, sing.points[0],
                            t_grid=np.array([0.1, 0.05, 0.025]),
-                           t2=0.1)
+                           window_samples=24)
     h = float(sol.u.spacing.max())
     # stationary solution: the kink sits still and the predicted speed is 0
     assert np.abs(tr.maximizers - 0.5).max() <= h / 2.0
@@ -434,7 +434,7 @@ def test_trace_serialization_roundtrip(dw, tmp_path):
     L, sol = dw
     tr = trace_singularity(sol, L, np.array([0.0]),
                            t_grid=np.array([0.05, 0.025]),
-                           t2=0.05)
+                           window_samples=24)
     blob = json.dumps(tr.as_dict(), sort_keys=True)
     assert json.loads(blob)["t1"] == 0.05
 

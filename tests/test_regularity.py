@@ -1,7 +1,5 @@
 """Superdifferential estimation, H-minimization over hulls, singular sets."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -173,15 +171,6 @@ def test_diameter_matches_differentiability_classification(vee):
     assert superdifferential(vee, np.array([0.0])).diameter > h
     assert spread[smooth] <= 1.0 and resid[smooth] <= 1.0
     assert superdifferential(vee, np.array([1.0])).diameter <= h
-
-
-def test_superdiff_serializes_to_json(vee):
-    S = superdifferential(vee, np.array([0.0]))
-    blob = json.dumps(S.as_dict(), sort_keys=True)
-    back = json.loads(blob)
-    assert back["point"] == [0.0]
-    assert back["diameter"] == S.diameter
-    assert len(back["vertices"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Size of the public surface: library options and CLI config keys.
+"""Size of the public surface: library options, CLI config keys and
+package exports.
 
 An option is a defaulted or ** parameter of a public module-level function
-of an hjlax module.  A change that adds an option or a config key raises
-the bound here in the same diff."""
+of an hjlax module; an export is a public name of the hjlax package other
+than its submodules.  A change that adds an option, a config key or an
+export raises the bound here in the same diff."""
 import importlib
 import inspect
 import pkgutil
@@ -10,8 +12,9 @@ import pkgutil
 import hjlax
 from hjlax import cli
 
-MAX_OPTIONS = 37
-MAX_CONFIG_KEYS = 66
+MAX_OPTIONS = 35
+MAX_CONFIG_KEYS = 64
+MAX_EXPORTS = 66
 
 
 def public_options() -> list[str]:
@@ -37,12 +40,26 @@ def leaf_keys(keys: dict, where: str = "") -> list[str]:
     return found
 
 
+def config_keys() -> list[str]:
+    return [key for kind, table in cli._SCHEMAS.items()
+            for key in leaf_keys(table, kind)]
+
+
+def exports() -> list[str]:
+    return [name for name, value in vars(hjlax).items()
+            if not name.startswith("_") and not inspect.ismodule(value)]
+
+
 def test_public_options_stay_within_bound():
     options = public_options()
     assert len(options) <= MAX_OPTIONS, options
 
 
 def test_config_keys_stay_within_bound():
-    keys = [key for kind, table in cli._SCHEMAS.items()
-            for key in leaf_keys(table, kind)]
+    keys = config_keys()
     assert len(keys) <= MAX_CONFIG_KEYS, keys
+
+
+def test_exports_stay_within_bound():
+    names = exports()
+    assert len(names) <= MAX_EXPORTS, names
