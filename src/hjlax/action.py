@@ -8,7 +8,8 @@ Legendre-Gauss-Lobatto (LGL) nodes of [s, t], with velocity D xi (D the LGL
 differentiation matrix) and action the LGL quadrature of L.  Damped Newton
 on the interior nodes, from the straight chord, minimizes that action, with
 one stacked solve of all the arcs' Hessians per round; the second
-derivatives L_xx and L_xv come from central differences of grad_x and
+derivatives L_xx and L_xv are L's closed forms (L.second_derivatives, set
+on every catalog entry and lift), else central differences of grad_x and
 grad_v.  The orders N = 8, 12, 16, 24, 32 are tried in turn, each seeded
 with the previous polynomial, and an arc leaves the ladder at the first
 order whose strong Euler-Lagrange residual |d/dtau L_v - L_x| certifies
@@ -119,11 +120,13 @@ def _lgl(order: int) -> tuple[Array, ...]:
 
 def _second_derivatives(L: TonelliLagrangian, tau: Array, pos: Array,
                         vel: Array) -> tuple[Array, Array, Array | float]:
-    """L_xx, L_vx and L_vt at states (..., n) by central differences of
-    grad_x and grad_v, with steps 1e-5 (1 + |x|) per coordinate of x and
-    1e-5 (1 + |tau|) in time; L_vt is 0 unless L is time-dependent.
-    L_xx[..., a, b] = d_b (L_x)_a and L_vx[..., a, b] = d_b (L_v)_a, so
-    L_xv is L_vx transposed.  The Lagrangian interface stops at L_vv."""
+    """L_xx, L_vx and L_vt at states (..., n): L.second_derivatives when L
+    has them, else central differences of grad_x and grad_v, with steps
+    1e-5 (1 + |x|) per coordinate of x and 1e-5 (1 + |tau|) in time; L_vt
+    is 0 unless L is time-dependent.  L_xx[..., a, b] = d_b (L_x)_a and
+    L_vx[..., a, b] = d_b (L_v)_a, so L_xv is L_vx transposed."""
+    if L.second_derivatives is not None:
+        return L.second_derivatives(tau, pos, vel)
     n = pos.shape[-1]
     h = 1e-5 * (1.0 + np.linalg.norm(pos, axis=-1))
     shift = h[..., None, None] * np.eye(n)            # (..., b, a): step along b

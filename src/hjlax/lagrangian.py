@@ -20,10 +20,17 @@ with m(xi) = m0 + m1 cos xi and V(x) = coeff * sum_k phi(x_k) + shift; the
 three constructors are parameter sets of it.  The free particle and its
 discounted lift share one closed-form chord kernel.
 
-Conventions.  All callables are vectorised: t broadcasts against the leading
-axes of x and v, which carry the space dimension in their last axis.  eval
-returns shape (...), gradients return (..., dim), hess_vv returns
-(..., dim, dim).
+Conventions.  All callables are vectorised.  x and v have one shape
+(..., dim), the space dimension in the last axis, and t broadcasts against
+their leading axes; other shapes are outside the contract (some callables
+broadcast them, others raise).  eval returns shape (...), gradients return
+(..., dim), hess_vv returns (..., dim, dim).  second_derivatives, when set,
+returns (L_xx, L_vx, L_vt) with L_xx[..., a, b] = d_b (L_x)_a and
+L_vx[..., a, b] = d_b (L_v)_a, both (..., dim, dim), and L_vt either 0.0
+(time-independent L) or (..., dim).  The catalog and its lifts set it;
+without it the action solver differences grad_x and grad_v.  A
+dataclasses.replace that swaps eval, grad_x or grad_v must reset it to
+None, or the solver reads second derivatives of the old L.
 """
 
 from __future__ import annotations
@@ -88,8 +95,11 @@ class TonelliLagrangian:
     params are labels for reports.  The constructor attaches what it knows
     in closed form: the dual (read it through hamiltonian_for), the
     fundamental-solution kernel, and multiwell, which asks the action
-    solver for extra starts on long horizons.  Every catalog entry is the
-    separable form of the module docstring or its discounted lift.
+    solver for extra starts on long horizons, and second_derivatives, the
+    closed-form (L_xx, L_vx, L_vt) of the module docstring (None for a
+    custom L: the action solver then takes central differences).  Every
+    catalog entry is the separable form of the module docstring or its
+    discounted lift.
     """
 
     dim: int
@@ -106,6 +116,7 @@ class TonelliLagrangian:
     kernel: AnalyticKernel | None = None
     hamiltonian: Hamiltonian | None = None
     multiwell: bool = False
+    second_derivatives: Callable[..., tuple] | None = None
 
     def check_window(self, *times: float) -> None:
         a, b = self.time_window
@@ -114,6 +125,15 @@ class TonelliLagrangian:
                 raise OutOfWindow(
                     f"time {t} outside certified window [{a}, {b}] of {self.key}"
                 )
+
+
+def _diag(values: Any, shape: tuple[int, ...]) -> Array:
+    """Diagonal matrices (..., n, n) carrying values (broadcast to shape
+    (..., n)) on their diagonals."""
+    idx = np.arange(shape[-1])
+    out = np.zeros(shape + (shape[-1],))
+    out[..., idx, idx] = values
+    return out
 
 
 def _leading(t: Any, x: Array) -> Array:
@@ -146,28 +166,27 @@ def _double_well_shape(
     """xi^4/4 - xi^2/2, blended C^2-continuously to a plateau past |xi|=cut_hi."""
     r = np.abs(xi)
     sgn = np.sign(xi)
-    raw = r**4 / 4.0 - r**2 / 2.0
-    draw = r**3 - r
-    ddraw = 3.0 * r**2 - 1.0
+    # raw values everywhere, then overwritten in place on the blend band
+    # cut_lo < |xi| < cut_hi and on the plateau
+    f = np.asarray(r**4 / 4.0 - r**2 / 2.0)
+    df = np.asarray(r**3 - r)
+    ddf = np.asarray(3.0 * r**2 - 1.0)
     plateau = cut_hi**4 / 4.0 - cut_hi**2 / 2.0
 
-    w = np.clip((r - cut_lo) / (cut_hi - cut_lo), 0.0, 1.0)
-    s, ds, dds = _smoothstep(w)
-    ds = ds / (cut_hi - cut_lo)
-    dds = dds / (cut_hi - cut_lo) ** 2
-
-    f = (1.0 - s) * raw + s * plateau
-    df = (1.0 - s) * draw + ds * (plateau - raw)
-    ddf = (1.0 - s) * ddraw - 2.0 * ds * draw + dds * (plateau - raw)
-
-    inner = r <= cut_lo
-    f = np.where(inner, raw, f)
-    df = np.where(inner, draw, df)
-    ddf = np.where(inner, ddraw, ddf)
+    band = (r > cut_lo) & (r < cut_hi)
+    if band.any():
+        raw, draw, ddraw = f[band], df[band], ddf[band]
+        s, ds, dds = _smoothstep((r[band] - cut_lo) / (cut_hi - cut_lo))
+        ds = ds / (cut_hi - cut_lo)
+        dds = dds / (cut_hi - cut_lo) ** 2
+        f[band] = (1.0 - s) * raw + s * plateau
+        df[band] = (1.0 - s) * draw + ds * (plateau - raw)
+        ddf[band] = (1.0 - s) * ddraw - 2.0 * ds * draw + dds * (plateau - raw)
     outer = r >= cut_hi
-    f = np.where(outer, plateau, f)
-    df = np.where(outer, 0.0, df)
-    ddf = np.where(outer, 0.0, ddf)
+    if outer.any():
+        f[outer] = plateau
+        df[outer] = 0.0
+        ddf[outer] = 0.0
     return f, sgn * df, ddf
 
 
@@ -220,9 +239,9 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
                kernel: AnalyticKernel | None = None) -> TonelliLagrangian:
     """L(x, v) = sum_k m(x_k) v_k^2 / 2 - V(x), m(xi) = m0 + m1 cos xi and
     V(x) = coeff * sum_k phi(x_k) + shift (V = 0 without a potential), with
-    its closed-form dual sum_k p_k^2 / (2 m(x_k)) + V(x) and growth record.
-    Exact identities (m = 1, m' = 0, V = 0, V = shift when coeff = 0) are
-    skipped: they cost no pass."""
+    its closed-form dual sum_k p_k^2 / (2 m(x_k)) + V(x), diagonal second
+    derivatives and growth record.  Exact identities (m = 1, m' = 0, V = 0,
+    V = shift when coeff = 0) are skipped: they cost no pass."""
     cut_lo, cut_hi = cutoff
     shape = _SHAPES.get(potential)
     unit = m0 == 1.0 and not m1
@@ -263,11 +282,18 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
         return v.copy() if unit else mass(x) * v
 
     def hvv(t, x, v):
-        v = np.asarray(v, float)
-        out = np.zeros(v.shape + (v.shape[-1],))
-        idx = np.arange(v.shape[-1])
-        out[..., idx, idx] = mass(x)
-        return out
+        return _diag(mass(x), np.shape(v))
+
+    def d2(t, x, v):
+        # L_xx = diag(m''(x_k) v_k^2 / 2 - coeff * phi''(x_k)),
+        # L_vx = diag(m'(x_k) v_k), L_vt = 0
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        lxx = -0.5 * m1 * np.cos(x) * v * v if m1 else 0.0
+        lvx = -m1 * np.sin(x) * v if m1 else 0.0
+        if coeff:
+            _, _, ddf = shape(x, cut_lo, cut_hi)
+            lxx = lxx - coeff * ddf
+        return _diag(lxx, v.shape), _diag(lvx, v.shape), 0.0
 
     def H(t, x, p):
         p = np.asarray(p, float)
@@ -290,7 +316,7 @@ def _separable(dim: int, key: str, params: dict[str, Any], m0: float = 1.0,
         dim=dim, eval=ev, grad_t=gt, grad_x=gx, grad_v=gv, hess_vv=hvv,
         growth=growth, time_window=_WINDOW, key=key, params=params, kernel=kernel,
         hamiltonian=Hamiltonian(dim=dim, eval=H, grad_p=H_p, provenance="closed-form"),
-        multiwell=potential == "double_well")
+        multiwell=potential == "double_well", second_derivatives=d2)
 
 
 def free_lagrangian(dim: int = 1) -> TonelliLagrangian:
@@ -364,8 +390,9 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
     constant is set to c = lam (1 + c0 e^{lam T}).  Only stationary inputs
     are accepted: the lift is where the time dependence comes from.  The
     lift keeps L's multiwell flag, carries the kernel's lift(lam) when L's
-    kernel has one, and has no attached dual: hamiltonian_for falls back to
-    the Legendre transform of the lifted L.
+    kernel has one, lifts L's second_derivatives when L has them, and has
+    no attached dual: hamiltonian_for falls back to the Legendre transform
+    of the lifted L.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ConfigError(f"discount rate must be positive, got {lam}")
@@ -376,23 +403,32 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
 
     amp = float(np.exp(lam * horizon))
 
-    def w(t, x):
-        return np.exp(lam * _leading(t, np.asarray(x, float)))
+    def w(t):
+        # e^{lam t} at t's own shape, which broadcasts against the leading
+        # axes of x and v in the products below
+        return np.exp(lam * np.asarray(t, float))
 
     def ev(t, x, v):
-        return w(t, x) * L.eval(t, x, v)
+        return w(t) * L.eval(t, x, v)
 
     def gt(t, x, v):
-        return lam * w(t, x) * L.eval(t, x, v)
+        return lam * w(t) * L.eval(t, x, v)
 
     def gx(t, x, v):
-        return w(t, x)[..., None] * L.grad_x(t, x, v)
+        return w(t)[..., None] * L.grad_x(t, x, v)
 
     def gv(t, x, v):
-        return w(t, x)[..., None] * L.grad_v(t, x, v)
+        return w(t)[..., None] * L.grad_v(t, x, v)
 
     def hvv(t, x, v):
-        return w(t, x)[..., None, None] * L.hess_vv(t, x, v)
+        return w(t)[..., None, None] * L.hess_vv(t, x, v)
+
+    def d2(t, x, v):
+        # e^{lam t} scales L_xx and L_vx; L_vt = lam e^{lam t} L_v
+        wt = w(t)[..., None]
+        lxx, lvx, _ = L.second_derivatives(t, x, v)
+        return (wt[..., None] * lxx, wt[..., None] * lvx,
+                lam * wt * L.grad_v(t, x, v))
 
     base = L.growth
     growth = GrowthRecord(
@@ -409,6 +445,7 @@ def discount_lift(L: TonelliLagrangian, lam: float, horizon: float) -> TonelliLa
         params={"base": L.key, "base_params": dict(L.params), "lam": lam,
                 "horizon": horizon},
         kernel=lift(lam) if lift is not None else None, multiwell=L.multiwell,
+        second_derivatives=d2 if L.second_derivatives is not None else None,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from scipy.integrate import solve_ivp
 import hjlax as hj
 import hjlax.action
 from hjlax.errors import ConfigError, NonConvergence, OutOfWindow
+from test_lasrylions import tilted_double_well
 
 # frozen closed form: minimal discounted free action at lam=1, s=0, t=0.5,
 # |y-x| = 1, equal to lam |y-x|^2 / (2 (e^{-lam s} - e^{-lam t}))
@@ -213,22 +216,27 @@ def test_newton_shifts_only_the_indefinite_hessians():
 
 
 def test_second_derivatives_match_closed_forms(pendulum, aniso2):
+    # the central differences custom Lagrangians get, against the closed
+    # forms the catalog attaches
     rng = np.random.default_rng(5)
     tau = rng.uniform(-1.0, 1.0, 9)
-    x1, v1 = rng.uniform(-2.0, 2.0, (9, 1)), rng.uniform(-3.0, 3.0, (9, 1))
-    lxx, lvx, _ = hjlax.action._second_derivatives(pendulum, tau, x1, v1)
-    # L = v^2/2 + cos x
-    assert np.allclose(lxx[:, 0, 0], -np.cos(x1[:, 0]), rtol=0, atol=1e-6)
-    assert np.allclose(lvx, 0.0, rtol=0, atol=1e-6)
+    for L in (pendulum, aniso2):
+        x = rng.uniform(-2.0, 2.0, (9, L.dim))
+        v = rng.uniform(-3.0, 3.0, (9, L.dim))
+        diffs = hjlax.action._second_derivatives(
+            dataclasses.replace(L, second_derivatives=None), tau, x, v)
+        closed = hjlax.action._second_derivatives(L, tau, x, v)
+        for got, want in zip(diffs[:2], closed[:2]):
+            assert np.allclose(got, want, rtol=0, atol=1e-6)
+        assert diffs[2] == closed[2] == 0.0
 
-    x2, v2 = rng.uniform(-2.0, 2.0, (9, 2)), rng.uniform(-3.0, 3.0, (9, 2))
-    lxx, lvx, _ = hjlax.action._second_derivatives(aniso2, tau, x2, v2)
-    # L = sum_k (1 + 0.3 cos x_k) v_k^2 / 2, so both are diagonal
-    m1 = 0.3
-    assert np.allclose(lxx, np.eye(2) * (-m1 * np.cos(x2) * v2**2 / 2)[:, None],
-                       rtol=0, atol=1e-6)
-    assert np.allclose(lvx, np.eye(2) * (-m1 * np.sin(x2) * v2)[:, None],
-                       rtol=0, atol=1e-6)
+    # a custom Lagrangian and its lift carry no closed form, so the solver
+    # differences them and still certifies
+    custom = tilted_double_well()
+    assert custom.second_derivatives is None
+    assert hj.discount_lift(custom, 0.5, 2.0).second_derivatives is None
+    fs = hj.minimize_action(custom, 0.0, 1.0, np.array([-0.5]), np.array([0.7]))
+    assert fs.residual <= 1e-8 * (1 + fs.momentum_sup)
 
 
 def _straight_action(L, s, t, x, y):

@@ -243,6 +243,13 @@ def test_derivatives_match_central_differences(name, request):
     # L is quadratic in v: second differences are exact up to rounding
     close(L.hess_vv(t, x, v),
           central(lambda w: central(lambda z: L.eval(t, x, z), w, h2), v, h2))
+    # the closed-form second derivatives: L_xx and L_vx from differences of
+    # grad_x and grad_v in x, L_vt from differences of grad_v in t
+    lxx, lvx, lvt = L.second_derivatives(t, x, v)
+    close(lxx, central(lambda z: L.grad_x(t, z, v), x, h))
+    close(lvx, central(lambda z: L.grad_v(t, z, v), x, h))
+    close(np.broadcast_to(lvt, v.shape),
+          (L.grad_v(t + h, x, v) - L.grad_v(t - h, x, v)) / (2.0 * h))
     # one time: the Legendre fallback of a lift takes a scalar t
     H = hj.hamiltonian_for(L)
     close(H.grad_p(0.9, x, p), central(lambda q: H.eval(0.9, x, q), p, h))
@@ -252,6 +259,51 @@ def test_derivatives_match_central_differences(name, request):
         y = x + v
         close(K.grad_x(s, tt, x, y), central(lambda z: K.value(s, tt, z, y), x, h))
         close(K.grad_y(s, tt, x, y), central(lambda z: K.value(s, tt, x, z), y, h))
+
+
+def _everywhere_blend(xi, cut_lo, cut_hi):
+    """Reference double well: the quintic smoothstep blend evaluated on
+    every point, then overwritten on the inner region and the plateau."""
+    r = np.abs(xi)
+    sgn = np.sign(xi)
+    raw = r**4 / 4.0 - r**2 / 2.0
+    draw = r**3 - r
+    ddraw = 3.0 * r**2 - 1.0
+    plateau = cut_hi**4 / 4.0 - cut_hi**2 / 2.0
+
+    w = np.clip((r - cut_lo) / (cut_hi - cut_lo), 0.0, 1.0)
+    s = w**3 * (10.0 - 15.0 * w + 6.0 * w**2)
+    ds = 30.0 * w**2 * (1.0 - 2.0 * w + w**2) / (cut_hi - cut_lo)
+    dds = 60.0 * w * (1.0 - 3.0 * w + 2.0 * w**2) / (cut_hi - cut_lo) ** 2
+
+    f = (1.0 - s) * raw + s * plateau
+    df = (1.0 - s) * draw + ds * (plateau - raw)
+    ddf = (1.0 - s) * ddraw - 2.0 * ds * draw + dds * (plateau - raw)
+
+    inner = r <= cut_lo
+    f = np.where(inner, raw, f)
+    df = np.where(inner, draw, df)
+    ddf = np.where(inner, ddraw, ddf)
+    outer = r >= cut_hi
+    f = np.where(outer, plateau, f)
+    df = np.where(outer, 0.0, df)
+    ddf = np.where(outer, 0.0, ddf)
+    return f, sgn * df, ddf
+
+
+@pytest.mark.parametrize("xi", [
+    np.linspace(-6.0, 6.0, 200001),
+    np.array([-3.5, -2.5, 0.0, 2.5, 3.5]),
+    np.random.default_rng(3).uniform(-5.0, 5.0, (3, 17, 2)),
+    np.array(-2.7),
+], ids=["line", "cuts", "batch", "0d"])
+def test_double_well_blends_only_its_band_bit_identically(xi):
+    from hjlax.lagrangian import _double_well_shape
+
+    for got, want in zip(_double_well_shape(xi, 2.5, 3.5),
+                         _everywhere_blend(xi, 2.5, 3.5)):
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("potential", ["cos", "double_well"])
@@ -271,10 +323,13 @@ def test_zero_potential_skips_the_shape(monkeypatch, potential, shift):
     rng = np.random.default_rng(5)
     x = rng.uniform(-4.0, 4.0, (3, 17, 2))
     v = rng.normal(size=(3, 17, 2))
-    f, df, _ = shape(x, 2.5, 3.5)
+    f, df, ddf = shape(x, 2.5, 3.5)
     V = 0.0 * np.sum(f, axis=-1) + shift
     assert np.array_equal(L.eval(0.0, x, v), np.sum(v * v, axis=-1) / 2.0 - V)
     assert np.array_equal(L.grad_x(0.0, x, v), -0.0 * df)
+    lxx, lvx, lvt = L.second_derivatives(0.0, x, v)
+    assert np.array_equal(lxx, -0.0 * ddf[..., None] * np.eye(2))
+    assert np.array_equal(lvx, np.zeros((3, 17, 2, 2))) and lvt == 0.0
     assert np.array_equal(L.hamiltonian.eval(0.0, x, v),
                           np.sum(v ** 2, axis=-1) / 2.0 + V)
     assert L.eval(0.0, x, v).shape == L.grad_x(0.0, x, v).shape[:-1] == (3, 17)
