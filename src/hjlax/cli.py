@@ -37,8 +37,9 @@ from .errors import (BoxExhausted, ConfigError, HJLaxError, InvalidHorizon,
 from .gridfn import GridSpec
 from .lagrangian import (TonelliLagrangian, catalog, discount_lift,
                          hamiltonian_for, verify_tonelli)
-from .lasrylions import (convergence_sweep, gradient_limit_vs_qx,
-                         lambda_sweep_problem_probe, trace_singularity)
+from .lasrylions import (RegularizationSweep, convergence_sweep,
+                         gradient_limit_vs_qx, lambda_sweep_problem_probe,
+                         trace_singularity)
 from .laxoleinik import lax_minus, lax_plus
 from .regularity import singular_set
 from .report import dump_json, write_csv
@@ -477,6 +478,12 @@ def run_discounted(p: dict, ws: Workspace) -> int:
     return code
 
 
+def _sweep_json(sweep: RegularizationSweep) -> dict[str, Any]:
+    """sweep.json: the sweep's fields, less its base grid and its
+    per-scale regularized fields."""
+    return {k: v for k, v in vars(sweep).items() if k not in ("base", "fields")}
+
+
 def run_regularize(p: dict, ws: Workspace) -> int:
     L = p["lagrangian"]
     sol = solve_discounted(L, p["lambda"], p["grid"], p["dt"])
@@ -484,7 +491,7 @@ def run_regularize(p: dict, ws: Workspace) -> int:
                               probe_points=p["probes"], seed=p["seed"])
     sweep.errors_to_csv(ws.path("errors.csv"))
     sweep.probes_to_csv(ws.path("probes.csv"))
-    ws.write_json("sweep.json", sweep.as_dict())
+    ws.write_json("sweep.json", _sweep_json(sweep))
 
     monotone = bool(np.all(np.diff(sweep.sup_errors) < 0.0))
     budget = 4.0 * sol.u.interp_error_estimate()
@@ -501,7 +508,7 @@ def run_regularize(p: dict, ws: Workspace) -> int:
                    for pt in sweep.probe_points]
     passed = (monotone and not sweep.sup_errors[-1] > budget
               and not any(c.distance > match_tol for c in comparisons))
-    report["qx_comparisons"] = [c.as_dict() for c in comparisons]
+    report["qx_comparisons"] = [vars(c) for c in comparisons]
     report["gradient_match_tol"] = match_tol
     report["passed"] = passed
     ws.write_json("report.json", report)
@@ -517,10 +524,10 @@ def run_singularity(p: dict, ws: Workspace) -> int:
         if not len(sing.points):
             raise ConfigError("x0: auto requires a nonempty singular set")
         x0 = sing.points[0]
-    tr = trace_singularity(sol, L, x0, t_grid=p["t_grid"], sing=sing,
+    tr = trace_singularity(sol, L, x0, t_grid=p["t_grid"],
                            window_samples=p["window_samples"])
     tr.to_csv(ws.path("trace.csv"))
-    ws.write_json("trace.json", tr.as_dict())
+    ws.write_json("trace.json", vars(tr))
 
     h = float(sol.u.spacing.max())
     jump_tol = p["tolerances"]["jump"] or 2.0 * h

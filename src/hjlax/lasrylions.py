@@ -3,12 +3,15 @@
 The regularized field at scale t is the sup-convolution of u with the
 discounted kernel, sup_y { u(y) - A_{0,t}(x, y) } for the lifted running
 cost e^{lam s} L; it is delegated to the forward Lax-Oleinik operator.
-Small-time sweeps record uniform convergence back to u, per-point gradient
-sequences with Aitken extrapolation of their limits, and the comparison of
-those limits against the Hamiltonian minimizer over the superdifferential.
+Small-time sweeps record uniform convergence back to u, the gradient and
+velocity sequences of every probe point with their Aitken-extrapolated
+limits (one array call over all probes), and the comparison of those
+limits against the Hamiltonian minimizer over the superdifferential.
 Maximizer traces started at a singular point track how the singularity
-propagates: membership of every maximizer in the detected singular set,
-cone localization, trace continuity, and the one-sided derivative at 0+.
+propagates: membership of every maximizer in the singular set, which the
+trace detects itself, cone localization, trace continuity, and the
+one-sided derivative at 0+.  The results are plain dataclasses: the CLI
+writes their fields as they are.
 """
 from __future__ import annotations
 
@@ -25,9 +28,8 @@ from .laxoleinik import (MaximizerRecord, estimate_kappa0, lax_plus,
                          require_unique_maximizer)
 from .action import _midpoint_family
 from .report import write_csv
-from .regularity import (SingularSet, min_H_over_superdiff,
-                         semiconcavity_constant, singular_set,
-                         superdifferential)
+from .regularity import (min_H_over_superdiff, semiconcavity_constant,
+                         singular_set, superdifferential)
 
 Array = np.ndarray
 
@@ -40,10 +42,7 @@ Array = np.ndarray
 class RegularizedField:
     """Sup-convolution of u at one scale t, with probe diagnostics."""
 
-    t: float
-    lam: float
     field: GridFunction
-    gradient_field: Array         # u.values.shape + (dim,)
     sup_error: float              # ||field - u||_inf
     c11_bound: float              # max difference quotient of the gradient
     probe_points: Array           # (m, n) node-snapped probe locations
@@ -85,29 +84,21 @@ def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
     sup_error = float(np.abs(res.grid.values - sol.u.values).max())
     c11 = _gradient_quotient_bound(sol.u, res.gradient)
 
-    if probe_points is None:
-        probe_points = np.empty((0, sol.u.dim))
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    snapped = []
-    grads = []
-    vels = []
-    records = []
-    for p in pts:
-        idx = sol.u.nearest_node(p)
-        x = sol.u.node_point(idx)
-        rec = res.records[int(np.ravel_multi_index(idx, sol.u.values.shape))]
+    u = sol.u
+    pts = np.empty((0, u.dim)) if probe_points is None else probe_points
+    flat = [int(np.ravel_multi_index(u.nearest_node(p), u.values.shape))
+            for p in np.atleast_2d(np.asarray(pts, dtype=float))]
+    records = [res.records[k] for k in flat]
+    for rec in records:
         require_unique_maximizer(rec)
-        snapped.append(x)
-        grads.append(rec.gradient)
-        vels.append((rec.y_star - x) / t)
-        records.append(rec)
-    m = len(snapped)
+    snapped = u.nodes()[flat].reshape(len(flat), u.dim)
     return RegularizedField(
-        t=float(t), lam=sol.lam, field=res.grid, gradient_field=res.gradient,
-        sup_error=sup_error, c11_bound=c11,
-        probe_points=np.array(snapped).reshape(m, sol.u.dim),
-        probe_gradients=np.array(grads).reshape(m, sol.u.dim),
-        probe_velocities=np.array(vels).reshape(m, sol.u.dim),
+        field=res.grid, sup_error=sup_error, c11_bound=c11,
+        probe_points=snapped,
+        probe_gradients=np.array([r.gradient for r in records]
+                                 ).reshape(snapped.shape),
+        probe_velocities=(np.array([r.y_star for r in records]
+                                   ).reshape(snapped.shape) - snapped) / t,
         probe_records=records,
     )
 
@@ -191,21 +182,6 @@ class RegularizationSweep:
     fields: list[RegularizedField] = field(repr=False, default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "t_grid": self.t_grid.tolist(),
-            "sup_errors": self.sup_errors.tolist(),
-            "c11_bounds": self.c11_bounds.tolist(),
-            "probe_points": self.probe_points.tolist(),
-            "probe_gradients": self.probe_gradients.tolist(),
-            "probe_velocities": self.probe_velocities.tolist(),
-            "gradient_limits": self.gradient_limits.tolist(),
-            "velocity_limits": self.velocity_limits.tolist(),
-            "cauchy_ok": [bool(b) for b in self.cauchy_ok],
-            "meta": self.meta,
-        }
-
     def errors_to_csv(self, path: str) -> None:
         write_csv(path, ["t", "sup_error", "c11_bound"],
                   zip(self.t_grid, self.sup_errors, self.c11_bounds))
@@ -227,9 +203,10 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
                       seed: int = 0) -> RegularizationSweep:
     """Regularize along a geometric t-grid and extrapolate the gradients.
 
-    Per probe point the gradient and velocity sequences are accelerated by
-    Aitken's delta-squared; the sweep declares the limit trustworthy when
-    the last three extrapolants agree to _CAUCHY_TOL.
+    The gradient and velocity sequences of every probe point are
+    accelerated by Aitken's delta-squared; the sweep declares a probe's
+    limit trustworthy when its last three extrapolants agree to
+    _CAUCHY_TOL.
     """
     t_grid = _decreasing_t_grid(t_grid)
     if probe_points is None:
@@ -241,24 +218,17 @@ def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
     grads = np.stack([f.probe_gradients for f in fields])
     vels = np.stack([f.probe_velocities for f in fields])
 
-    m, n = pts.shape
-    glimits = np.empty((m, n))
-    vlimits = np.empty((m, n))
-    cauchy = np.zeros(m, dtype=bool)
-    for j in range(m):
-        ext = aitken_extrapolants(grads[:, j, :])
-        glimits[j] = ext[-1]
-        vlimits[j] = aitken_extrapolants(vels[:, j, :])[-1]
-        if len(ext) >= 3:
-            tail = ext[-3:]
-            gaps = np.linalg.norm(tail - tail[-1][None, :], axis=1)
-            cauchy[j] = bool(gaps.max() <= _CAUCHY_TOL)
+    ext = aitken_extrapolants(grads)                   # (K - 2, m, n)
+    tail = ext[-3:]
+    gaps = np.linalg.norm(tail - tail[-1], axis=-1)    # (<= 3, m)
+    cauchy = (len(ext) >= 3) & (gaps.max(axis=0) <= _CAUCHY_TOL)
     return RegularizationSweep(
         lam=sol.lam, t_grid=t_grid,
         sup_errors=np.array([f.sup_error for f in fields]),
         c11_bounds=np.array([f.c11_bound for f in fields]),
         probe_points=pts, probe_gradients=grads, probe_velocities=vels,
-        gradient_limits=glimits, velocity_limits=vlimits, cauchy_ok=cauchy,
+        gradient_limits=ext[-1],
+        velocity_limits=aitken_extrapolants(vels)[-1], cauchy_ok=cauchy,
         base=sol.u, fields=fields,
         meta={"cauchy_tol": _CAUCHY_TOL, "seed": seed},
     )
@@ -275,16 +245,6 @@ class GradientComparison:
     H_value: float
     distance: float
     hull_diameter: float
-
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "gradient_limit": self.gradient_limit.tolist(),
-            "q": self.q.tolist(),
-            "H_value": self.H_value,
-            "distance": self.distance,
-            "hull_diameter": self.hull_diameter,
-        }
 
 
 def gradient_limit_vs_qx(sweep: RegularizationSweep, H: Hamiltonian,
@@ -328,23 +288,6 @@ class SingularTrace:
     t2: float                     # strict-concavity window
     meta: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "x0": self.x0.tolist(),
-            "lam": self.lam,
-            "t_grid": self.t_grid.tolist(),
-            "maximizers": self.maximizers.tolist(),
-            "distance_ratios": self.distance_ratios.tolist(),
-            "kappa0": self.kappa0,
-            "max_jump": self.max_jump,
-            "right_derivative": self.right_derivative.tolist(),
-            "q_lambda": self.q_lambda.tolist(),
-            "v0": self.v0.tolist(),
-            "t1": self.t1,
-            "t2": self.t2,
-            "meta": self.meta,
-        }
-
     def to_csv(self, path: str) -> None:
         n = len(self.x0)
         cols = ["t"] + [f"y{k+1}" for k in range(n)] + ["distance_ratio"]
@@ -354,18 +297,16 @@ class SingularTrace:
 
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
                       x0: Array, t_grid: Array | None = None,
-                      sing: SingularSet | None = None,
                       window_samples: int = 64) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
-    The start point must belong to the detected singular set.  A maximizer
-    leaving the singular set raises NotSingular and one leaving the cone
-    |y - x0| <= kappa0*t raises ConeViolation, so a returned trace has
-    every maximizer singular and inside the cone.
+    The start point must belong to singular_set(sol.u), which the trace
+    detects itself.  A maximizer leaving that set raises NotSingular and
+    one leaving the cone |y - x0| <= kappa0*t raises ConeViolation, so a
+    returned trace has every maximizer singular and inside the cone.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if sing is None:
-        sing = singular_set(sol.u)
+    sing = singular_set(sol.u)
     if not sing.contains(x0):
         raise NotSingular(
             f"{x0.tolist()} is not in the detected singular set")

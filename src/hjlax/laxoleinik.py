@@ -46,7 +46,7 @@ from scipy.optimize import Bounds, brentq, minimize
 # moves, and bench/test_bench.py checks the tracer rebinds minimize_action here
 from scipy.optimize import minimize_scalar  # noqa: F401
 
-from .action import _solve_arcs, action_values_batch
+from .action import _EL_TOL, _solve_arcs, action_values_batch
 from .action import minimize_action  # noqa: F401
 from .errors import BoxExhausted, ConfigError, NonUniqueMaximizer
 from .gridfn import GridFunction
@@ -60,6 +60,9 @@ _BALL_MARGIN = 0.5
 _VALUE_TOL = 1e-7
 # cell polish: L-BFGS-B options
 _POLISH_OPTIONS = {"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-11}
+# a polished cell stopped short when its projected gradient exceeds this times
+# 1 + its largest gradient entry: ten times the action gradient's certificate
+_POLISH_PG_TOL = 10.0 * _EL_TOL
 # _bend's curvature, measured at one node, is taken this many times over
 _BEND_MARGIN = 2.0
 # candidates per point; a ball holding more is evenly subsampled
@@ -351,7 +354,10 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
     free endpoints y.  Each is bounded to its cell, where u is multilinear,
     so a maximum on a kink of u lies on a bound and is found exactly.  The
     action term and its y-gradient come from _terms.  A run that stops
-    short of convergence appends a note.
+    short of convergence appends a note when some cell's own projected
+    gradient at the returned point exceeds _POLISH_PG_TOL: L-BFGS-B's stop
+    tests read the summed objective, so its verdict on one cell depends on
+    the other cells of the run.
     """
     h = u.spacing
     v = _corner_values(u, lower)
@@ -373,10 +379,13 @@ def _polish(L: TonelliLagrangian, u: GridFunction, s: float, t: float,
     res = minimize(objective, y0.ravel(), jac=True, method="L-BFGS-B",
                    bounds=Bounds(lo.ravel(), hi.ravel()),
                    options=_POLISH_OPTIONS)
-    if not res.success:
+    y = res.x.reshape(lo.shape)
+    g = res.jac.reshape(lo.shape)
+    stuck = (np.abs(np.clip(y - g, lo, hi) - y).max(axis=1)
+             > _POLISH_PG_TOL * (1.0 + np.abs(g).max(axis=1)))
+    if not res.success and stuck.any():
         notes.append(f"cell polish stopped after {res.nit} iterations: "
                      f"{res.message}")
-    y = res.x.reshape(lo.shape)
     return y, sign * _multilinear(v, (y - lo) / h)[0] - action_terms(y)[0]
 
 

@@ -5,10 +5,13 @@ fit has residual below 10*spacing^2 and the one-sided slope spread stays
 below 5*spacing; its gradient is then the central difference (exact for
 quadratics and for piecewise-linear data away from kinks).  Limiting
 gradients at a point are single-linkage clusters of nearby differentiable
-node gradients; their convex hull estimates the superdifferential.  The
-minimizer of a convex Hamiltonian over that hull is computed by projected
-gradient on simplex weights with a Frank-Wolfe gap certificate, and can be
-cross-checked against dense sampling of the hull.
+node gradients; their convex hull over a ball of 3 spacings estimates the
+superdifferential, guarded by a midpoint-defect bound of 0.5/spacing on
+the curvature of u.  A node is singular when its limiting gradients within
+2 spacings lie more than 4 spacings apart.  The minimizer of a convex
+Hamiltonian over that hull is computed by projected gradient on simplex
+weights with a Frank-Wolfe gap certificate, and can be cross-checked
+against dense sampling of the hull.
 """
 from __future__ import annotations
 
@@ -172,14 +175,12 @@ def _hull_vertices(points: Array) -> Array:
     return verts[order]
 
 
-def _boundary_distance(vertices: Array, p: Array) -> float:
-    """Distance from p to the hull boundary (0 on it, >0 inside)."""
-    if len(vertices) <= 2:
-        return float(min(np.linalg.norm(p - v) for v in vertices))
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(vertices)
-    slack = -(hull.equations[:, :-1] @ p + hull.equations[:, -1])
-    return float(slack.min())
+def _diameter(points: Array) -> float:
+    """Largest distance between two of the points (0 for fewer than two);
+    the same for a point set as for the vertices of its hull."""
+    return max((float(np.linalg.norm(a - b))
+                for i, a in enumerate(points) for b in points[i + 1:]),
+               default=0.0)
 
 
 @dataclass(frozen=True)
@@ -192,45 +193,44 @@ class SuperdiffSet:
     diameter: float
 
 
-def superdifferential(u: GridFunction, x: Array, radius: float | None = None,
-                      c2_bound: float | None = None) -> SuperdiffSet:
-    """Hull of limiting differentials near x.
+def superdifferential(u: GridFunction, x: Array) -> SuperdiffSet:
+    """Hull of the limiting differentials within 3 spacings of x.
 
     A midpoint-defect scan guards the input class: ratios
-    (u(x+z) + u(x-z) - 2 u(x))/|z|^2 above c2_bound (default
-    0.5/spacing, far beyond any smooth curvature at desk scale but far
-    below the +inf of a convex kink) raise NotSemiconcave.  Cluster
-    centers that fall strictly inside the hull are discarded: a limiting
-    differential is a limit of gradients converging to x, while interior
-    centers are radius-scale mixing artifacts.
+    (u(x+z) + u(x-z) - 2 u(x))/|z|^2 above 0.5/spacing (far beyond any
+    smooth curvature at desk scale but far below the +inf of a convex
+    kink) raise NotSemiconcave.  Cluster centers that fall strictly inside
+    the hull are discarded: a limiting differential is a limit of
+    gradients converging to x, while interior centers are radius-scale
+    mixing artifacts.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h_max = float(u.spacing.max())
-    radius = radius if radius is not None else 3.0 * h_max
-    c2_bound = c2_bound if c2_bound is not None else 0.5 / h_max
+    radius = 3.0 * h_max
+    c2_bound = 0.5 / h_max
 
-    if np.isfinite(c2_bound):
-        _, offsets = _nodes_within(u, x, radius)
-        z = offsets[np.linalg.norm(offsets, axis=1) > 0.25 * h_max]
-        if len(z):
-            defect = u(x[None, :] + z) + u(x[None, :] - z) - 2.0 * u(x[None, :])
-            ratios = defect / np.sum(z * z, axis=1)
-            worst = float(ratios.max())
-            if worst > c2_bound:
-                raise NotSemiconcave(
-                    f"midpoint defect ratio {worst:.3g} exceeds bound "
-                    f"{c2_bound:.3g} near {x.tolist()}")
+    _, offsets = _nodes_within(u, x, radius)
+    z = offsets[np.linalg.norm(offsets, axis=1) > 0.25 * h_max]
+    if len(z):
+        defect = u(x[None, :] + z) + u(x[None, :] - z) - 2.0 * u(x[None, :])
+        worst = float((defect / np.sum(z * z, axis=1)).max())
+        if worst > c2_bound:
+            raise NotSemiconcave(
+                f"midpoint defect ratio {worst:.3g} exceeds bound "
+                f"{c2_bound:.3g} near {x.tolist()}")
 
     limiting = limiting_differentials(u, x, radius)
     vertices = _hull_vertices(limiting)
-    if len(vertices) >= 2:
-        diam = max(float(np.linalg.norm(a - b))
-                   for i, a in enumerate(vertices) for b in vertices[i + 1:])
+    diam = _diameter(vertices)
+    # each center's distance to the hull boundary (0 on it, >0 inside)
+    if len(vertices) <= 2:
+        depth = np.linalg.norm(limiting[:, None, :] - vertices[None, :, :],
+                               axis=-1).min(axis=1)
     else:
-        diam = 0.0
-    tol_b = max(1e-9, 1e-6 * (1.0 + diam))
-    on_boundary = np.array([_boundary_distance(vertices, c) <= tol_b
-                            for c in limiting])
+        from scipy.spatial import ConvexHull
+        eq = ConvexHull(vertices).equations
+        depth = -(limiting @ eq[:, :-1].T + eq[:, -1]).max(axis=1)
+    on_boundary = depth <= max(1e-9, 1e-6 * (1.0 + diam))
     return SuperdiffSet(x=x, limiting=limiting[on_boundary],
                         vertices=vertices, diameter=diam)
 
@@ -488,7 +488,6 @@ class SingularSet:
 
     indices: list[tuple[int, ...]]
     points: Array                 # (k, n) node coordinates
-    diam_threshold: float
     membership_tol: float
     grid: GridFunction            # the scanned u; distances wrap as it does
 
@@ -504,18 +503,16 @@ class SingularSet:
 def singular_set(u: GridFunction) -> SingularSet:
     """Nodes where the superdifferential is a genuine set.
 
-    Nodes passing the differentiability classification are skipped; the
-    rest get a full hull whose diameter is compared with the threshold
-    4*spacing.  The hull's ball has the minimal legal radius 2*spacing:
-    any wider and a kink's hull leaks onto neighbors whose own one-sided
-    slopes agree, inflating the set by a node per side.
-    Rim nodes of a non-periodic grid cannot support the stencils and are
-    never reported.
+    Nodes passing the differentiability classification are skipped; each
+    of the rest is marked when its limiting differentials within 2*spacing
+    lie more than 4*spacing apart (the diameter of their hull).  The ball
+    has the minimal legal radius 2*spacing: any wider and a kink's
+    gradients leak onto neighbors whose own one-sided slopes agree,
+    inflating the set by a node per side.  A node whose limiting gradients
+    cannot be resolved is marked too.  Rim nodes of a non-periodic grid
+    cannot support the stencils and are never reported.
     """
     h_max = float(u.spacing.max())
-    diam_threshold = 4.0 * h_max
-    radius = 2.0 * h_max
-
     _, spread, resid = grid_classification(u)
     suspicious = (spread > 1.0) | (resid > 1.0)
     suspicious &= np.isfinite(spread)        # rim nodes are unclassifiable
@@ -525,19 +522,16 @@ def singular_set(u: GridFunction) -> SingularSet:
         idx = np.unravel_index(int(flat), u.values.shape)
         pt = u.node_point(idx)
         try:
-            S = superdifferential(u, pt, radius=radius, c2_bound=np.inf)
+            diam = _diameter(limiting_differentials(u, pt, 2.0 * h_max))
         except InsufficientSamples:
             # cannot resolve limiting gradients; the failed classification
             # already marks the node as non-differentiable
-            indices.append(tuple(int(i) for i in idx))
-            points.append(pt)
-            continue
-        if S.diameter > diam_threshold:
+            diam = np.inf
+        if diam > 4.0 * h_max:
             indices.append(tuple(int(i) for i in idx))
             points.append(pt)
     pts = np.array(points).reshape(len(points), u.dim)
     return SingularSet(indices=indices, points=pts,
-                       diam_threshold=diam_threshold,
                        membership_tol=0.51 * h_max, grid=u)
 
 
@@ -572,18 +566,13 @@ def semiconcavity_constant(u: GridFunction, region: Array | None = None
                      / float(z @ z))
         kept = np.isfinite(ratio) & inside
         if len(singular.points):
-            # drop samples whose chord comes within half a cell of a kink
-            flat_x = nodes.reshape(-1, u.dim)
-            half = 0.51 * float(u.spacing.max())
-            d = np.full(len(flat_x), np.inf)
-            for p in singular.points:
-                rel = u.nearest_image(p[None, :] - flat_x)
-                zz = np.broadcast_to(z, rel.shape)
-                denom = float(z @ z)
-                s = np.clip((rel * zz).sum(axis=1) / denom, -1.0, 1.0)
-                foot = s[:, None] * zz
-                d = np.minimum(d, np.linalg.norm(rel - foot, axis=1))
-            kept &= (d > half).reshape(ratio.shape)
+            # drop samples whose chord comes within half a cell of a kink:
+            # rel (k, N, n) runs from every node to every singular point
+            rel = u.nearest_image(singular.points[:, None, :]
+                                  - nodes.reshape(1, -1, u.dim))
+            s = np.clip((rel * z).sum(axis=-1) / float(z @ z), -1.0, 1.0)
+            d = np.linalg.norm(rel - s[..., None] * z, axis=-1).min(axis=0)
+            kept &= (d > 0.51 * float(u.spacing.max())).reshape(ratio.shape)
         if kept.any():
             best = max(best, float(ratio[kept].max()))
     return best

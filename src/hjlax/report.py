@@ -78,15 +78,7 @@ class ProbeReport:
             self.violations.append({"slack": slack, **_jsonable(context)})
 
     def as_dict(self) -> dict[str, Any]:
-        return _jsonable({
-            "name": self.name,
-            "samples": self.samples,
-            "constants": self.constants,
-            "worst_slack": self.worst_slack,
-            "violations": self.violations,
-            "notes": self.notes,
-            "passed": self.passed,
-        })
+        return _jsonable({**vars(self), "passed": self.passed})
 
     def to_json(self, path: str) -> None:
         dump_json(self.as_dict(), path)

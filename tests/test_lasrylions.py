@@ -8,13 +8,16 @@ import hjlax.action
 from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
                    action_values_batch, aitken_extrapolants,
                    convergence_sweep, default_probe_points, discount_lift,
-                   free_lagrangian, gradient_limit_vs_qx, hamiltonian_for,
-                   intrinsic_regularize, lambda_sweep_problem_probe,
+                   dump_json, free_lagrangian, gradient_limit_vs_qx,
+                   hamiltonian_for, intrinsic_regularize,
+                   lambda_sweep_problem_probe,
                    mechanical_lagrangian, singular_set, solve_discounted,
                    trace_singularity)
+from hjlax.cli import _sweep_json
 from hjlax.discounted import DiscountedSolution
 from hjlax.lagrangian import GrowthRecord, TonelliLagrangian
 from hjlax.lasrylions import _concavity_window, _gradient_quotient_bound
+from hjlax.laxoleinik import _polish
 
 
 def stub_solution(fn, lam=1e-8, num=161, box=(-2.0, 2.0), dt=0.05,
@@ -98,6 +101,20 @@ def dw_sweep(dw):
 @pytest.fixture(scope="module")
 def vee():
     return stub_solution(lambda x: -np.abs(x[..., 0]))
+
+
+def test_polish_of_a_cell_at_its_maximum_is_not_noted(dw):
+    # regularize_dw's solution at x = -1.6, t = 0.2: alone in its run, the
+    # cell over nodes 3 and 4, started at node 4, makes L-BFGS-B stop
+    # ABNORMAL after 2 iterations at y = -1.81032, where its projected
+    # gradient is -1.6e-8: the cell is at its maximum
+    L, sol = dw
+    lifted = discount_lift(L, sol.lam, horizon=0.2)
+    notes = []
+    y, _ = _polish(lifted, sol.u, 0.0, 0.2, np.array([[-1.6]]),
+                   sol.u.node_point((4,))[None, :], np.array([[3]]), 1, notes)
+    assert y[0, 0] == pytest.approx(-1.81032, abs=1e-5)
+    assert notes == []
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +425,33 @@ def test_lambda_sweep_constant_potential_matches_analytic():
                                    np.array([[0.0]]), grid)
 
 
+def test_sweep_limits_match_per_probe_extrapolation(dw_sweep):
+    # each probe's sequences extrapolated on their own
+    assert len(dw_sweep.probe_points) > 1
+    for j in range(len(dw_sweep.probe_points)):
+        ext = aitken_extrapolants(dw_sweep.probe_gradients[:, j, :])
+        vel = aitken_extrapolants(dw_sweep.probe_velocities[:, j, :])
+        gaps = np.linalg.norm(ext[-3:] - ext[-1][None, :], axis=1)
+        assert np.array_equal(dw_sweep.gradient_limits[j], ext[-1])
+        assert np.array_equal(dw_sweep.velocity_limits[j], vel[-1])
+        assert dw_sweep.cauchy_ok[j] == (len(ext) >= 3
+                                         and gaps.max() <= 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def test_sweep_serialization_roundtrip(dw_sweep, tmp_path):
-    d = dw_sweep.as_dict()
-    blob = json.dumps(d, sort_keys=True)
-    assert json.loads(blob)["lam"] == 0.5
+    path = tmp_path / "sweep.json"
+    dump_json(_sweep_json(dw_sweep), str(path))
+    d = json.loads(path.read_text())
+    assert set(d) == {"lam", "t_grid", "sup_errors", "c11_bounds",
+                      "probe_points", "probe_gradients", "probe_velocities",
+                      "gradient_limits", "velocity_limits", "cauchy_ok",
+                      "meta"}
+    assert d["lam"] == 0.5
+    assert d["cauchy_ok"] == dw_sweep.cauchy_ok.tolist()
 
     err_csv = tmp_path / "errors.csv"
     dw_sweep.errors_to_csv(str(err_csv))
@@ -435,8 +471,13 @@ def test_trace_serialization_roundtrip(dw, tmp_path):
     tr = trace_singularity(sol, L, np.array([0.0]),
                            t_grid=np.array([0.05, 0.025]),
                            window_samples=24)
-    blob = json.dumps(tr.as_dict(), sort_keys=True)
-    assert json.loads(blob)["t1"] == 0.05
+    path = tmp_path / "trace.json"
+    dump_json(vars(tr), str(path))
+    d = json.loads(path.read_text())
+    assert set(d) == {"x0", "lam", "t_grid", "maximizers", "distance_ratios",
+                      "kappa0", "max_jump", "right_derivative", "q_lambda",
+                      "v0", "t1", "t2", "meta"}
+    assert d["t1"] == 0.05
 
     csv = tmp_path / "trace.csv"
     tr.to_csv(str(csv))

@@ -1,15 +1,20 @@
 """Superdifferential estimation, H-minimization over hulls, singular sets."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 import hjlax.regularity
 from hjlax import (ConfigError, GridSpec, InsufficientSamples, NonConvergence,
                    NotSemiconcave, brute_force_H_min, limiting_differentials,
-                   min_H_over_superdiff, semiconcavity_constant, singular_set,
+                   mechanical_lagrangian, min_H_over_superdiff,
+                   semiconcavity_constant, singular_set, solve_discounted,
                    superdifferential)
 from hjlax.lagrangian import Hamiltonian
-from hjlax.regularity import (SuperdiffSet, _hull_vertices,
+from hjlax.regularity import (SuperdiffSet, _diameter, _hull_vertices,
                               grid_classification)
 
 
@@ -271,6 +276,207 @@ def test_singular_set_two_kinks_and_scaling():
     # uniform positive scaling preserves the singular set exactly
     scaled = singular_set(u.with_values(np.exp(0.125) * u.values))
     assert scaled.indices == sing.indices
+
+
+# the rules singular_set and superdifferential's boundary filter replaced,
+# kept as oracles
+
+
+def pair_diameter(vertices):
+    """superdifferential's former diameter: largest distance between two
+    hull vertices."""
+    if len(vertices) < 2:
+        return 0.0
+    return max(float(np.linalg.norm(a - b))
+               for i, a in enumerate(vertices) for b in vertices[i + 1:])
+
+
+def boundary_distance(vertices, p):
+    """Distance from p to the hull boundary (0 on it, >0 inside), one hull
+    per center."""
+    if len(vertices) <= 2:
+        return float(min(np.linalg.norm(p - v) for v in vertices))
+    hull = ConvexHull(vertices)
+    slack = -(hull.equations[:, :-1] @ p + hull.equations[:, -1])
+    return float(slack.min())
+
+
+def singular_indices(u):
+    """Nodes failing the classification whose superdifferential at radius
+    2*spacing, with the semiconcavity guard off, spans more than
+    4*spacing; unresolvable nodes count as singular."""
+    h = float(u.spacing.max())
+    _, spread, resid = grid_classification(u)
+    suspicious = ((spread > 1.0) | (resid > 1.0)) & np.isfinite(spread)
+    found = []
+    for flat in np.flatnonzero(suspicious):
+        idx = tuple(int(i) for i in np.unravel_index(flat, u.values.shape))
+        try:
+            lim = limiting_differentials(u, u.node_point(idx), 2.0 * h)
+        except InsufficientSamples:
+            found.append(idx)
+            continue
+        if pair_diameter(_hull_vertices(lim)) > 4.0 * h:
+            found.append(idx)
+    return found
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 8 points of the quarter lattice in 1-d or 2-d: scattered,
+    collinear, or drawn with repeats (a single point included)."""
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-8, 8)
+    m = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["scattered", "collinear", "repeated"]))
+    if shape == "collinear":
+        base = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+        step = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+        ts = np.array(draw(st.lists(coord, min_size=m, max_size=m)))
+        pts = base + ts[:, None] * step
+    else:
+        pts = np.array(draw(st.lists(st.lists(coord, min_size=dim,
+                                              max_size=dim),
+                                     min_size=m, max_size=m)))
+        if shape == "repeated":
+            picks = draw(st.lists(st.integers(0, m - 1), min_size=m,
+                                  max_size=2 * m))
+            pts = pts[picks]
+    return 0.25 * pts.astype(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_hull_vertices_keep_the_diameter(points):
+    assert _diameter(points) == _diameter(_hull_vertices(points))
+    assert _diameter(points) == pair_diameter(_hull_vertices(points))
+
+
+def random_ridge_field():
+    """min of five random planes less a small paraboloid on [-1, 1]^2: its
+    kinks meet in corners with three or more limiting gradients."""
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((5, 2))
+    b = 0.3 * rng.standard_normal(5)
+    spec = GridSpec(box=[(-1.0, 1.0)] * 2, num=[41, 41], boundary="constant")
+    return spec.build(lambda X: np.min(X @ A.T + b, axis=-1)
+                      - 0.3 * np.sum(X * X, axis=-1))
+
+
+def corner_field():
+    spec = GridSpec(box=[(-1.0, 1.0), (-1.0, 1.0)], num=[41, 41],
+                    boundary="constant")
+    return spec.build(lambda x: -np.maximum(np.abs(x[..., 0]),
+                                            np.abs(x[..., 1])))
+
+
+def assert_filter_matches(u, x):
+    h = float(u.spacing.max())
+    lim = limiting_differentials(u, x, 3.0 * h)
+    verts = _hull_vertices(lim)
+    tol = max(1e-9, 1e-6 * (1.0 + pair_diameter(verts)))
+    keep = np.array([boundary_distance(verts, c) <= tol for c in lim])
+    S = superdifferential(u, x)
+    assert np.array_equal(S.limiting, lim[keep])
+    assert np.array_equal(S.vertices, verts)
+    assert S.diameter == pair_diameter(verts)
+
+
+def test_boundary_filter_matches_per_center_hulls(vee):
+    assert_filter_matches(vee, np.array([0.0]))
+    assert_filter_matches(corner_field(), np.zeros(2))
+    u = random_ridge_field()
+    points = singular_set(u).points
+    assert len(points) > 20
+    for x in points:
+        assert_filter_matches(u, x)
+
+
+@pytest.mark.parametrize("centers", [
+    [[-1.0], [0.0], [1.0]],
+    [[-1.0, -1.0], [-1.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, -1.0],
+     [1.0, 1.0], [0.2, -0.3]],
+])
+def test_boundary_filter_drops_interior_centers(centers, monkeypatch):
+    # stand-in limiting differentials: the interior centers must go, the
+    # vertices and the edge midpoint (0, 1) stay
+    centers = np.array(centers)
+    n = centers.shape[1]
+    monkeypatch.setattr(hjlax.regularity, "limiting_differentials",
+                        lambda u, x, radius: centers)
+    u = GridSpec(box=[(-1.0, 1.0)] * n, num=[21] * n).build(
+        lambda X: -np.sum(X * X, axis=-1))
+    verts = _hull_vertices(centers)
+    keep = [boundary_distance(verts, c) <= 1e-6 * (1.0 + pair_diameter(verts))
+            for c in centers]
+    S = superdifferential(u, np.zeros(n))
+    assert np.array_equal(S.limiting, centers[keep])
+    assert len(S.limiting) == len(centers) - (1 if n == 1 else 2)
+
+
+def dw_solution_81():
+    L = mechanical_lagrangian(1, potential="double_well", coeff=-1.0,
+                              shift=-0.25)
+    grid = GridSpec(box=[(-2.0, 2.0)], num=[81], boundary="constant")
+    return solve_discounted(L, 0.5, grid, 0.05).u
+
+
+@pytest.mark.parametrize("field", [
+    "vee", "two_kinks", "double_well", "ridge_2d", "corner_2d"])
+def test_singular_set_matches_superdifferential_rule(field, vee):
+    u = {"vee": lambda: vee,
+         "two_kinks": lambda: grid1d(lambda x: -np.abs(x[..., 0] - 0.5)
+                                     - np.abs(x[..., 0] + 0.5)),
+         "double_well": dw_solution_81,
+         "ridge_2d": random_ridge_field,
+         "corner_2d": corner_field}[field]()
+    sing = singular_set(u)
+    assert sing.indices == singular_indices(u)
+    assert len(sing.indices) > 0
+
+
+def semiconcavity_by_kink_loop(u, region=None):
+    """semiconcavity_constant with the chord-to-kink distances measured one
+    singular point at a time."""
+    singular = singular_set(u)
+    nodes = u.nodes().reshape(u.values.shape + (u.dim,))
+    inside = np.ones(u.values.shape, dtype=bool)
+    if region is not None:
+        box = np.atleast_2d(np.asarray(region, dtype=float))
+        gap = np.abs(u.nearest_image(nodes - box.mean(axis=1)))
+        inside = np.all(gap <= (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + 1e-9),
+                        axis=-1)
+    best = 0.0
+    for key in itertools.product(range(-2, 3), repeat=u.dim):
+        k = np.array(key)
+        if not k.any():
+            continue
+        z = k * u.spacing
+        with np.errstate(invalid="ignore"):
+            ratio = (np.abs(u.shifted(k) + u.shifted(-k) - 2.0 * u.values)
+                     / float(z @ z))
+        kept = np.isfinite(ratio) & inside
+        flat_x = nodes.reshape(-1, u.dim)
+        d = np.full(len(flat_x), np.inf)
+        for p in singular.points:
+            rel = u.nearest_image(p[None, :] - flat_x)
+            s = np.clip((rel * z).sum(axis=1) / float(z @ z), -1.0, 1.0)
+            d = np.minimum(d, np.linalg.norm(rel - s[:, None] * z, axis=1))
+        kept &= (d > 0.51 * float(u.spacing.max())).reshape(ratio.shape)
+        if kept.any():
+            best = max(best, float(ratio[kept].max()))
+    return best
+
+
+def test_semiconcavity_constant_matches_kink_loop():
+    two = grid1d(lambda x: -np.abs(x[..., 0] - 0.5) - np.abs(x[..., 0] + 0.5)
+                 - 0.3 * x[..., 0] ** 2)
+    for u, region in ((two, None), (two, np.array([[-1.0, 0.2]])),
+                      (seam_parabola(40), None),
+                      (random_ridge_field(), None)):
+        assert len(singular_set(u).points) > 0
+        assert semiconcavity_constant(u, region) == \
+            semiconcavity_by_kink_loop(u, region)
 
 
 def test_semiconcavity_constant_quadratic_exact():

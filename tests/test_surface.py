@@ -12,7 +12,7 @@ import pkgutil
 import hjlax
 from hjlax import cli
 
-MAX_OPTIONS = 35
+MAX_OPTIONS = 32
 MAX_CONFIG_KEYS = 64
 MAX_EXPORTS = 66
 
