@@ -47,9 +47,6 @@ from .report import ProbeReport
 
 Array = np.ndarray
 
-# 3-point Gauss-Legendre on [0, 1]
-_GAUSS3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
-_GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 # _solve_arcs: the LGL order ladder, the Newton steps per order, the
 # Euler-Lagrange residual certificate, and the seed of the bent multiwell
 # starts
@@ -494,6 +491,11 @@ def probe_compact_containment(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     T = t - s
+    b_win = float(L.time_window[1])
+    h_lo = -T / 2.0 * 0.999
+    h_hi = min(1.0 - T, b_win - t) - 1e-9
+    if h_hi <= h_lo:
+        raise ConfigError("time window too short for the perturbation family")
     rng = np.random.default_rng(seed)
 
     durations = [T / 2 * 1.01, T, min(1.0 - 1e-6, T * 1.5)]
@@ -510,15 +512,10 @@ def probe_compact_containment(
     report = ProbeReport(name="compact_containment", samples=n_samples)
     report.constants = {"kappa_4lam": kappa4, "declared_bound": bound,
                         "lam_cone": lam_cone, "T": T}
-    a_win, b_win = L.time_window
     for _ in range(n_samples):
         y = _ball_samples(rng, x, lam_cone * T, 1, boundary_half=False)[0]
         z = _ball_samples(rng, np.zeros_like(x), lam_cone * T, 1,
                           boundary_half=False)[0]
-        h_lo = -T / 2.0 * 0.999
-        h_hi = min(1.0 - T, float(b_win) - t) - 1e-9
-        if h_hi <= h_lo:
-            raise ConfigError("time window too short for the perturbation family")
         h = rng.uniform(h_lo, h_hi)
         t_end = t + h
         if not (t_end > s + 1e-9 and t_end <= b_win and t_end - s <= 1.0):

@@ -17,9 +17,9 @@ keeps only the L_vv curvature, and backtracking guards the kinks at cell
 faces.  A Newton round costs one gradient call and one call over all eight
 backtracking trials, and nodes whose trials all failed drop out.
 
-The scan reads a table that does not depend on u: per block of nodes, the
-stage cost of every (lattice velocity, node) pair and the sparse matrix P
-of multilinear weights at their feet, so a scan is cost + beta * P u.
+The scan reads one table that does not depend on u: the stage cost of
+every (lattice velocity, node) pair and the sparse matrix P of
+multilinear weights at their feet, so a scan is cost + beta * P u.
 The lattice is shared by all nodes and is sized by the Lipschitz constant
 of u; the solver keeps the table across Bellman steps and rebuilds it only
 when a growing Lipschitz constant changes the lattice.
@@ -37,13 +37,12 @@ Solutions lift to the evolution form v(t, x) = e^{lam*t} u(x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .action import _GAUSS3_NODES, _GAUSS3_WEIGHTS
 from .errors import BoxExhausted, ConfigError, NonContraction, NonConvergence
 from .gridfn import GridFunction, GridSpec
 from .lagrangian import Hamiltonian, TonelliLagrangian, hamiltonian_for
@@ -91,10 +90,11 @@ class DiscountedSolution:
 # ---------------------------------------------------------------------------
 # one Bellman step
 
-# feet per block of the velocity-lattice scan, 3 stage samples each (bounds memory)
-_SCAN_FEET = 1 << 18
-# one block of the scan table: start node, node count, stage costs, foot matrix
-_Block = tuple[int, int, Array, sparse.csr_matrix]
+# 3-point Gauss-Legendre on [0, 1]: the stage-cost quadrature
+_GAUSS3_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
+_GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+# cap on the velocity lattice's feet per node
+_LATTICE_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -194,50 +194,54 @@ def _polish(L: TonelliLagrangian, u: GridFunction, x: Array, v0: Array,
     return v, m
 
 
-def _velocity_reach(ham: Hamiltonian, nodes: Array, p_bound: float) -> Array:
-    """Per-axis bound on |optimal velocity| = |H_p| over momenta up to p_bound,
-    from one call over the momenta +-p_bound e_a of every axis a."""
-    dim = nodes.shape[1]
-    p = np.zeros((2 * dim, len(nodes), dim))
+def _velocity_lattice(ham: Hamiltonian, u: GridFunction, x: Array, st: _Stage,
+                      lip: float) -> Array:
+    """The velocity lattice shared by all nodes (the grid is uniform): per
+    axis a, the multiples of spacing_a/dt up to one spacing past the
+    largest |H_p| (one grad_p call) at the momenta +-(beta*lip + 1e-9) e_a
+    over the nodes x, lip being a Lipschitz constant of u.  Raises
+    ConfigError above _LATTICE_CAP feet per node."""
+    dim = x.shape[1]
+    p = np.zeros((2 * dim, len(x), dim))
     axis = np.arange(dim)
-    p[axis, :, axis] = p_bound
-    p[axis + dim, :, axis] = -p_bound
-    vel = np.asarray(ham.grad_p(0.0, np.broadcast_to(nodes, p.shape), p))
-    return np.abs(vel).reshape(-1, dim).max(axis=0)
+    p_bound = st.beta * lip + 1e-9
+    p[axis, :, axis], p[axis + dim, :, axis] = p_bound, -p_bound
+    vel = np.asarray(ham.grad_p(0.0, np.broadcast_to(x, p.shape), p))
+    reach = np.abs(vel).reshape(-1, dim).max(axis=0)
+    ks = [int(np.ceil(st.dt * r / h)) + 1 for r, h in zip(reach, u.spacing)]
+    total = int(np.prod([2 * k + 1 for k in ks]))
+    if total > _LATTICE_CAP:
+        raise ConfigError(
+            f"velocity lattice has {total} feet per node; dt is too small "
+            "for this grid spacing (or the field is too steep)")
+    axes = [np.arange(-k, k + 1) * (u.spacing[a] / st.dt)
+            for a, k in enumerate(ks)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
-def _scan_blocks(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
-                 offsets_v: Array) -> Iterator[_Block]:
-    """The scan table of the velocity lattice (one shared lattice for all
-    nodes, the grid being uniform), one block of at most _SCAN_FEET feet at
-    a time: (start, count, cost, P) for the count nodes from node start,
-    with the (nof, count) stage costs of their (lattice velocity, node)
-    pairs and the foot matrix P of their feet, so the scan of the block is
-    cost + beta * P u.  Only u's grid enters, not its values."""
-    nof, dim = offsets_v.shape
-    block = max(1, _SCAN_FEET // nof)
-    for lo in range(0, len(x), block):
-        xs = x[lo:lo + block]
-        shape = (nof, len(xs), dim)
-        xb = np.broadcast_to(xs[None, :, :], shape)
-        vb = np.broadcast_to(offsets_v[:, None, :], shape)
-        yield lo, len(xs), st.cost(L, xb, vb), u.foot_matrix(xb - st.dt * vb)
+def _scan_table(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
+                offsets_v: Array) -> tuple[Array, sparse.csr_matrix]:
+    """The scan table of the velocity lattice offsets_v for all nodes x:
+    the (nof, n) stage costs of the (lattice velocity, node) pairs and the
+    foot matrix P of their feet, so the scan is cost + beta * P u.  Only
+    u's grid enters, not its values."""
+    shape = (len(offsets_v),) + x.shape
+    xb = np.broadcast_to(x[None, :, :], shape)
+    vb = np.broadcast_to(offsets_v[:, None, :], shape)
+    return st.cost(L, xb, vb), u.foot_matrix(xb - st.dt * vb)
 
 
 def _step(L: TonelliLagrangian, u: GridFunction, x: Array, st: _Stage,
-          offsets_v: Array, table: Iterable[_Block], v_warm: Array | None
-          ) -> tuple[Array, Array, Array]:
-    """One Bellman update.  Scans the velocity lattice through its scan
-    table (_scan_blocks), then Newton-polishes from the better of the scan
-    winner and the warm start."""
-    jbest = np.empty(len(x), dtype=np.int64)
-    m_init = np.empty(len(x))
-    for lo, count, cost, P in table:
-        scan = cost + st.beta * (P @ u.values.ravel()).reshape(cost.shape)
-        j = np.argmin(scan, axis=0)
-        jbest[lo:lo + count] = j
-        m_init[lo:lo + count] = scan[j, np.arange(count)]
+          offsets_v: Array, table: tuple[Array, sparse.csr_matrix],
+          v_warm: Array | None) -> tuple[Array, Array, Array]:
+    """One Bellman update: the lattice scan is one matrix-vector product
+    on its table (_scan_table), and the Newton polish starts from the
+    better of the scan winner and the warm start."""
+    cost, P = table
+    scan = cost + st.beta * (P @ u.values.ravel()).reshape(cost.shape)
+    jbest = np.argmin(scan, axis=0)
     v_init = offsets_v[jbest]
+    m_init = scan[jbest, np.arange(len(x))]
     if v_warm is not None:
         m_warm, _ = _objective(L, u, x, v_warm, st)
         take = m_warm < m_init
@@ -268,26 +272,10 @@ def discounted_step(L: TonelliLagrangian, lam: float, u: GridFunction,
     ham = hamiltonian_for(L)
     st = _make_stage(lam, dt)
     x = u.nodes()
-    reach = _velocity_reach(ham, x, st.beta * u.lipschitz() + 1e-9)
-    offsets_v = _velocity_lattice(u.spacing, dt, reach)
+    offsets_v = _velocity_lattice(ham, u, x, st, u.lipschitz())
     vals, _, _ = _step(L, u, x, st, offsets_v,
-                       _scan_blocks(L, u, x, st, offsets_v), None)
+                       _scan_table(L, u, x, st, offsets_v), None)
     return u.with_values(vals.reshape(u.values.shape))
-
-
-def _velocity_lattice(spacing: Array, dt: float, reach: Array,
-                      cap: int = 20000) -> Array:
-    ks = [int(np.ceil(dt * reach[a] / spacing[a])) + 1
-          for a in range(len(spacing))]
-    total = int(np.prod([2 * k + 1 for k in ks]))
-    if total > cap:
-        raise ConfigError(
-            f"velocity lattice has {total} feet per node; dt is too small "
-            "for this grid spacing (or the field is too steep)")
-    axes = [np.arange(-k, k + 1) * (spacing[a] / dt)
-            for a, k in enumerate(ks)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,36 +326,30 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
 
     ham = hamiltonian_for(L)
     st = _make_stage(lam, dt)
-    beta = st.beta
 
     # sub/supersolution-flavored start: the value of resting at the best spot
-    probe = GridFunction.from_callable(grid.box, grid.num, lambda p: np.zeros(len(p)),
-                                       grid.boundary)
-    x = probe.nodes()
+    u = grid.build(lambda p: np.zeros(len(p)))
+    x = u.nodes()
     rest = np.asarray(L.eval(0.0, x, np.zeros_like(x)))
-    u = probe.with_values(np.full(probe.values.shape, float(rest.min()) / lam))
+    u = u.with_values(np.full(u.values.shape, float(rest.min()) / lam))
 
-    stop = tol_fp * (1.0 - beta)
-    scale = 1.0 + float(np.abs(u.values).max())
+    stop = tol_fp * (1.0 - st.beta)
     diffs: list[float] = []
     v_warm: Array | None = None
-    feet_last: Array | None = None
     grow_streak = 0
     offsets_v: Array | None = None
     lip_used = -np.inf
-    iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
         if iterations > _HEAD:
             u = _evaluate_policy(L, u, x, st, v_warm, feet_last)
         lip = u.lipschitz()
-        if offsets_v is None or lip > 1.2 * lip_used:
-            reach = _velocity_reach(ham, x, beta * lip + 1e-9)
-            lattice = _velocity_lattice(u.spacing, dt, reach)
+        if lip > 1.2 * lip_used:
+            lattice = _velocity_lattice(ham, u, x, st, lip)
             lip_used = lip
-            if offsets_v is None or not np.array_equal(lattice, offsets_v):
+            if not np.array_equal(lattice, offsets_v):
                 offsets_v = lattice
-                table = list(_scan_blocks(L, u, x, st, offsets_v))
+                table = _scan_table(L, u, x, st, offsets_v)
         vals, v_warm, feet_last = _step(L, u, x, st, offsets_v, table, v_warm)
         d = float(np.abs(vals - u.values.ravel()).max())
         u = u.with_values(vals.reshape(u.values.shape))
@@ -388,7 +370,7 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
             f"no fixed point after {_MAX_ITER} iterations (defect {diffs[-1]:.3e}, "
             f"target {stop:.3e})")
 
-    if u.boundary != "periodic" and feet_last is not None:
+    if u.boundary != "periodic":
         pad = 1e-8 * (1.0 + float((u.box[:, 1] - u.box[:, 0]).max()))
         lo = u.box[:, 0] - pad
         hi = u.box[:, 1] + pad
@@ -415,7 +397,7 @@ def solve_discounted(L: TonelliLagrangian, lam: float, grid: GridSpec,
 
     return DiscountedSolution(
         lam=lam, u=u, residual=residual, iterations=iterations,
-        contraction_factor=beta, dt=dt, fp_defect=diffs[-1],
+        contraction_factor=st.beta, dt=dt, fp_defect=diffs[-1],
         measured_contraction=measured, residual_tol=float(declared),
         diff_mask=mask,
         meta={"lagrangian": L.key, "tol_fp": tol_fp},

@@ -183,8 +183,6 @@ def _near_clusters(ys: Array, near: list[int], sep: float) -> list[list[int]]:
     first.  Each lists its representative (the best candidate farther than
     sep from every earlier representative), then the near-optimal
     candidates within sep of it."""
-    if len(near) == 1:
-        return [near]
     clusters: list[list[int]] = []
     reps: list[list[float]] = []
     for i, y in zip(near, ys[near].tolist()):
@@ -270,6 +268,7 @@ def _select(polished: list[tuple[float, Array]], sep: float
             ) -> tuple[Array, int]:
     """The best polished maximizer and the number of maximizers tied with
     it (itself and those farther than sep)."""
+    # fast path for the common single maximizer (~10 % of bench moreau's time)
     if len(polished) == 1:
         return polished[0][1], 1
     polished.sort(key=lambda pv: (-pv[0], tuple(pv[1])))
@@ -414,7 +413,7 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
 
 
 def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
-                     ) -> tuple[list[MaximizerRecord], list[list[str]]]:
+                     ) -> list[MaximizerRecord]:
     """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
     scan of the (points x candidates) actions, one polish of the cells
     around the near-optimal nodes that can beat the best node, selection,
@@ -422,11 +421,9 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
 
     Internally always maximizes sign*u(y) - A(arc), where for T- the arc
     runs y -> x; the records store the operator's values.  Returns the
-    records and per-point notes (candidate-cap hits); notes of the whole
-    pass (an unconverged polish) go to notes."""
-    node_notes: list[list[str]] = [[] for _ in pts]
-    gathered = [_grid_candidates(u, nodes, x, radius, point_notes)
-                for x, point_notes in zip(pts, node_notes)]
+    records, one per point; the pass appends its notes (candidate-cap hits
+    in point order, then an unconverged polish) to notes."""
+    gathered = [_grid_candidates(u, nodes, x, radius, notes) for x in pts]
     counts = np.array([len(yi) for yi, _, _ in gathered])
     starts = np.cumsum(counts) - counts
     ys = np.concatenate([yi for yi, _, _ in gathered])
@@ -490,7 +487,7 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
     records = [_record(x, y, float(uy), float(a), g, sign, t - s, radius, m)
                for x, y, uy, a, g, (_, m)
                in zip(pts, y_star, u_star, action, gradient, picks)]
-    return records, node_notes
+    return records
 
 
 def _apply_operator(
@@ -502,50 +499,38 @@ def _apply_operator(
     points: Array | None = None,
     kappa0: float | None = None,
 ) -> OperatorResult:
+    """T+ (sign=+1) or T- (sign=-1) of u at every node (or at points); a
+    clipped maximizer gets one more pass in a 1.5 times wider ball.  Notes
+    come in the order made: both passes', then the expansions'."""
     if not t > s:
         raise ConfigError(f"need s < t, got s={s}, t={t}")
     L.check_window(s, t)
 
     nodes = u.nodes()
     if kappa0 is None:
-        est = estimate_kappa0(L, u.lipschitz(), s, t, nodes)
-        kappa0 = est["kappa0"]
-        radius = est["ball_radius"]
-    else:
-        radius = (1.0 + _BALL_MARGIN) * kappa0 * (t - s)
+        kappa0 = estimate_kappa0(L, u.lipschitz(), s, t, nodes)["kappa0"]
     # never search below the grid resolution
-    radius = max(radius, 2.0 * float(np.max(u.spacing)))
-
-    if points is None:
-        pts = nodes
-        full_grid = True
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        full_grid = False
+    radius = max((1.0 + _BALL_MARGIN) * kappa0 * (t - s),
+                 2.0 * float(np.max(u.spacing)))
+    pts = nodes if points is None else np.atleast_2d(np.asarray(points, float))
 
     notes: list[str] = []
-    records, node_notes = _apply_pointwise(L, u, s, t, pts, sign, radius,
-                                           nodes, notes)
+    records = _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes)
     # expand clipped balls once; superlinearity makes a larger ball conclusive
     redo = [i for i, rec in enumerate(records) if rec.clipped]
-    wide = {}
     if redo:
-        wide_records, wide_notes = _apply_pointwise(
-            L, u, s, t, pts[redo], sign, 1.5 * radius, nodes, notes)
-        wide = dict(zip(redo, zip(wide_records, wide_notes)))
-    for i, x in enumerate(pts):
-        notes += node_notes[i]
-        if i in wide:
-            records[i], wide_notes = wide[i]
-            notes += wide_notes
-            notes.append(f"ball expanded at {x.tolist()}")
-            if records[i].clipped:
+        wide = _apply_pointwise(L, u, s, t, pts[redo], sign, 1.5 * radius,
+                                nodes, notes)
+        for i, rec in zip(redo, wide):
+            records[i] = rec
+            notes.append(f"ball expanded at {pts[i].tolist()}")
+            if rec.clipped:
                 notes.append(f"search ball of radius {1.5 * radius:.4g} still "
-                             f"clipped at {x.tolist()}")
+                             f"clipped at {pts[i].tolist()}")
 
     values = np.array([r.value for r in records])
     grads = np.stack([r.gradient for r in records])
-    if full_grid:
+    if points is None:
         grid = u.with_values(values.reshape(u.values.shape))
         gradient = grads.reshape(u.values.shape + (L.dim,))
     else:

@@ -378,3 +378,20 @@ def test_compact_containment_probe_free(free1):
                                        lam_cone=1.0, n_samples=40, seed=0)
     assert rep.passed
     assert rep.constants["kappa_4lam"] > 0
+
+
+def test_compact_containment_rejects_a_short_window_before_solving(
+        free1, monkeypatch):
+    # T = 2 leaves no perturbation times h in (-T/2, 1 - T)
+    calls = []
+    real = hjlax.action.minimize_action
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
+    with pytest.raises(ConfigError):
+        hj.probe_compact_containment(free1, np.zeros(1), 0.0, 2.0, 1.0,
+                                     n_samples=4)
+    assert calls == []

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import hjlax as hj
 import hjlax.discounted
 from hjlax.discounted import (_HEAD, _interp_gradient, _make_stage, _objective,
-                              _polish, _scan_blocks, _step, _velocity_lattice,
-                              _velocity_reach, discounted_step, lift_to_evolution,
+                              _polish, _scan_table, _step, _velocity_lattice,
+                              discounted_step, lift_to_evolution,
                               solve_discounted)
 from hjlax.errors import BoxExhausted, ConfigError, NonConvergence
 from hjlax.gridfn import GridSpec
@@ -181,9 +181,9 @@ def test_validation_errors(monkeypatch):
     with pytest.raises(ConfigError):
         solve_discounted(lifted, LAM, grid, dt=0.05)
     with pytest.raises(ConfigError):
-        # guard against an exploding foot lattice
-        from hjlax.discounted import _velocity_lattice
-        _velocity_lattice(np.array([1e-6]), 0.05, np.array([2.0]))
+        # guard against an exploding foot lattice: slope 1 on spacing 1e-6
+        steep = GridSpec(box=[(0.0, 1e-6)], num=[2]).build(lambda p: p[:, 0] * 1e6)
+        discounted_step(L, LAM, steep, 0.05)
     monkeypatch.setattr(hjlax.discounted, "_MAX_ITER", 5)
     with pytest.raises(hj.NonConvergence):
         solve_discounted(L, LAM, grid, dt=0.05)
@@ -271,18 +271,6 @@ def test_foot_matrix_reproduces_interpolation(box, num, boundary, reach):
     assert np.array_equal(P @ u.values.ravel(), u(feet))
 
 
-def test_lattice_scan_blocks_are_bit_identical(monkeypatch):
-    L = mechanical_lagrangian(dim=2, potential="cos", coeff=1.0)
-    u = GridSpec(box=[(-np.pi, np.pi)] * 2, num=[21, 21],
-                 boundary="periodic").build(
-        lambda p: np.cos(p[:, 0]) * np.sin(p[:, 1]))
-    whole = discounted_step(L, 2.0, u, 0.05)
-    # a few nodes per block, with a ragged last block
-    monkeypatch.setattr(hjlax.discounted, "_SCAN_FEET", 1000)
-    blocked = discounted_step(L, 2.0, u, 0.05)
-    assert np.array_equal(whole.values, blocked.values)
-
-
 def test_scan_table_is_built_once_per_lattice(monkeypatch):
     # the bench's 2d request: a 21x21 periodic cos grid
     L = mechanical_lagrangian(dim=2, potential="cos", coeff=1.0)
@@ -291,7 +279,7 @@ def test_scan_table_is_built_once_per_lattice(monkeypatch):
 
     def rebuilt(L, u, x, st, offsets_v, table, v_warm):
         return step(L, u, x, st, offsets_v,
-                    _scan_blocks(L, u, x, st, offsets_v), v_warm)
+                    _scan_table(L, u, x, st, offsets_v), v_warm)
 
     monkeypatch.setattr(hjlax.discounted, "_step", rebuilt)
     fresh = solve_discounted(L, 2.0, grid, dt=0.05)
@@ -306,10 +294,10 @@ def test_scan_table_is_built_once_per_lattice(monkeypatch):
 
     def counted(L, u, x, st, offsets_v):
         tables.append(offsets_v)
-        return _scan_blocks(L, u, x, st, offsets_v)
+        return _scan_table(L, u, x, st, offsets_v)
 
     monkeypatch.setattr(hjlax.discounted, "_velocity_lattice", recorded)
-    monkeypatch.setattr(hjlax.discounted, "_scan_blocks", counted)
+    monkeypatch.setattr(hjlax.discounted, "_scan_table", counted)
     cached = solve_discounted(L, 2.0, grid, dt=0.05)
     changes = [a for a, b in zip(lattices, [None] + lattices)
                if b is None or not np.array_equal(a, b)]
@@ -378,10 +366,9 @@ def test_polish_matches_sequential_backtracking(name):
     L, u, lam, dt = _case(name)
     stage = _make_stage(lam, dt)
     x = u.nodes()
-    reach = _velocity_reach(hamiltonian_for(L), x, stage.beta * u.lipschitz() + 1e-9)
-    lattice = _velocity_lattice(u.spacing, dt, reach)
+    lattice = _velocity_lattice(hamiltonian_for(L), u, x, stage, u.lipschitz())
     vals, v_warm, _ = _step(L, u, x, stage, lattice,
-                            _scan_blocks(L, u, x, stage, lattice), None)
+                            _scan_table(L, u, x, stage, lattice), None)
     u1 = u.with_values(vals.reshape(u.values.shape))
     v, m = _polish(L, u1, x, v_warm, _objective(L, u1, x, v_warm, stage)[0], stage)
     v_ref, m_ref, stalled, short = _sequential_polish(L, u1, x, v_warm, stage)
@@ -389,6 +376,21 @@ def test_polish_matches_sequential_backtracking(name):
     # both paths run: a node froze before the last round, and a step
     # accepted a halved trial
     assert stalled > 0 and short > 0
+
+
+@pytest.mark.parametrize("name", ["cos128", "cos21x21", "double_well41"])
+def test_scan_table_rows_match_the_objective(name):
+    # row j of the scan is the Bellman objective at lattice velocity v_j
+    L, u, lam, dt = _case(name)
+    stage = _make_stage(lam, dt)
+    x = u.nodes()
+    lattice = _velocity_lattice(hamiltonian_for(L), u, x, stage, u.lipschitz())
+    cost, P = _scan_table(L, u, x, stage, lattice)
+    scan = cost + stage.beta * (P @ u.values.ravel()).reshape(cost.shape)
+    assert scan.shape == (len(lattice), len(x))
+    for j, v in enumerate(lattice):
+        want, _ = _objective(L, u, x, np.broadcast_to(v, x.shape), stage)
+        assert np.array_equal(scan[j], want)
 
 
 def _looped_cost(stage, L, x, v):

@@ -173,6 +173,25 @@ def test_ball_still_clipped_after_expansion_is_noted(free1, vee_grid):
                          "search ball of radius 0.15 still clipped at [1.0]"]
 
 
+def test_notes_follow_the_passes_that_made_them(free1, vee_grid, monkeypatch):
+    # radius 0.1 clips both maximizers; the first pass hits the cap at each
+    # point, then the expansion pass (radius 0.15) at each point, and only
+    # then come the expansion notes, point by point
+    monkeypatch.setattr(hj.laxoleinik, "_CANDIDATE_CAP", 2)
+    res = hj.lax_plus(free1, vee_grid, 0.0, 0.4,
+                      points=np.array([[1.0], [-1.0]]), kappa0=1e-3)
+    assert res.notes == [
+        "candidate cap 2 hit at [1.0]: 4 nodes in the ball",
+        "candidate cap 2 hit at [-1.0]: 4 nodes in the ball",
+        "candidate cap 2 hit at [1.0]: 6 nodes in the ball",
+        "candidate cap 2 hit at [-1.0]: 6 nodes in the ball",
+        "ball expanded at [1.0]",
+        "search ball of radius 0.15 still clipped at [1.0]",
+        "ball expanded at [-1.0]",
+        "search ball of radius 0.15 still clipped at [-1.0]",
+    ]
+
+
 def test_kappa0_bound_reads_every_node(pendulum):
     # L(., ., 0) = cos peaks at node 100 (x = 0); a stride of
     # 200 // 64 = 3 nodes would skip it
