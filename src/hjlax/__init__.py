@@ -59,7 +59,7 @@ from .lasrylions import (GradientComparison, RegularizationSweep,
                          RegularizedField, SingularTrace, aitken_extrapolants,
                          convergence_sweep, default_probe_points,
                          gradient_limit_vs_qx, intrinsic_regularize,
-                         lambda_sweep_problem_probe, trace_singularity)
+                         trace_singularity)
 from .regularity import (
     SingularSet,
     SuperdiffSet,

@@ -431,8 +431,8 @@ def probe_velocity_bounds(
     x: Array,
     R: float,
     time_pairs: Sequence[tuple[float, float]],
-    n_samples: int = 200,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> ProbeReport:
     """Tabulate sup |xidot|, sup |p|, sup |xi - x| against r = R / (t - s).
 
@@ -479,8 +479,8 @@ def probe_compact_containment(
     s: float,
     t: float,
     lam_cone: float,
-    n_samples: int = 200,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> ProbeReport:
     """Check that perturbed-endpoint minimizers stay in the compact set
     [s, s+1] x B(x, kappa(4 lam)) x B(0, kappa(4 lam)).
@@ -588,10 +588,10 @@ def probe_midpoint_defects(
     L: TonelliLagrangian,
     x: Array,
     s: float,
-    lam_cone: float = 1.0,
-    T_grid: Sequence[float] = (0.05, 0.1, 0.2, 0.4),
-    n_samples: int = 200,
-    seed: int = 0,
+    lam_cone: float,
+    T_grid: Sequence[float],
+    n_samples: int,
+    seed: int,
 ) -> tuple[ProbeReport, ProbeReport]:
     """Semiconcavity and convexity reports of (t, y) -> A_{s,t}(x, y), both
     read off one seeded midpoint-defect family per grid T.

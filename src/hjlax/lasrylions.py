@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discounted import DiscountedSolution, solve_discounted
+from .discounted import DiscountedSolution
 from .errors import (ConeViolation, ConfigError, NotSingular)
 from .gridfn import GridFunction
 from .lagrangian import (Hamiltonian, TonelliLagrangian, discount_lift,
@@ -67,8 +67,7 @@ def _gradient_quotient_bound(u: GridFunction, grad: Array) -> float:
 
 
 def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
-                         t: float, probe_points: Array | None = None
-                         ) -> RegularizedField:
+                         t: float, probe_points: Array) -> RegularizedField:
     """Apply the scale-t sup-convolution to sol.u on the whole grid.
 
     Probe points are snapped to their nearest nodes; each probe's record
@@ -85,9 +84,8 @@ def intrinsic_regularize(sol: DiscountedSolution, L: TonelliLagrangian,
     c11 = _gradient_quotient_bound(sol.u, res.gradient)
 
     u = sol.u
-    pts = np.empty((0, u.dim)) if probe_points is None else probe_points
     flat = [int(np.ravel_multi_index(u.nearest_node(p), u.values.shape))
-            for p in np.atleast_2d(np.asarray(pts, dtype=float))]
+            for p in np.atleast_2d(np.asarray(probe_points, dtype=float))]
     records = [res.records[k] for k in flat]
     for rec in records:
         require_unique_maximizer(rec)
@@ -126,7 +124,7 @@ def aitken_extrapolants(seq: Array) -> Array:
     return out
 
 
-def default_probe_points(sol: DiscountedSolution, seed: int = 0) -> Array:
+def default_probe_points(sol: DiscountedSolution, seed: int) -> Array:
     """All detected singular nodes plus 8 seeded smooth nodes.
 
     Smooth candidates keep a margin of 6 spacings from every detected
@@ -153,11 +151,8 @@ def default_probe_points(sol: DiscountedSolution, seed: int = 0) -> Array:
     return np.array(pts).reshape(len(pts), u.dim)
 
 
-def _decreasing_t_grid(t_grid: Array | None) -> Array:
-    """t_grid as an array, 0.2 * 2^-k for k = 0..5 by default; it must
-    decrease toward 0."""
-    if t_grid is None:
-        t_grid = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
+def _decreasing_t_grid(t_grid: Array) -> Array:
+    """t_grid as an array; it must decrease toward 0."""
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 2 or not np.all(np.diff(t_grid) < 0.0):
         raise ConfigError("t_grid must decrease toward 0")
@@ -198,19 +193,20 @@ class RegularizationSweep:
 
 
 def convergence_sweep(sol: DiscountedSolution, L: TonelliLagrangian,
-                      t_grid: Array | None = None,
-                      probe_points: Array | None = None,
-                      seed: int = 0) -> RegularizationSweep:
+                      t_grid: Array, seed: int,
+                      probe_points: Array | None = None
+                      ) -> RegularizationSweep:
     """Regularize along a geometric t-grid and extrapolate the gradients.
 
     The gradient and velocity sequences of every probe point are
     accelerated by Aitken's delta-squared; the sweep declares a probe's
     limit trustworthy when its last three extrapolants agree to
-    _CAUCHY_TOL.
+    _CAUCHY_TOL.  Without probe_points the sweep probes
+    default_probe_points(sol, seed).
     """
     t_grid = _decreasing_t_grid(t_grid)
     if probe_points is None:
-        probe_points = default_probe_points(sol, seed=seed)
+        probe_points = default_probe_points(sol, seed)
 
     fields = [intrinsic_regularize(sol, L, float(t), probe_points)
               for t in t_grid]
@@ -296,8 +292,8 @@ class SingularTrace:
 
 
 def trace_singularity(sol: DiscountedSolution, L: TonelliLagrangian,
-                      x0: Array, t_grid: Array | None = None,
-                      window_samples: int = 64) -> SingularTrace:
+                      x0: Array, t_grid: Array,
+                      window_samples: int) -> SingularTrace:
     """Track the maximizer y_{t,x0} of u(y) - A_{0,t}(x0, y) as t -> 0+.
 
     The start point must belong to singular_set(sol.u), which the trace
@@ -391,45 +387,3 @@ def _concavity_window(sol: DiscountedSolution, lifted: TonelliLagrangian,
         c3[t] = np.fmin.reduce(ratio, initial=np.inf)
     qualifying = [t for t in t_probe if c3[float(t)] / t > c2]
     return float(max(qualifying)) if qualifying else 0.0
-
-
-# ---------------------------------------------------------------------------
-# exploratory lambda sweep
-
-
-def lambda_sweep_problem_probe(L: TonelliLagrangian, lam_grid: Array,
-                               x_points: Array, grid, dt: float = 0.05,
-                               analytic_qx: Array | None = None) -> dict:
-    """Tabulate q^lambda at the given points across discount rates.
-
-    Exploratory: no pass/fail contract.  When the analytic stationary
-    minimizer is supplied (constant-potential case), deviations from it
-    are reported alongside.
-    """
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    if len(lam_grid) >= 2 and not np.all(np.diff(lam_grid) < 0.0):
-        raise ConfigError("lam_grid must decrease")
-    pts = np.atleast_2d(np.asarray(x_points, dtype=float))
-    H = hamiltonian_for(L)
-
-    table = []
-    for lam in lam_grid:
-        sol = solve_discounted(L, float(lam), grid, dt)
-        row = []
-        for x in pts:
-            xn = sol.u.node_point(sol.u.nearest_node(x))
-            S = superdifferential(sol.u, xn)
-            q, _ = min_H_over_superdiff(H, 0.0, xn, S)
-            row.append(q.tolist())
-        table.append(row)
-    out = {
-        "lambda_grid": lam_grid.tolist(),
-        "points": pts.tolist(),
-        "q_table": table,
-    }
-    if analytic_qx is not None:
-        ref = np.atleast_2d(np.asarray(analytic_qx, dtype=float))
-        devs = [float(np.abs(np.asarray(row) - ref).max()) for row in table]
-        out["analytic_qx"] = ref.tolist()
-        out["max_deviation_per_lambda"] = devs
-    return out

@@ -79,26 +79,18 @@ def _nodes_within(u: GridFunction, x: Array, radius: float
 
 
 def _single_linkage(points: Array, tol: float) -> list[Array]:
-    """Chain points whose gaps are <= tol; returns cluster index arrays."""
+    """Chain points whose gaps are <= tol; returns cluster index arrays,
+    members ascending, clusters in the order of their first member.  Every
+    point takes the least label among its neighbours until no label
+    changes, which labels each cluster by its least index."""
     m = len(points)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        d = np.linalg.norm(points - points[i], axis=1)
-        for j in np.nonzero(d <= tol)[0]:
-            ri, rj = find(i), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
+    gaps = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    label = np.arange(m)
+    while True:
+        new = np.where(gaps <= tol, label, m).min(axis=1)
+        if np.array_equal(new, label):
+            return [np.flatnonzero(label == k) for k in np.unique(label)]
+        label = new
 
 
 def limiting_differentials(u: GridFunction, x: Array, radius: float) -> Array:
@@ -535,30 +527,26 @@ def singular_set(u: GridFunction) -> SingularSet:
                        membership_tol=0.51 * h_max, grid=u)
 
 
-def semiconcavity_constant(u: GridFunction, region: Array | None = None
-                           ) -> float:
+def semiconcavity_constant(u: GridFunction, region: Array) -> float:
     """Curvature magnitude max |u(x+z) + u(x-z) - 2 u(x)| / |z|^2 over node
     pairs, z running over lattice offsets up to two cells per axis.  Samples
     whose chord passes within half a cell of a node of singular_set(u)
     measure the kink, not the smooth constant, and are excluded.  region, a
     box [lo, hi] per axis, keeps the chord midpoints x whose nearest-image
     displacement from the box centre is within the half-width on every
-    axis, with a relative slack (a box may straddle a periodic seam)."""
+    axis, with a relative slack (a box may straddle a periodic seam).
+    Offsets k and -k make the same chords, so only the lexicographically
+    negative one is visited."""
     singular = singular_set(u)
     nodes = u.nodes().reshape(u.values.shape + (u.dim,))
-    inside = np.ones(u.values.shape, dtype=bool)
-    if region is not None:
-        box = np.atleast_2d(np.asarray(region, dtype=float))
-        gap = np.abs(u.nearest_image(nodes - box.mean(axis=1)))
-        inside = np.all(gap <= (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + 1e-9),
-                        axis=-1)
+    box = np.atleast_2d(np.asarray(region, dtype=float))
+    gap = np.abs(u.nearest_image(nodes - box.mean(axis=1)))
+    inside = np.all(gap <= (box[:, 1] - box[:, 0]) / 2.0 * (1.0 + 1e-9),
+                    axis=-1)
     best = 0.0
-    seen: set[tuple[int, ...]] = set()
     for key in itertools.product(range(-2, 3), repeat=u.dim):
-        if key in seen or all(i == 0 for i in key):
+        if key >= (0,) * u.dim:
             continue
-        seen.add(key)
-        seen.add(tuple(-i for i in key))
         k = np.array(key)
         with np.errstate(invalid="ignore"):
             z = k * u.spacing

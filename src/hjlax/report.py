@@ -76,9 +76,3 @@ class ProbeReport:
             self.worst_slack = slack
         if not slack >= -tol:
             self.violations.append({"slack": slack, **_jsonable(context)})
-
-    def as_dict(self) -> dict[str, Any]:
-        return _jsonable({**vars(self), "passed": self.passed})
-
-    def to_json(self, path: str) -> None:
-        dump_json(self.as_dict(), path)

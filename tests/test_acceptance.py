@@ -37,6 +37,9 @@ GRAD_LIMIT_SPACING_FACTOR = 3.0
 TOL_BRUTE_AGREE = 1e-6
 JUMP_SPACING_FACTOR = 2.0
 
+# the scales of the shipped regularize_dw and singularity_dw configs
+DW_T_GRID = 0.2 * 2.0 ** (-np.arange(6, dtype=float))
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 VERDICT_LINES: list[str] = []
@@ -115,12 +118,13 @@ def lift_result(cos_solution, cos_lagrangian):
 
 @pytest.fixture(scope="module")
 def dw_sweep(dw_solution, dw_lagrangian):
-    return hj.convergence_sweep(dw_solution, dw_lagrangian)
+    return hj.convergence_sweep(dw_solution, dw_lagrangian, DW_T_GRID, seed=0)
 
 
 @pytest.fixture(scope="module")
 def dw_trace(dw_solution, dw_lagrangian):
-    return hj.trace_singularity(dw_solution, dw_lagrangian, np.array([0.0]))
+    return hj.trace_singularity(dw_solution, dw_lagrangian, np.array([0.0]),
+                                DW_T_GRID, window_samples=64)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def test_criterion_04_inequality_probe_suite():
                                      seed=0),
             hj.probe_compact_containment(L, x, 0.0, 0.4, 1.0, n_samples=n,
                                          seed=0),
-            *hj.probe_midpoint_defects(L, x, 0.0, T_grid=T_grid,
+            *hj.probe_midpoint_defects(L, x, 0.0, lam_cone=1.0, T_grid=T_grid,
                                        n_samples=n, seed=0),
         ]
         total_violations += sum(len(r.violations) for r in reports)

@@ -363,14 +363,16 @@ def test_midpoint_probe_solves_one_family_per_T(free1, monkeypatch):
     T_grid = (0.1, 0.2, 0.8)
     n_y, n_pert = 4, 4                  # from n_samples = 16
     semi, conv = hj.probe_midpoint_defects(free1, np.zeros(1), 0.0,
-                                           T_grid=T_grid, n_samples=16)
+                                           lam_cone=1.0, T_grid=T_grid,
+                                           n_samples=16, seed=0)
     assert len(calls) == len(T_grid) * n_y * (1 + 4 * n_pert)
     assert conv.samples == len(T_grid) * n_y * 2 * n_pert
     # the semiconcavity report reads the grid T below 2/3 only
     assert semi.constants["T_grid"] == [0.1, 0.2]
     assert semi.samples == 2 * n_y * 2 * n_pert
     with pytest.raises(ConfigError):
-        hj.probe_midpoint_defects(free1, np.zeros(1), 0.0, T_grid=(0.8,))
+        hj.probe_midpoint_defects(free1, np.zeros(1), 0.0, lam_cone=1.0,
+                                  T_grid=(0.8,), n_samples=200, seed=0)
 
 
 def test_compact_containment_probe_free(free1):
@@ -393,5 +395,5 @@ def test_compact_containment_rejects_a_short_window_before_solving(
     monkeypatch.setattr(hjlax.action, "minimize_action", counting)
     with pytest.raises(ConfigError):
         hj.probe_compact_containment(free1, np.zeros(1), 0.0, 2.0, 1.0,
-                                     n_samples=4)
+                                     n_samples=4, seed=0)
     assert calls == []

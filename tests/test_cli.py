@@ -11,7 +11,7 @@ from hjlax.cli import (_SCHEMAS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                        EXIT_VIOLATION, Workspace, _parse, _parse_override,
                        _set_dotted, _t_grid, load_config, main)
 from hjlax.errors import ConfigError
-from hjlax.report import ProbeReport
+from hjlax.report import ProbeReport, _jsonable, dump_json
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -152,13 +152,15 @@ CONSTANT_LAMBDA_SWEEP = {
     ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=0.1", "T_grid"),
     ("lambda-sweep", shipped("lambda_sweep_constant.yaml"), "lambda_grid=2.0",
      "lambda_grid"),
+    ("lambda-sweep", CONSTANT_LAMBDA_SWEEP, "lambda_grid=[1.0, 2.0]",
+     "lambda_grid"),
     # a 1-d x next to the catalog's 2-d anisotropic Lagrangian
     ("propcheck", shipped("propcheck_catalog.yaml"), "x=[0.0]",
      "'anisotropic' has dim 2"),
 ], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid",
         "taus_scalar", "grid_box_scalar", "grid_num_scalar",
         "time_pairs_ragged", "lagrangians_scalar", "T_grid_scalar",
-        "lambda_grid_scalar", "x_vs_dim"])
+        "lambda_grid_scalar", "lambda_grid_increasing", "x_vs_dim"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):
     cfg = write_config(tmp_path / "c.yaml", tree)
@@ -206,7 +208,7 @@ def test_json_outputs_are_strict(tmp_path):
         raise ValueError(f"non-standard JSON constant {name}")
 
     empty = tmp_path / "empty.json"
-    ProbeReport(name="empty").to_json(str(empty))
+    dump_json(vars(ProbeReport(name="empty")), str(empty))
     blob = json.loads(empty.read_text(), parse_constant=refuse)
     assert blob["worst_slack"] is None
 
@@ -226,7 +228,7 @@ def test_nan_slack_is_a_violation():
     rep.record_slack(0.25)
     assert not rep.passed and np.isnan(rep.worst_slack)
     assert len(rep.violations) == 1 and np.isnan(rep.violations[0]["slack"])
-    assert rep.as_dict()["worst_slack"] is None
+    assert _jsonable(vars(rep))["worst_slack"] is None
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -266,6 +268,26 @@ def test_operators_moreau_small_grid(tmp_path):
     lines = (out / "records_tau0.2.csv").read_text().splitlines()
     assert lines[0] == "x1,ystar1,value,distance_ratio,clipped,multiplicity"
     assert len(lines) == 162
+
+
+def test_operators_localization_reads_each_tau_kappa0(tmp_path):
+    # under the lifted cos potential kappa0 grows with tau, so each tau's
+    # distance ratios are held to that tau's own kappa0
+    cfg = write_config(tmp_path / "c.yaml", {
+        "lagrangian": {"key": "mechanical", "dim": 1, "potential": "cos",
+                       "coeff": -1.0},
+        "lambda": 1.0,
+        "grid": {"box": [[-2.0, 2.0]], "num": [81], "boundary": "constant"},
+        "field": {"kind": "vee", "scale": 1.0},
+        "taus": [0.1, 0.4],
+    })
+    out = tmp_path / "out"
+    assert main(["operators", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    kappa0 = report["kappa0"]
+    assert list(kappa0) == ["0.1", "0.4"]
+    assert kappa0["0.1"] < kappa0["0.4"]
+    assert report["localized"] is True
 
 
 def test_discounted_constant_case(tmp_path):

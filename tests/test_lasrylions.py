@@ -10,7 +10,6 @@ from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
                    convergence_sweep, default_probe_points, discount_lift,
                    dump_json, free_lagrangian, gradient_limit_vs_qx,
                    hamiltonian_for, intrinsic_regularize,
-                   lambda_sweep_problem_probe,
                    mechanical_lagrangian, singular_set, solve_discounted,
                    trace_singularity)
 from hjlax.cli import _sweep_json
@@ -95,7 +94,7 @@ def dw():
 def dw_sweep(dw):
     L, sol = dw
     t_grid = 0.1 * 2.0 ** (-np.arange(5, dtype=float))
-    return convergence_sweep(sol, L, t_grid=t_grid)
+    return convergence_sweep(sol, L, t_grid=t_grid, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +131,8 @@ def test_constant_field_is_fixed_by_regularization():
 
 def test_small_discount_reproduces_moreau_envelope(vee):
     tau = 0.2
-    rf = intrinsic_regularize(vee, free_lagrangian(1), tau)
+    rf = intrinsic_regularize(vee, free_lagrangian(1), tau,
+                              probe_points=np.empty((0, 1)))
     x = vee.u.nodes()[:, 0]
     closed = np.where(np.abs(x) <= tau, -x ** 2 / (2.0 * tau),
                       -np.abs(x) + tau / 2.0)
@@ -142,7 +142,7 @@ def test_small_discount_reproduces_moreau_envelope(vee):
 
 def test_value_dominance_via_diagonal_action(dw):
     L, sol = dw
-    rf = intrinsic_regularize(sol, L, 0.05)
+    rf = intrinsic_regularize(sol, L, 0.05, probe_points=np.empty((0, 1)))
     # A_{0,t}(x, x) at every node, under the lift intrinsic_regularize uses
     lifted = discount_lift(L, sol.lam, horizon=max(0.05, sol.dt))
     nodes = sol.u.nodes()
@@ -161,7 +161,8 @@ def test_diagonal_action_vanishes_for_free_particle(vee):
 
 def test_regularize_rejects_nonpositive_scale(vee):
     with pytest.raises(ConfigError):
-        intrinsic_regularize(vee, free_lagrangian(1), 0.0)
+        intrinsic_regularize(vee, free_lagrangian(1), 0.0,
+                             probe_points=np.empty((0, 1)))
 
 
 def test_two_bump_probe_raises_nonunique():
@@ -201,7 +202,7 @@ def test_aitken_degenerate_inputs():
 
 def test_free_kink_sweep_errors_follow_half_t(vee):
     sweep = convergence_sweep(vee, free_lagrangian(1),
-                              t_grid=np.array([0.2, 0.1, 0.05]),
+                              t_grid=np.array([0.2, 0.1, 0.05]), seed=0,
                               probe_points=np.array([[-0.8], [0.9]]))
     assert np.abs(sweep.sup_errors - sweep.t_grid / 2.0).max() <= 1e-8
     # probes sit on linear pieces: the operator gradient is the local slope
@@ -247,7 +248,7 @@ def test_gradient_quotient_bound_across_the_seam():
 def test_sweep_requires_decreasing_grid(vee):
     with pytest.raises(ConfigError):
         convergence_sweep(vee, free_lagrangian(1),
-                          t_grid=np.array([0.05, 0.1]))
+                          t_grid=np.array([0.05, 0.1]), seed=0)
 
 
 def test_double_well_sweep_converges_monotonically(dw, dw_sweep):
@@ -289,7 +290,7 @@ def test_gradient_limit_rejects_non_probe_points(dw_sweep):
 def test_kink_gradient_limit_with_drift_dual(vee):
     L = drift_lagrangian(2.0)
     sweep = convergence_sweep(vee, L, t_grid=np.array([0.2, 0.1, 0.05]),
-                              probe_points=np.array([[0.0]]))
+                              seed=0, probe_points=np.array([[0.0]]))
     H = hamiltonian_for(L)
     cmp = gradient_limit_vs_qx(sweep, H, np.array([0.0]))
     # H(p) = (p-2)^2/2 over [-1, 1] is minimized at the vertex p = 1
@@ -300,7 +301,7 @@ def test_kink_gradient_limit_with_drift_dual(vee):
 
 def test_kink_gradient_limit_free_dual(vee):
     sweep = convergence_sweep(vee, free_lagrangian(1),
-                              t_grid=np.array([0.2, 0.1, 0.05]),
+                              t_grid=np.array([0.2, 0.1, 0.05]), seed=0,
                               probe_points=np.array([[0.0]]))
     cmp = gradient_limit_vs_qx(sweep, hamiltonian_for(free_lagrangian(1)),
                                np.array([0.0]))
@@ -333,7 +334,9 @@ def test_symmetric_ridge_trace_is_stationary(dw):
 def test_trace_rejects_smooth_start(dw):
     L, sol = dw
     with pytest.raises(NotSingular):
-        trace_singularity(sol, L, np.array([1.0]))
+        trace_singularity(sol, L, np.array([1.0]),
+                          t_grid=0.2 * 2.0 ** (-np.arange(6, dtype=float)),
+                          window_samples=64)
 
 
 def test_tilted_well_moves_kink_but_not_its_velocity():
@@ -406,23 +409,6 @@ def test_concavity_window_keeps_both_ends_of_its_reach():
         lambda X: -2.0 * np.maximum(X[..., 0] - 0.375, 0.0) ** 2, num=81)
     # 1/0.5 = 2 lies between the two curvatures, 1/0.2 above both
     assert window_t2(sol, 0.0, np.array([0.5, 0.2])) == pytest.approx(0.2)
-
-
-# ---------------------------------------------------------------------------
-# lambda sweep
-
-
-def test_lambda_sweep_constant_potential_matches_analytic():
-    L = mechanical_lagrangian(1, potential="cos", coeff=0.0, shift=-0.8)
-    grid = GridSpec(box=[(-1.0, 1.0)], num=[41], boundary="constant")
-    out = lambda_sweep_problem_probe(L, np.array([1.0, 0.5]),
-                                     np.array([[0.0], [0.5]]), grid, dt=0.1,
-                                     analytic_qx=np.array([[0.0], [0.0]]))
-    assert out["lambda_grid"] == [1.0, 0.5]
-    assert max(out["max_deviation_per_lambda"]) <= 1e-8
-    with pytest.raises(ConfigError):
-        lambda_sweep_problem_probe(L, np.array([0.5, 1.0]),
-                                   np.array([[0.0]]), grid)
 
 
 def test_sweep_limits_match_per_probe_extrapolation(dw_sweep):

@@ -15,7 +15,7 @@ from hjlax import (ConfigError, GridSpec, InsufficientSamples, NonConvergence,
                    superdifferential)
 from hjlax.lagrangian import Hamiltonian
 from hjlax.regularity import (SuperdiffSet, _diameter, _hull_vertices,
-                              grid_classification)
+                              _single_linkage, grid_classification)
 
 
 def grid1d(fn, num=161, lo=-2.0, hi=2.0, boundary="constant"):
@@ -352,6 +352,33 @@ def test_hull_vertices_keep_the_diameter(points):
     assert _diameter(points) == pair_diameter(_hull_vertices(points))
 
 
+def chained_clusters(points, tol):
+    """Clusters grown one at a time from the least unassigned index: a point
+    joins while some member lies within tol of it."""
+    left = list(range(len(points)))
+    clusters = []
+    while left:
+        members = [left.pop(0)]
+        while True:
+            near = [j for j in left if any(
+                np.linalg.norm(points[j] - points[i]) <= tol for i in members)]
+            if not near:
+                break
+            members += near
+            left = [j for j in left if j not in near]
+        clusters.append(sorted(members))
+    return clusters
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]))
+def test_single_linkage_matches_chaining(points, tol):
+    # the quarter lattice puts gaps exactly at tol, and collinear sets make
+    # chains whose least index sits at either end
+    found = _single_linkage(points, tol)
+    assert [c.tolist() for c in found] == chained_clusters(points, tol)
+
+
 def random_ridge_field():
     """min of five random planes less a small paraboloid on [-1, 1]^2: its
     kinks meet in corners with three or more limiting gradients."""
@@ -471,9 +498,9 @@ def semiconcavity_by_kink_loop(u, region=None):
 def test_semiconcavity_constant_matches_kink_loop():
     two = grid1d(lambda x: -np.abs(x[..., 0] - 0.5) - np.abs(x[..., 0] + 0.5)
                  - 0.3 * x[..., 0] ** 2)
-    for u, region in ((two, None), (two, np.array([[-1.0, 0.2]])),
-                      (seam_parabola(40), None),
-                      (random_ridge_field(), None)):
+    seam, ridge = seam_parabola(40), random_ridge_field()
+    for u, region in ((two, two.box), (two, np.array([[-1.0, 0.2]])),
+                      (seam, seam.box), (ridge, ridge.box)):
         assert len(singular_set(u).points) > 0
         assert semiconcavity_constant(u, region) == \
             semiconcavity_by_kink_loop(u, region)
@@ -481,18 +508,18 @@ def test_semiconcavity_constant_matches_kink_loop():
 
 def test_semiconcavity_constant_quadratic_exact():
     u = grid1d(lambda x: -0.65 * x[..., 0] ** 2)
-    c2 = semiconcavity_constant(u)
+    c2 = semiconcavity_constant(u, u.box)
     assert abs(c2 - 1.3) < 1e-9
 
 
 def test_semiconcavity_constant_linear_is_zero():
     u = grid1d(lambda x: 0.4 * x[..., 0] - 0.1)
-    assert semiconcavity_constant(u) < 1e-10
+    assert semiconcavity_constant(u, u.box) < 1e-10
 
 
 def test_semiconcavity_kink_bucket_masked(vee):
     h = float(vee.spacing.max())
-    assert semiconcavity_constant(vee) < 1e-10
+    assert semiconcavity_constant(vee, vee.box) < 1e-10
     # the chords through the kink, which the constant masks, read 2/h
     ratio = np.abs(vee.shifted([1]) + vee.shifted([-1]) - 2.0 * vee.values) / h**2
     unmasked = float(ratio[np.isfinite(ratio)].max())
@@ -532,9 +559,10 @@ def test_semiconcavity_constant_across_the_seam(num):
     # the same profile with its kink moved to x = 0, inside the box
     interior = grid1d(lambda X: (np.abs(X[..., 0]) - 1.0) ** 2, num=num,
                       lo=-1.0, hi=1.0, boundary="periodic")
-    expect = semiconcavity_constant(interior)
+    expect = semiconcavity_constant(interior, interior.box)
     assert expect == pytest.approx(2.0, abs=1e-9)
-    assert semiconcavity_constant(seam_parabola(num)) == pytest.approx(
+    seam = seam_parabola(num)
+    assert semiconcavity_constant(seam, seam.box) == pytest.approx(
         expect, abs=1e-9)
 
 

@@ -12,9 +12,9 @@ import pkgutil
 import hjlax
 from hjlax import cli
 
-MAX_OPTIONS = 32
+MAX_OPTIONS = 15
 MAX_CONFIG_KEYS = 64
-MAX_EXPORTS = 66
+MAX_EXPORTS = 65
 
 
 def public_options() -> list[str]:
