@@ -8,10 +8,12 @@ gradients at a point are single-linkage clusters of nearby differentiable
 node gradients; their convex hull over a ball of 3 spacings estimates the
 superdifferential, guarded by a midpoint-defect bound of 0.5/spacing on
 the curvature of u.  A node is singular when its limiting gradients within
-2 spacings lie more than 4 spacings apart.  The minimizer of a convex
-Hamiltonian over that hull is computed by projected gradient on simplex
-weights with a Frank-Wolfe gap certificate, and can be cross-checked
-against dense sampling of the hull.
+2 spacings lie more than 4 spacings apart.  Hulls are built in the
+principal coordinates of their points' affine span, so a flat hull in 3-d
+works.  The minimizer of a convex Hamiltonian over a hull has one route,
+projected gradient on simplex weights, and is returned only under its
+Frank-Wolfe gap certificate; dense sampling of the hull is the independent
+reference that the checks compare it with.
 """
 from __future__ import annotations
 
@@ -153,18 +155,26 @@ def _hull_vertices(points: Array) -> Array:
     if n == 1:
         lo, hi = float(pts.min()), float(pts.max())
         return np.array([[lo]]) if hi - lo <= 1e-14 else np.array([[lo], [hi]])
-    span = pts - pts.mean(axis=0)
-    rank = np.linalg.matrix_rank(span, tol=1e-10)
-    if rank <= 1:
+    mean, axes = _span_axes(pts)
+    coords = (pts - mean) @ axes.T
+    if len(axes) == 1:
         # segment (or a point): extremes along the principal direction
-        _, _, vt = np.linalg.svd(span, full_matrices=False)
-        proj = span @ vt[0]
-        return np.stack([pts[int(np.argmin(proj))], pts[int(np.argmax(proj))]])
+        return np.stack([pts[int(np.argmin(coords[:, 0]))],
+                         pts[int(np.argmax(coords[:, 0]))]])
     from scipy.spatial import ConvexHull
-    hull = ConvexHull(pts)
+    hull = ConvexHull(coords)
     verts = pts[hull.vertices]
     order = np.lexsort(verts.T[::-1])
     return verts[order]
+
+
+def _span_axes(points: Array) -> tuple[Array, Array]:
+    """Mean and principal axes (rows, singular values above 1e-10, at least
+    one) of the points' affine span: in these coordinates a flat point set
+    has a full-dimensional hull."""
+    mean = points.mean(axis=0)
+    _, s, vt = np.linalg.svd(points - mean, full_matrices=False)
+    return mean, vt[:max(1, int(np.sum(s > 1e-10)))]
 
 
 def _diameter(points: Array) -> float:
@@ -220,8 +230,10 @@ def superdifferential(u: GridFunction, x: Array) -> SuperdiffSet:
                                axis=-1).min(axis=1)
     else:
         from scipy.spatial import ConvexHull
-        eq = ConvexHull(vertices).equations
-        depth = -(limiting @ eq[:, :-1].T + eq[:, -1]).max(axis=1)
+        mean, axes = _span_axes(vertices)
+        eq = ConvexHull((vertices - mean) @ axes.T).equations
+        coords = (limiting - mean) @ axes.T
+        depth = -(coords @ eq[:, :-1].T + eq[:, -1]).max(axis=1)
     on_boundary = depth <= max(1e-9, 1e-6 * (1.0 + diam))
     return SuperdiffSet(x=x, limiting=limiting[on_boundary],
                         vertices=vertices, diameter=diam)
@@ -245,129 +257,22 @@ def _proj_simplex(th: Array) -> Array:
     return np.maximum(th - css[rho] / (rho + 1.0), 0.0)
 
 
-def _projected_gradient(fval, fgrad, verts: Array, diam: float, tol: float,
-                        max_iter: int) -> Array:
-    """Minimize over the hull via projected gradient on simplex weights.
-
-    Targets a Frank-Wolfe gap 1e-3 below tol*(1 + |H_p|*(1 + diameter)) so
-    the iterate sits well inside the distance certificate; stagnation at a
-    gap under the tol-level bound still returns, and only a gap that never
-    reaches it raises NonConvergence.
-    """
-    th = np.full(len(verts), 1.0 / len(verts))
-    q = th @ verts
-    f = fval(q)
-    eta = 1.0
-    gap = np.inf
-    for _ in range(max_iter):
-        g = fgrad(q)
-        gap = float(g @ q - (verts @ g).min())
-        scale = 1.0 + float(np.abs(g).max()) * (1.0 + diam)
-        if gap <= 1e-3 * tol * scale:
-            return q
-        gth = verts @ g
-        moved = False
-        for _bt in range(60):
-            th_t = _proj_simplex(th - eta * gth)
-            if np.array_equal(th_t, th):
-                break
-            q_t = th_t @ verts
-            f_t = fval(q_t)
-            if f_t <= f - 1e-16 * (1.0 + abs(f)):
-                th, q, f = th_t, q_t, f_t
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            # no descent step representable at floating precision
-            if gap <= tol * scale:
-                return q
-            raise NonConvergence(
-                f"projected-gradient stalled at gap {gap:.3e} above "
-                f"certificate")
-        eta *= 1.4
-    if gap <= tol * (1.0 + float(np.abs(fgrad(q)).max()) * (1.0 + diam)):
-        return q
-    raise NonConvergence(
-        f"projected-gradient gap {gap:.3e} above certificate "
-        f"after {max_iter} steps")
-
-
-def _golden_min(phi, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section minimizer of a unimodal phi on [lo, hi]."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = phi(d)
-    return 0.5 * (a + b)
-
-
-def _frank_wolfe(fval, fgrad, verts: Array, max_iter: int = 2000) -> Array:
-    """Away-step Frank-Wolfe with golden-section line search; the line
-    search is segmentwise-exact for convex objectives, so the iterate
-    converges linearly on strongly convex problems."""
-    m = len(verts)
-    th = np.full(m, 1.0 / m)
-    q = th @ verts
-    stall = 0
-    for _ in range(max_iter):
-        g = fgrad(q)
-        scores = verts @ g
-        s = int(np.argmin(scores))
-        gap_fw = float(g @ q - scores[s])
-        scale = 1.0 + float(np.abs(g).max()) * (1.0 + float(np.abs(verts).max()))
-        if gap_fw <= 1e-12 * scale:
-            return q
-        active = np.nonzero(th > 1e-15)[0]
-        a = int(active[np.argmax(scores[active])])
-        gap_away = float(scores[a] - g @ q)
-        if gap_fw >= gap_away or len(active) == 1:
-            d_th = -th.copy()
-            d_th[s] += 1.0
-            gamma_max = 1.0
-        else:
-            d_th = th.copy()
-            d_th[a] -= 1.0
-            gamma_max = th[a] / (1.0 - th[a]) if th[a] < 1.0 else 1.0
-
-        def phi(gamma: float) -> float:
-            return fval((th + gamma * d_th) @ verts)
-
-        gamma = _golden_min(phi, 0.0, gamma_max)
-        if phi(gamma) > phi(0.0):
-            gamma = 0.0
-        th = np.maximum(th + gamma * d_th, 0.0)
-        th /= th.sum()
-        q_new = th @ verts
-        if np.linalg.norm(q_new - q) <= 1e-13 * (1.0 + np.linalg.norm(q)):
-            stall += 1
-            if stall >= 3:
-                return q_new
-        else:
-            stall = 0
-        q = q_new
-    return q
-
-
 def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
                          ) -> tuple[Array, float]:
-    """Unique minimizer of the convex p -> H(t, x, p) over the hull.
+    """Certified minimizer of the convex p -> H(t, x, p) over the hull.
 
-    Primary route: projected gradient on simplex weights over the hull
-    vertices, to tolerance _MIN_H_TOL within _MIN_H_MAX_ITER steps.  An
-    independent away-step Frank-Wolfe run always cross-checks it and must
-    agree to 1e-8 before the result is returned; either route failing, or
-    the two disagreeing, raises NonConvergence.
+    One route: projected gradient on the simplex weights of the hull
+    vertices, from their average.  For convex H the Frank-Wolfe gap
+    g.q - min_v g.v (g = H_p(q), v the vertices) bounds H(q) - min H, and
+    q is returned only when the gap is within
+    _MIN_H_TOL*(1 + |H_p(q)|_inf*(1 + diameter)); the loop aims 1e-3 below
+    that.  A trial step is taken when H_p(q_t).(q_t - q) <= 0, i.e. it
+    stops short of the minimum along its segment: for convex H that
+    implies descent, and unlike a drop in value it stays resolved near an
+    interior minimum.  The product is formed on the weights, relative to
+    H_p(q_t).q_t, so the rounding of the weights' sum does not swamp it.
+    A gap above the certificate after _MIN_H_MAX_ITER steps, or when no
+    step can be taken, raises NonConvergence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     verts = np.atleast_2d(S.vertices)
@@ -384,14 +289,39 @@ def min_H_over_superdiff(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
         q = verts[0]
         return q.copy(), fval(q)
 
-    q = _projected_gradient(fval, fgrad, verts, S.diameter, _MIN_H_TOL,
-                            _MIN_H_MAX_ITER)
-    q_fw = _frank_wolfe(fval, fgrad, verts)
-    if float(np.linalg.norm(q - q_fw)) > 1e-8 * (1.0 + S.diameter):
-        raise NonConvergence(
-            f"route disagreement |q - q_fw| = "
-            f"{float(np.linalg.norm(q - q_fw)):.3e} exceeds 1e-8")
-    return q, fval(q)
+    th = np.full(len(verts), 1.0 / len(verts))
+    q = th @ verts
+    g = fgrad(q)
+    eta = 1.0
+    for step in range(_MIN_H_MAX_ITER + 1):
+        # first-order change of H from q to each vertex
+        r = verts @ g - g @ q
+        gap = -float(r.min())
+        scale = 1.0 + float(np.abs(g).max()) * (1.0 + S.diameter)
+        if gap <= 1e-3 * _MIN_H_TOL * scale:
+            return q, fval(q)
+        if step == _MIN_H_MAX_ITER:
+            break
+        moved = False
+        for _bt in range(60):
+            th_t = _proj_simplex(th - eta * r)
+            if np.array_equal(th_t, th):
+                break
+            q_t = th_t @ verts
+            g_t = fgrad(q_t)
+            if (verts @ g_t - g_t @ q_t) @ (th_t - th) <= 0.0:
+                th, q, g = th_t, q_t, g_t
+                moved = True
+                break
+            eta *= 0.5
+        if not moved:
+            break
+        eta *= 1.4
+    if gap <= _MIN_H_TOL * scale:
+        return q, fval(q)
+    raise NonConvergence(
+        f"projected-gradient gap {gap:.3e} above certificate "
+        f"{_MIN_H_TOL * scale:.3e} after {step} steps")
 
 
 def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
@@ -408,12 +338,12 @@ def brute_force_H_min(H: Hamiltonian, t: float, x: Array, S: SuperdiffSet
     if len(verts) == 1:
         return verts[0].copy(), float(fvals(verts[0]))
 
-    span = verts - verts.mean(axis=0)
-    rank = np.linalg.matrix_rank(span, tol=1e-10)
-    if rank == 1 or n == 1:
-        _, _, vt = np.linalg.svd(span, full_matrices=False)
-        d = vt[0]
-        proj = span @ d
+    mean, principal = _span_axes(verts)
+    if 1 < len(principal) < n:
+        raise ConfigError(f"brute_force_H_min samples full-dimensional hulls; "
+                          f"this one has rank {len(principal)} in dimension {n}")
+    if len(principal) == 1:
+        proj = (verts - mean) @ principal[0]
         a, b = verts[int(np.argmin(proj))], verts[int(np.argmax(proj))]
         m = max(3, int(np.ceil(np.linalg.norm(b - a) / _BRUTE_STEP)) + 1)
         ts = np.linspace(0.0, 1.0, m)

@@ -22,12 +22,12 @@ def grid1d(fn, num=161, lo=-2.0, hi=2.0, boundary="constant"):
     return GridSpec(box=[(lo, hi)], num=[num], boundary=boundary).build(fn)
 
 
-def quad_ham(center):
+def quad_ham(center, a=1.0, off=0.0):
     c = np.asarray(center, dtype=float)
     return Hamiltonian(
         dim=len(c),
-        eval=lambda t, x, p: 0.5 * np.sum((p - c) ** 2, axis=-1),
-        grad_p=lambda t, x, p: p - c,
+        eval=lambda t, x, p: off + 0.5 * a * np.sum((p - c) ** 2, axis=-1),
+        grad_p=lambda t, x, p: a * (p - c),
         provenance="closed_form",
     )
 
@@ -221,12 +221,56 @@ def test_min_H_face_and_vertex_cases(square_set):
 
 def test_min_H_1d_brute_force_agrees(vee):
     S = superdifferential(vee, np.array([0.0]))
-    for center in (0.0, 0.37, 2.0, -1.4):
-        H = quad_ham([center])
+    # with offset 3, a value-based backtracking cannot see the descent that
+    # is left near the interior minima +-0.9 and stalls
+    for center, off in ((0.0, 0.0), (0.37, 0.0), (2.0, 0.0), (-1.4, 0.0),
+                        (0.9, 3.0), (-0.9, 3.0)):
+        H = quad_ham([center], off=off)
         q, val = min_H_over_superdiff(H, 0.0, np.array([0.0]), S)
         qb, vb = brute_force_H_min(H, 0.0, np.array([0.0]), S)
         assert abs(q[0] - qb[0]) < 1e-6
         assert abs(val - vb) < 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-3.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(-1.5, 2.5), st.floats(-1e3, 1e3))
+def test_min_H_1d_within_certificate_of_the_projection(lo, log_width, log_a,
+                                                       at, off):
+    # the exact minimizer of a 1-d quadratic over [lo, hi] is clip(c);
+    # at places c before, inside and beyond the interval
+    hi = lo + 10.0 ** log_width
+    a, c = 10.0 ** log_a, lo + at * (hi - lo)
+    verts = np.array([[lo], [hi]])
+    S = SuperdiffSet(x=np.zeros(1), limiting=verts, vertices=verts,
+                     diameter=hi - lo)
+    H = quad_ham([c], a=a, off=off)
+    q, val = min_H_over_superdiff(H, 0.0, np.zeros(1), S)
+    assert lo <= q[0] <= hi
+    exact = float(H.eval(0.0, np.zeros(1), np.clip([c], lo, hi)))
+    cert = hjlax.regularity._MIN_H_TOL * (
+        1.0 + abs(float(H.grad_p(0.0, np.zeros(1), q)[0])) * (1.0 + hi - lo))
+    assert val - exact <= cert
+
+
+def test_min_H_over_a_flat_hull_in_3d():
+    # a ridge of three planes in 3-d: the superdifferential at the origin is
+    # the triangle of their gradients, flat in R^3
+    spec = GridSpec(box=[(-1.0, 1.0)] * 3, num=[15] * 3, boundary="constant")
+    u = spec.build(lambda x: np.minimum(np.minimum(3.0 * x[..., 0],
+                                                   3.0 * x[..., 1]),
+                                        -3.0 * x[..., 0] - 3.0 * x[..., 1]))
+    S = superdifferential(u, np.zeros(3))
+    assert S.vertices.shape == (3, 3)
+    for row in ([3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-3.0, -3.0, 0.0]):
+        assert np.linalg.norm(S.vertices - row, axis=1).min() < 1e-12
+    # the centroid is the point of the triangle nearest to centroid + 2 e3
+    q, val = min_H_over_superdiff(quad_ham([0.0, 0.0, 2.0]), 0.0,
+                                  np.zeros(3), S)
+    assert np.abs(q).max() < 1e-12
+    assert abs(val - 2.0) < 1e-12
+    with pytest.raises(ConfigError, match="rank 2"):
+        brute_force_H_min(quad_ham([0.0, 0.0, 2.0]), 0.0, np.zeros(3), S)
 
 
 def test_min_H_iteration_budget_enforced(vee, monkeypatch):
