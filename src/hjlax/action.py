@@ -22,8 +22,9 @@ its arc as Hermite data: the polynomial's positions and velocities at
 are stored at those times.  Either way the endpoint gradients are read off
 the momenta: D_y A = L_v at time t, D_x A = -L_v at time s.
 
-The probe_* functions sweep minimize_action over sampled endpoint families
-and tabulate the empirical regularity constants (velocity/momentum bounds,
+The probe_* functions solve each sampled family that shares its (s, t) in
+one _solve_arcs call, and each arc with its own end time alone, and
+tabulate the empirical regularity constants (velocity/momentum bounds,
 compact containment, and, from one midpoint-defect family, semiconcavity
 in (t, y) and local uniform convexity in y).
 """
@@ -375,38 +376,39 @@ def action_values_batch(L: TonelliLagrangian, s: float, t: float, x: Array,
     return _solve_arcs(L, s, t, x, y).value
 
 
-def minimize_action(
-    L: TonelliLagrangian,
-    s: float,
-    t: float,
-    x: Array,
-    y: Array,
-) -> FundamentalSolution:
-    """Compute A_{s,t}(x, y) and its minimizing arc: _solve_arcs on the one
-    endpoint pair (with its multiwell starts, order ladder and
-    certificate), packaged with the arc's Hermite data and momenta.
-    Raises NonConvergence when no order certifies the arc, ConfigError
-    unless s < t, and OutOfWindow when [s, t] leaves the certified window.
-    """
+def _family(L: TonelliLagrangian, s: float, t: float, x: Array, ys: Array
+            ) -> list[FundamentalSolution]:
+    """minimize_action from the one start x (n,) to each end of ys (B, n),
+    in one _solve_arcs call: per arc its Hermite data at 8N+1 uniform times
+    (N its certified LGL order), the momenta there and their sups."""
+    arcs = _solve_arcs(L, s, t, x, ys)
+    family = []
+    for y, order, bend, value, residual in zip(
+            ys, arcs.order.tolist(), arcs.bend, arcs.value, arcs.residual):
+        _, _, _, diff, _, at_samples = _lgl(order)
+        times = np.linspace(s, t, 8 * order + 1)
+        chord = x + ((times - s) / (t - s))[:, None] * (y - x)
+        dbend = (diff * (2.0 / (t - s))) @ bend
+        curve = Curve(times=times, points=chord + at_samples @ bend,
+                      velocities=(y - x) / (t - s) + at_samples @ dbend)
+        momenta = L.grad_v(curve.times, curve.points, curve.velocities)
+        family.append(FundamentalSolution(
+            value=float(value), curve=curve, momenta=momenta,
+            grad_x=-momenta[0], grad_y=momenta[-1], residual=float(residual),
+            velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
+            momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
+            n_starts=arcs.n_starts))
+    return family
+
+
+def minimize_action(L: TonelliLagrangian, s: float, t: float, x: Array,
+                    y: Array) -> FundamentalSolution:
+    """Compute A_{s,t}(x, y) and its minimizing arc: _family of the one
+    endpoint pair.  Raises NonConvergence when no order certifies the arc,
+    ConfigError unless s < t, and OutOfWindow when [s, t] leaves the
+    certified window."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    arcs = _solve_arcs(L, s, t, x[None, :], y[None, :])
-    order, bend = int(arcs.order[0]), arcs.bend[0]
-    _, _, _, diff, _, at_samples = _lgl(order)
-    times = np.linspace(s, t, 8 * order + 1)
-    chord = x + ((times - s) / (t - s))[:, None] * (y - x)
-    dbend = (diff * (2.0 / (t - s))) @ bend
-    curve = Curve(times=times, points=chord + at_samples @ bend,
-                  velocities=(y - x) / (t - s) + at_samples @ dbend)
-    momenta = L.grad_v(curve.times, curve.points, curve.velocities)
-    return FundamentalSolution(
-        value=float(arcs.value[0]), curve=curve, momenta=momenta,
-        grad_x=-momenta[0], grad_y=momenta[-1],
-        residual=float(arcs.residual[0]),
-        velocity_sup=float(np.linalg.norm(curve.velocities, axis=-1).max()),
-        momentum_sup=float(np.linalg.norm(momenta, axis=-1).max()),
-        n_starts=arcs.n_starts,
-    )
+    return _family(L, s, t, x, np.atleast_2d(np.asarray(y, dtype=float)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +428,13 @@ def _ball_samples(rng: np.random.Generator, center: Array, radius: float,
     return center[None, :] + dirs * radii[:, None]
 
 
+def _sups(family: list[FundamentalSolution], x: Array) -> Array:
+    """sup |xidot|, sup |p| and sup |xi - x| per arc of a family (B, 3)."""
+    return np.array([(fs.velocity_sup, fs.momentum_sup,
+                      float(np.linalg.norm(fs.curve.points - x, axis=-1).max()))
+                     for fs in family]).reshape(-1, 3)
+
+
 def probe_velocity_bounds(
     L: TonelliLagrangian,
     x: Array,
@@ -443,16 +452,9 @@ def probe_velocity_bounds(
     rng = np.random.default_rng(seed)
     rows = []
     for (s, t) in time_pairs:
-        ratio = R / (t - s)
-        vmax = pmax = dmax = 0.0
         ys = _ball_samples(rng, x, R, n_samples)
-        for y in ys:
-            fs = minimize_action(L, s, t, x, y)
-            vmax = max(vmax, fs.velocity_sup)
-            pmax = max(pmax, fs.momentum_sup)
-            dmax = max(dmax, float(np.linalg.norm(fs.curve.points - x,
-                                                  axis=-1).max()))
-        rows.append((ratio, vmax, pmax, dmax))
+        sups = _sups(_family(L, s, t, x, ys), x).max(axis=0, initial=0.0)
+        rows.append((R / (t - s), *map(float, sups)))
     rows.sort(key=lambda r: r[0])
 
     report = ProbeReport(name="velocity_bounds", samples=n_samples * len(time_pairs))
@@ -501,12 +503,8 @@ def probe_compact_containment(
     durations = [T / 2 * 1.01, T, min(1.0 - 1e-6, T * 1.5)]
     kappa4 = 0.0
     for d in durations:
-        R4 = 4.0 * lam_cone * d
-        ys = _ball_samples(rng, x, R4, max(8, n_samples // 10))
-        for y in ys:
-            fs = minimize_action(L, s, s + d, x, y)
-            kappa4 = max(kappa4, fs.velocity_sup, fs.momentum_sup,
-                         float(np.linalg.norm(fs.curve.points - x, axis=-1).max()))
+        ys = _ball_samples(rng, x, 4.0 * lam_cone * d, max(8, n_samples // 10))
+        kappa4 = max(kappa4, float(_sups(_family(L, s, s + d, x, ys), x).max()))
     bound = kappa4 * 1.02 + 1e-9
 
     report = ProbeReport(name="compact_containment", samples=n_samples)
@@ -520,31 +518,11 @@ def probe_compact_containment(
         t_end = t + h
         if not (t_end > s + 1e-9 and t_end <= b_win and t_end - s <= 1.0):
             continue
-        fs = minimize_action(L, s, t_end, x, y + z)
-        pos_dev = float(np.linalg.norm(fs.curve.points - x, axis=-1).max())
-        report.record_slack(bound - fs.velocity_sup, check="velocity_box",
-                            h=h, duration=t_end - s)
-        report.record_slack(bound - fs.momentum_sup, check="momentum_box",
-                            h=h, duration=t_end - s)
-        report.record_slack(bound - pos_dev, check="position_box",
-                            h=h, duration=t_end - s)
+        sups = _sups([minimize_action(L, s, t_end, x, y + z)], x)[0]
+        for sup, box in zip(sups, ("velocity", "momentum", "position")):
+            report.record_slack(bound - sup, check=f"{box}_box", h=h,
+                                duration=t_end - s)
     return report
-
-
-def _perturbation_family(rng: np.random.Generator, dim: int, lamT: float,
-                         h_cap: float, count: int, with_time: bool
-                         ) -> tuple[Array, Array]:
-    zs = _ball_samples(rng, np.zeros(dim), lamT * 0.999, count,
-                       boundary_half=False)
-    # keep |z| away from 0 so defect ratios stay well conditioned
-    norms = np.linalg.norm(zs, axis=1, keepdims=True)
-    small = norms[:, 0] < 0.25 * lamT
-    zs[small] *= (0.3 * lamT) / np.maximum(norms[small], 1e-12)
-    if with_time:
-        hs = rng.uniform(-h_cap * 0.999, h_cap * 0.999, count)
-    else:
-        hs = np.zeros(count)
-    return zs, hs
 
 
 def _midpoint_family(L: TonelliLagrangian, x: Array, s: float, T: float,
@@ -556,32 +534,43 @@ def _midpoint_family(L: TonelliLagrangian, x: Array, s: float, T: float,
     Returns per-sample arrays (timed, ratio, z, h) with ratio =
     T [A(t+h, y+z) + A(t-h, y-z) - 2 A(t, y)] / (h^2 + |z|^2), for seeded
     y in B(x, lam T) and |z| < lam T; per y, first the h = 0 samples, then
-    the timed ones with |h| < T/2.  Every draw from rng comes in this fixed
-    order; with_time=False skips the solves of the timed samples and
-    returns the h = 0 ones only.
+    the timed ones with |h| < T/2.  Every draw from rng comes first, in
+    this fixed order; then the bases are one solve, the h = 0 samples one
+    more, and each timed arc one of its own.  with_time=False skips the
+    solves of the timed samples and returns the h = 0 ones only.
     """
     n_y = max(4, n_samples // 8)
     n_pert = max(2, n_samples // n_y)
-    t = s + T
-    ys = _ball_samples(rng, x, lam_cone * T, n_y, boundary_half=False)
-    timed, ratio, zs, hs = [], [], [], []
-    for y in ys:
-        base = minimize_action(L, s, t, x, y).value
-        for half_timed in (False, True):
-            z_half, h_half = _perturbation_family(
-                rng, x.shape[0], lam_cone * T, T / 2.0, n_pert, half_timed)
-            if half_timed and not with_time:
-                continue
-            for z, h in zip(z_half, h_half):
-                a_plus = minimize_action(L, s, t + h, x, y + z).value
-                a_minus = minimize_action(L, s, t - h, x, y - z).value
-                defect = a_plus + a_minus - 2.0 * base
-                ratio.append(T * defect / (h * h + float(z @ z)))
-            timed.extend([half_timed] * n_pert)
-            zs.append(z_half)
-            hs.append(h_half)
-    return (np.array(timed, dtype=bool), np.array(ratio, dtype=float),
-            np.concatenate(zs), np.concatenate(hs))
+    t, lamT, cap = s + T, lam_cone * T, T / 2.0 * 0.999
+    ys = _ball_samples(rng, x, lamT, n_y, boundary_half=False)
+
+    def offsets() -> Array:
+        z = _ball_samples(rng, np.zeros_like(x), lamT * 0.999, n_pert,
+                          boundary_half=False)
+        # keep |z| away from 0 so defect ratios stay well conditioned
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        small = norms[:, 0] < 0.25 * lamT
+        z[small] *= (0.3 * lamT) / np.maximum(norms[small], 1e-12)
+        return z
+
+    # per y: the h = 0 offsets, the timed offsets, then their times
+    draws = [(offsets(), offsets(), rng.uniform(-cap, cap, n_pert)) for _ in ys]
+    halves = 2 if with_time else 1
+    z = np.array([d[:2] for d in draws])[:, :halves]  # (n_y, halves, n_pert, n)
+    h = np.array([(np.zeros(n_pert), d[2]) for d in draws])[:, :halves]
+    base = action_values_batch(L, s, t, x, ys)[:, None, None]
+    total = np.empty(h.shape)
+    y = ys[:, None]
+    total[:, 0] = action_values_batch(
+        L, s, t, x, np.stack([y + z[:, 0], y - z[:, 0]])).sum(axis=0)
+    if with_time:
+        for j, k in np.ndindex(n_y, n_pert):
+            hk, zk = h[j, 1, k], z[j, 1, k]
+            total[j, 1, k] = (action_values_batch(L, s, t + hk, x, ys[j] + zk)
+                              + action_values_batch(L, s, t - hk, x, ys[j] - zk))
+    ratio = T * (total - 2.0 * base) / (h * h + np.sum(z * z, axis=-1))
+    timed = np.broadcast_to(np.arange(halves)[:, None] == 1, ratio.shape)
+    return timed.ravel(), ratio.ravel(), z.reshape(-1, len(x)), h.ravel()
 
 
 def probe_midpoint_defects(

@@ -237,6 +237,10 @@ _FIELDS: dict[str, Callable[..., Callable]] = {
 _STATIONARY = {"lagrangian": (_lagrangian, _REQUIRED),
                "lambda": (_float, _REQUIRED), "grid": (_grid, _REQUIRED),
                "dt": (_float, _REQUIRED)}
+_positives = _checked(lambda a: bool(np.all(a > 0.0)), "positive numbers",
+                      _floats(None))
+_time_pairs = _checked(lambda a: bool(np.all(a[:, 0] < a[:, 1])),
+                       "[s, t] pairs with s < t", _floats(None, 2))
 _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
     kind: {**keys, "out": (_text, ".")} for kind, keys in {
         "fundamental": {
@@ -250,7 +254,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
             "grid": (_grid, _REQUIRED),
             "field": ({"kind": (_choice(*_FIELDS), _REQUIRED),
                        "scale": (_float, 1.0)}, _REQUIRED),
-            "taus": (_floats(None), _REQUIRED),
+            "taus": (_positives, _REQUIRED),
             "sign": (_choice("plus", "minus"), "plus"),
             "tolerances": ({"sup_error": (_positive, 1e-4)}, {})},
         "discounted": {
@@ -273,8 +277,8 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "propcheck": {
             "lagrangians": (_lagrangians, _REQUIRED), "lambda": (_float, None),
             "x": (_floats(None), None), "R": (_float, 1.0),
-            "time_pairs": (_floats(None, 2), [[0.0, 0.5], [0.0, 1.0]]),
-            "T_grid": (_floats(None), [0.05, 0.1, 0.2, 0.4]),
+            "time_pairs": (_time_pairs, [[0.0, 0.5], [0.0, 1.0]]),
+            "T_grid": (_positives, [0.05, 0.1, 0.2, 0.4]),
             "lam_cone": (_float, 1.0), "n_samples": (_int, 200),
             "seed": (_int, 0)},
         "lambda-sweep": {

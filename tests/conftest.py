@@ -10,6 +10,7 @@ import numpy as np  # noqa: E402  (after the thread pins)
 import pytest
 
 import hjlax as hj
+import hjlax.action
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -54,3 +55,18 @@ def aniso2():
 @pytest.fixture(scope="session")
 def lifted_free():
     return hj.discount_lift(hj.catalog("free", dim=1), lam=1.0, horizon=2.0)
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """Batch size of every hjlax.action._solve_arcs call the test makes."""
+    sizes = []
+    real = hjlax.action._solve_arcs
+
+    def counting(L, s, t, x, y):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(x),
+                                                     np.shape(y))[:-1])))
+        return real(L, s, t, x, y)
+
+    monkeypatch.setattr(hjlax.action, "_solve_arcs", counting)
+    return sizes

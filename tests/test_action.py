@@ -321,6 +321,34 @@ def test_batched_phase1_ranks_like_refined_values(aniso2):
     assert np.array_equal(np.argsort(batch), np.argsort(refined))
 
 
+@pytest.mark.parametrize("span", [0.4, 1.0, 2.0])
+def test_family_matches_its_arcs_solved_alone(free1, pendulum, double_well,
+                                              aniso2, span):
+    # a probe family is one _solve_arcs call; each of its arcs must come out
+    # as minimize_action gives it alone: the batch moves the values by
+    # rounding at most, and the arcs not at all
+    rng = np.random.default_rng(5)
+    for L in (free1, pendulum, double_well, aniso2):
+        x = rng.uniform(-1.0, 1.0, L.dim)
+        ys = x + rng.uniform(-1.5, 1.5, (12, L.dim))
+        family = hjlax.action._family(L, 0.0, span, x, ys)
+        assert len(family) == len(ys)
+        for y, fs in zip(ys, family):
+            alone = hj.minimize_action(L, 0.0, span, x, y)
+            # 8N + 1 Hermite times: the same LGL order N
+            assert len(fs.curve.times) == len(alone.curve.times)
+            for got, want in ((fs.curve.times, alone.curve.times),
+                              (fs.curve.points, alone.curve.points),
+                              (fs.curve.velocities, alone.curve.velocities),
+                              (fs.momenta, alone.momenta)):
+                assert np.array_equal(got, want)
+            assert fs.velocity_sup == alone.velocity_sup
+            assert fs.momentum_sup == alone.momentum_sup
+            assert fs.n_starts == alone.n_starts == (
+                5 if L is double_well and span > 0.5 else 1)
+            assert abs(fs.value - alone.value) <= 1e-14 * abs(alone.value)
+
+
 def test_velocity_probe_free_table_is_the_ratio(free1):
     rep = hj.probe_velocity_bounds(free1, np.zeros(1), 1.0,
                                    [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)],
@@ -349,23 +377,17 @@ def test_convexity_probe_free_constants(free1):
     assert rep.constants["T_second"] == 0.2
 
 
-def test_midpoint_probe_solves_one_family_per_T(free1, monkeypatch):
-    # per T: n_y base arcs, then 2 solves for each of n_pert spatial and
-    # n_pert timed perturbations of every base; both reports share them
-    calls = []
-    real = hjlax.action.minimize_action
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
+def test_midpoint_probe_solves_one_family_per_T(free1, solve_sizes):
+    # per T: one batch of the n_y bases, one of both signs of the n_pert
+    # spatial perturbations of every base, then the timed perturbations,
+    # each arc with its own end time; both reports share them
     T_grid = (0.1, 0.2, 0.8)
     n_y, n_pert = 4, 4                  # from n_samples = 16
     semi, conv = hj.probe_midpoint_defects(free1, np.zeros(1), 0.0,
                                            lam_cone=1.0, T_grid=T_grid,
                                            n_samples=16, seed=0)
-    assert len(calls) == len(T_grid) * n_y * (1 + 4 * n_pert)
+    per_T = [n_y, 2 * n_y * n_pert] + [1] * (2 * n_y * n_pert)
+    assert solve_sizes == per_T * len(T_grid)
     assert conv.samples == len(T_grid) * n_y * 2 * n_pert
     # the semiconcavity report reads the grid T below 2/3 only
     assert semi.constants["T_grid"] == [0.1, 0.2]
@@ -383,17 +405,9 @@ def test_compact_containment_probe_free(free1):
 
 
 def test_compact_containment_rejects_a_short_window_before_solving(
-        free1, monkeypatch):
+        free1, solve_sizes):
     # T = 2 leaves no perturbation times h in (-T/2, 1 - T)
-    calls = []
-    real = hjlax.action.minimize_action
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
     with pytest.raises(ConfigError):
         hj.probe_compact_containment(free1, np.zeros(1), 0.0, 2.0, 1.0,
                                      n_samples=4, seed=0)
-    assert calls == []
+    assert solve_sizes == []

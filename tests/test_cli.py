@@ -150,6 +150,13 @@ CONSTANT_LAMBDA_SWEEP = {
     ("propcheck", shipped("propcheck_catalog.yaml"), "lagrangians=3",
      "lagrangians"),
     ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=0.1", "T_grid"),
+    # an empty time span, a negative T and a zero tau: the solvers would
+    # reject each of them without naming the key, or divide by zero
+    ("propcheck", shipped("propcheck_catalog.yaml"),
+     "time_pairs=[[0.5, 0.5]]", "time_pairs"),
+    ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=[-0.1, 0.2]",
+     "T_grid"),
+    ("operators", shipped("operators_moreau.yaml"), "taus=[0.0]", "taus"),
     ("lambda-sweep", shipped("lambda_sweep_constant.yaml"), "lambda_grid=2.0",
      "lambda_grid"),
     ("lambda-sweep", CONSTANT_LAMBDA_SWEEP, "lambda_grid=[1.0, 2.0]",
@@ -160,6 +167,7 @@ CONSTANT_LAMBDA_SWEEP = {
 ], ids=["n_samples", "lift_check", "grid_num", "window", "lambda_grid",
         "taus_scalar", "grid_box_scalar", "grid_num_scalar",
         "time_pairs_ragged", "lagrangians_scalar", "T_grid_scalar",
+        "time_pairs_empty_span", "T_grid_negative", "taus_zero",
         "lambda_grid_scalar", "lambda_grid_increasing", "x_vs_dim"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-import hjlax.action
 from hjlax import (ConfigError, GridSpec, NonUniqueMaximizer, NotSingular,
                    action_values_batch, aitken_extrapolants,
                    convergence_sweep, default_probe_points, discount_lift,
@@ -372,21 +371,14 @@ def window_t2(sol, x0, t_probe):
     return _concavity_window(sol, lifted, np.array([x0]), t_probe, 24, seed=0)
 
 
-def test_concavity_window_skips_the_timed_half(vee, monkeypatch):
-    # per probe t: n_y base arcs and 2 solves for each of n_pert spatial
-    # perturbations; the timed half is drawn but never solved
-    calls = []
-    real = hjlax.action.minimize_action
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hjlax.action, "minimize_action", counting)
+def test_concavity_window_skips_the_timed_half(vee, solve_sizes):
+    # per probe t: one batch of the n_y bases and one of both signs of the
+    # n_pert spatial perturbations of every base; the timed half is drawn
+    # but never solved
     t_probe = np.array([0.1, 0.05])
     n_y, n_pert = 4, 6                  # from n_samples = 24
     assert window_t2(vee, 0.0, t_probe) == pytest.approx(0.1)
-    assert len(calls) == len(t_probe) * n_y * (1 + 2 * n_pert)
+    assert solve_sizes == [n_y, 2 * n_y * n_pert] * len(t_probe)
 
 
 def test_concavity_window_wraps_the_periodic_seam():
