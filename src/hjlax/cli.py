@@ -245,7 +245,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
     kind: {**keys, "out": (_text, ".")} for kind, keys in {
         "fundamental": {
             "lagrangian": (_lagrangian, _REQUIRED), "lambda": (_float, None),
-            "n_samples": (_int, 100), "window": (_floats(2), [0.05, 0.5]),
+            "n_samples": (_at_least(1), 100), "window": (_floats(2), [0.05, 0.5]),
             "s_range": (_floats(2), [0.0, 0.0]), "box_radius": (_float, 1.0),
             "seed": (_int, 0),
             "tolerances": ({"rel_error": (_positive, 1e-6)}, {})},
@@ -271,7 +271,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
         "singularity": {
             **_STATIONARY, "t_grid": (_t_grid, _REQUIRED),
             "x0": (_unless("auto", _floats(None)), "auto"),
-            "window_samples": (_int, 64),
+            "window_samples": (_at_least(1), 64),
             "tolerances": ({"jump": (_positive, None),
                             "derivative_match": (_positive, None)}, {})},
         "propcheck": {
@@ -279,7 +279,7 @@ _SCHEMAS: dict[str, dict[str, tuple[Any, Any]]] = {
             "x": (_floats(None), None), "R": (_float, 1.0),
             "time_pairs": (_time_pairs, [[0.0, 0.5], [0.0, 1.0]]),
             "T_grid": (_positives, [0.05, 0.1, 0.2, 0.4]),
-            "lam_cone": (_float, 1.0), "n_samples": (_int, 200),
+            "lam_cone": (_float, 1.0), "n_samples": (_at_least(1), 200),
             "seed": (_int, 0)},
         "lambda-sweep": {
             "lagrangian": (_lagrangian, _REQUIRED),

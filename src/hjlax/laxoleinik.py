@@ -12,12 +12,13 @@ slope, so maximizers of u(y) - A(x, y) satisfy
 with M0 the max of L(., ., 0) over the grid nodes.  estimate_kappa0 solves
 that inequality for the largest velocity ratio.
 
-Every Lagrangian goes through one array pipeline over all points: gather
-the candidates (grid nodes inside the ball), scan the (points x candidates)
-actions in one call, cluster each point's near-optimal candidates, polish
-in one bounded L-BFGS-B run the grid cells around them that can beat the
-best node, select the best maximizer, and certify the action and operator
-gradient there:
+Every Lagrangian goes through one array pipeline, with no loop per point:
+gather the candidates (grid nodes inside the ball) of blocks of points,
+scan the (points x candidates) actions in one call, cluster each point's
+near-optimal candidates (one cluster when all lie within two cells of the
+best; only the other points go one by one), polish in one bounded L-BFGS-B
+run the grid cells around them that can beat the best node, select the
+best maximizer, and certify the action and operator gradient there:
 
     D(T+ u)(x) = L_v(s, x, xidot(s)),    D(T- u)(x) = L_v(t, x, xidot(t)).
 
@@ -67,6 +68,8 @@ _POLISH_PG_TOL = 10.0 * _EL_TOL
 _BEND_MARGIN = 2.0
 # candidates per point; a ball holding more is evenly subsampled
 _CANDIDATE_CAP = 600
+# (point, node) pairs per block of the candidate gather
+_GATHER_BLOCK = 1 << 18
 
 
 @dataclass
@@ -152,30 +155,41 @@ def estimate_kappa0(
     }
 
 
-def _grid_candidates(u: GridFunction, nodes: Array, x: Array, radius: float,
-                     notes: list[str]) -> tuple[Array, Array, Array]:
-    """Grid nodes within the search ball, their values and their flat
-    indices (ascending), evenly subsampled down to _CANDIDATE_CAP; a cap
-    hit is appended to notes.
+def _grid_candidates(u: GridFunction, nodes: Array, pts: Array, radius: float,
+                     notes: list[str]) -> tuple[Array, Array, Array, Array]:
+    """Grid nodes within the search ball of every point of pts: candidate
+    positions, values, flat node indices and owning point, grouped by point
+    with each point's indices ascending.  A ball holding more than
+    _CANDIDATE_CAP nodes is evenly subsampled and noted, in point order; an
+    empty ball takes its nearest node.
 
     nodes is u.nodes(), computed once per operator by the caller.  Each
     node is taken at its nearest image (u.nearest_image), so on a periodic
     grid the ball wraps across the seam and the candidates returned are
-    x plus those displacements, not the stored node coordinates.
+    x plus those displacements, not the stored node coordinates.  Points
+    go in blocks of at most _GATHER_BLOCK (point, node) pairs.
     """
-    delta = u.nearest_image(nodes - x[None, :])
-    dist = np.linalg.norm(delta, axis=1)
-    mask = dist <= radius
-    if not mask.any():
-        idx = np.array([int(np.argmin(dist))])
-    else:
-        idx = np.nonzero(mask)[0]
-    found, cap = len(idx), _CANDIDATE_CAP
-    if found > cap:
-        idx = idx[np.linspace(0, found - 1, cap).astype(int)]
-        notes.append(f"candidate cap {cap} hit at {x.tolist()}: "
-                     f"{found} nodes in the ball")
-    return x[None, :] + delta[idx], u.values.ravel()[idx], idx
+    cap, parts = _CANDIDATE_CAP, []
+    step = max(1, _GATHER_BLOCK // len(nodes))
+    for a in range(0, len(pts), step):
+        x = pts[a:a + step]
+        delta = u.nearest_image(nodes[None, :, :] - x[:, None, :])
+        dist = np.linalg.norm(delta, axis=-1)
+        inside = dist <= radius
+        empty = np.flatnonzero(~inside.any(axis=1))
+        inside[empty, np.argmin(dist[empty], axis=1)] = True
+        owner, idx = np.nonzero(inside)
+        found = np.bincount(owner, minlength=len(x))
+        keep = found[owner] <= cap
+        for p in np.flatnonzero(found > cap):
+            first = np.searchsorted(owner, p)
+            keep[first + np.linspace(0, found[p] - 1, cap).astype(int)] = True
+            notes.append(f"candidate cap {cap} hit at {x[p].tolist()}: "
+                         f"{found[p]} nodes in the ball")
+        owner, idx = owner[keep], idx[keep]
+        parts.append((x[owner] + delta[owner, idx], idx, owner + a))
+    ys, idx, owner = (np.concatenate(part) for part in zip(*parts))
+    return ys, u.values.ravel()[idx], idx, owner
 
 
 def _near_clusters(ys: Array, near: list[int], sep: float) -> list[list[int]]:
@@ -268,9 +282,6 @@ def _select(polished: list[tuple[float, Array]], sep: float
             ) -> tuple[Array, int]:
     """The best polished maximizer and the number of maximizers tied with
     it (itself and those farther than sep)."""
-    # fast path for the common single maximizer (~10 % of bench moreau's time)
-    if len(polished) == 1:
-        return polished[0][1], 1
     polished.sort(key=lambda pv: (-pv[0], tuple(pv[1])))
     best_phi, y_star = polished[0]
     multiplicity = sum(
@@ -278,22 +289,6 @@ def _select(polished: list[tuple[float, Array]], sep: float
         if best_phi - val <= _VALUE_TOL * (1.0 + abs(best_phi))
         and (np.array_equal(yy, y_star) or np.linalg.norm(yy - y_star) > sep))
     return y_star, multiplicity
-
-
-def _record(x: Array, y_star: Array, u_star: float, action: float,
-            gradient: Array, sign: int, span: float, radius: float,
-            multiplicity: int) -> MaximizerRecord:
-    """Record of x's chosen maximizer y_star, where u(y_star) = u_star; a
-    maximizer within 2 % of the ball's edge counts as clipped."""
-    dist = float(np.linalg.norm(y_star - x))
-    return MaximizerRecord(
-        x=x.copy(), y_star=y_star.copy(),
-        value=sign * (sign * u_star - action), action=action,
-        gradient=np.atleast_1d(gradient).copy(),
-        distance_ratio=dist / span,
-        clipped=dist >= radius * 0.98,
-        multiplicity=multiplicity,
-    )
 
 
 def _corner_values(u: GridFunction, lower: Array) -> Array:
@@ -415,27 +410,23 @@ def _certify(L: TonelliLagrangian, s: float, t: float, pts: Array,
 def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
                      ) -> list[MaximizerRecord]:
     """Every point of T+ (sign=+1) or T- (sign=-1) in array operations: one
-    scan of the (points x candidates) actions, one polish of the cells
-    around the near-optimal nodes that can beat the best node, selection,
-    and the certificate.
+    gather, one scan of the (points x candidates) actions, one polish of
+    the cells around the near-optimal nodes that can beat the best node,
+    selection, and the certificate; only points with several clusters go
+    through _near_clusters and _select one by one.
 
     Internally always maximizes sign*u(y) - A(arc), where for T- the arc
     runs y -> x; the records store the operator's values.  Returns the
     records, one per point; the pass appends its notes (candidate-cap hits
     in point order, then an unconverged polish) to notes."""
-    gathered = [_grid_candidates(u, nodes, x, radius, notes) for x in pts]
-    counts = np.array([len(yi) for yi, _, _ in gathered])
-    starts = np.cumsum(counts) - counts
-    ys = np.concatenate([yi for yi, _, _ in gathered])
-    xs = np.repeat(pts, counts, axis=0)
-    ends = (xs, ys) if sign > 0 else (ys, xs)
+    ys, vals, flat, owner = _grid_candidates(u, nodes, pts, radius, notes)
+    starts = np.searchsorted(owner, np.arange(len(pts)))
+    ends = (pts[owner], ys) if sign > 0 else (ys, pts[owner])
     acts, _, _ = _terms(L, s, t, *ends, grads=False)
-    scores = sign * np.concatenate([vi for _, vi, _ in gathered]) - acts
-    owner = np.repeat(np.arange(len(pts)), counts)
+    scores = sign * vals - acts
     lattice = np.rint((ys - u.box[:, 0]) / u.spacing).astype(np.int64)
-    action_at = _node_actions(L, u, s, t, pts, sign, owner,
-                              np.concatenate([ni for _, _, ni in gathered]),
-                              lattice, acts)
+    action_at = _node_actions(L, u, s, t, pts, sign, owner, flat, lattice,
+                              acts)
 
     # each point's first best candidate
     tops = np.flatnonzero(scores == np.maximum.reduceat(scores, starts)[owner])
@@ -450,17 +441,31 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
     near = near[np.lexsort((-scores[near], owner[near]))]
     cuts = np.searchsorted(owner[near], np.arange(len(pts) + 1))
     sep = 2.0 * float(np.max(u.spacing))
-    clusters = [_near_clusters(ys, near[a:b].tolist(), sep)
-                for a, b in zip(cuts[:-1], cuts[1:])]
-    # each cluster stands at its representative node until a polished cell
-    # beats it; every member's cells are candidates, so that which of
-    # several tied nodes represents a cluster cannot change the result
-    polished = [[(scores[cl[0]], ys[cl[0]]) for cl in point_clusters]
-                for point_clusters in clusters]
-    rows = np.array([(i, j, m) for i, cl in enumerate(clusters)
-                     for j, members in enumerate(cl) for m in members])
+    # a point whose near-optimal nodes all lie within sep of its best node
+    # is one cluster; where rounding could flip that verdict, math.hypot
+    # decides, as math.dist does in _near_clusters
+    gap = ys[near] - ys[tops][owner[near]]
+    dist = np.linalg.norm(gap, axis=1)
+    edge = np.flatnonzero(np.abs(dist - sep) <= 1e-9 * sep)
+    dist[edge] = [math.hypot(*g) for g in gap[edge].tolist()]
+    clusters = {p: _near_clusters(ys, near[cuts[p]:cuts[p + 1]].tolist(), sep)
+                for p in np.unique(owner[near[dist > sep]]).tolist()}
+    size = np.ones(len(pts), dtype=np.int64)
+    size[list(clusters)] = [len(cl) for cl in clusters.values()]
+    head = np.cumsum(size) - size                # each point's first cluster
+    # rows (point, cluster, member), members listed best first
+    plain = size[owner[near]] == 1
+    rows = np.concatenate([
+        np.stack([owner[near], head[owner[near]], near], axis=1)[plain],
+        np.array([(p, head[p] + j, m) for p, cl in clusters.items()
+                  for j, members in enumerate(cl) for m in members],
+                 dtype=np.int64).reshape(-1, 3)])
+    rows = rows[np.argsort(rows[:, 1], kind="stable")]
+    rep = rows[np.searchsorted(rows[:, 1], np.arange(head[-1] + size[-1])), 2]
     # the cells around every member, each once per point, for the best
-    # member that touches it
+    # member that touches it; every member's cells are candidates, so that
+    # which of several tied nodes represents a cluster cannot change the
+    # result
     corners = np.array(list(itertools.product((0, 1), repeat=u.dim)))
     lower = (lattice[rows[:, 2], None, :] + corners - 1).reshape(-1, u.dim)
     cell_rows = np.repeat(rows, len(corners), axis=0)
@@ -474,20 +479,32 @@ def _apply_pointwise(L, u, s, t, pts, sign, radius, nodes, notes
     keep = _open_cells(u, action_at, i, lower, sign, bend[i],
                        scores[tops][i] - slack)
     # (the best node's cells always stay: their bound is at least its score)
-    i, j, m = cell_rows[keep].T
+    i, c, m = cell_rows[keep].T
     y_pol, f_pol = _polish(L, u, s, t, pts[i], ys[m], lower[keep], sign, notes)
-    for pi, cj, f, y in zip(i, j, f_pol, y_pol):
-        if f > polished[pi][cj][0]:
-            polished[pi][cj] = (f, y)
-    picks = [_select(point_polished, sep) for point_polished in polished]
+    # each cluster stands at its representative node until a polished cell
+    # beats it strictly; among equal values the first in order wins
+    order = np.argsort(np.concatenate([np.arange(len(rep)), c]), kind="stable")
+    group = np.concatenate([np.arange(len(rep)), c])[order]
+    f_all = np.concatenate([scores[rep], f_pol])[order]
+    y_all = np.concatenate([ys[rep], y_pol])[order]
+    best = np.fmax.reduceat(f_all, np.searchsorted(group, np.arange(len(rep))))
+    hits = np.flatnonzero(f_all == best[group])
+    win = hits[np.searchsorted(group[hits], np.arange(len(rep)))]
+    y_star, multiplicity = y_all[win][head], np.ones(len(pts), dtype=np.int64)
+    for p, cl in clusters.items():
+        ids = win[head[p]:head[p] + len(cl)]
+        y_star[p], multiplicity[p] = _select(list(zip(f_all[ids], y_all[ids])),
+                                             sep)
 
-    y_star = np.array([p[0] for p in picks])
     action, gradient = _certify(L, s, t, pts, y_star, sign)
-    u_star = u(y_star)
-    records = [_record(x, y, float(uy), float(a), g, sign, t - s, radius, m)
-               for x, y, uy, a, g, (_, m)
-               in zip(pts, y_star, u_star, action, gradient, picks)]
-    return records
+    # a maximizer within 2 % of the ball's edge counts as clipped; vecdot
+    # takes each row's dot product, as np.linalg.norm of one row does
+    dist = np.sqrt(np.vecdot(y_star - pts, y_star - pts))
+    return list(map(MaximizerRecord, pts.copy(), y_star,
+                    (sign * (sign * u(y_star) - action)).tolist(),
+                    action.tolist(), gradient.reshape(len(pts), -1).copy(),
+                    (dist / (t - s)).tolist(), (dist >= radius * 0.98).tolist(),
+                    multiplicity.tolist()))
 
 
 def _apply_operator(

@@ -157,6 +157,12 @@ CONSTANT_LAMBDA_SWEEP = {
     ("propcheck", shipped("propcheck_catalog.yaml"), "T_grid=[-0.1, 0.2]",
      "T_grid"),
     ("operators", shipped("operators_moreau.yaml"), "taus=[0.0]", "taus"),
+    # negative sample counts: an rng draw of negative size, or no samples
+    ("propcheck", shipped("propcheck_catalog.yaml"), "n_samples=-1",
+     "n_samples"),
+    ("fundamental", FREE_FUNDAMENTAL, "n_samples=-1", "n_samples"),
+    ("singularity", shipped("singularity_dw.yaml"), "window_samples=-1",
+     "window_samples"),
     ("lambda-sweep", shipped("lambda_sweep_constant.yaml"), "lambda_grid=2.0",
      "lambda_grid"),
     ("lambda-sweep", CONSTANT_LAMBDA_SWEEP, "lambda_grid=[1.0, 2.0]",
@@ -168,7 +174,8 @@ CONSTANT_LAMBDA_SWEEP = {
         "taus_scalar", "grid_box_scalar", "grid_num_scalar",
         "time_pairs_ragged", "lagrangians_scalar", "T_grid_scalar",
         "time_pairs_empty_span", "T_grid_negative", "taus_zero",
-        "lambda_grid_scalar", "lambda_grid_increasing", "x_vs_dim"])
+        "propcheck_n_samples_negative", "fundamental_n_samples_negative",
+        "window_samples_negative", "lambda_grid_scalar", "lambda_grid_increasing", "x_vs_dim"])
 def test_config_shaped_failures_are_config_errors(tmp_path, kind, tree,
                                                   override, key):
     cfg = write_config(tmp_path / "c.yaml", tree)

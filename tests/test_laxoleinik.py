@@ -192,6 +192,93 @@ def test_notes_follow_the_passes_that_made_them(free1, vee_grid, monkeypatch):
     ]
 
 
+def _gather_one_by_one(u, pts, radius, cap):
+    """The candidate gather point by point: nearest images, the ball mask
+    (its nearest node when empty), even subsampling past the cap."""
+    nodes, parts, notes = u.nodes(), [], []
+    for p, x in enumerate(pts):
+        delta = u.nearest_image(nodes - x)
+        dist = np.linalg.norm(delta, axis=1)
+        idx = np.flatnonzero(dist <= radius)
+        if idx.size == 0:
+            idx = np.array([np.argmin(dist)])
+        if len(idx) > cap:
+            notes.append(f"candidate cap {cap} hit at {x.tolist()}: "
+                         f"{len(idx)} nodes in the ball")
+            idx = idx[np.linspace(0, len(idx) - 1, cap).astype(int)]
+        parts.append((x + delta[idx], u.values.ravel()[idx], idx,
+                      np.full(len(idx), p)))
+    return [np.concatenate(part) for part in zip(*parts)], notes
+
+
+_GATHER_CASES = {
+    # balls of radius 0.5 around points by the seam wrap to the far side
+    "periodic_seam": (
+        hj.GridSpec(box=[(-1.0, 1.0)] * 2, num=[9, 9], boundary="periodic"),
+        [[0.95, -0.9], [-1.0, 0.0], [0.1, 0.99], [0.3, -0.2]], 0.5, None, None),
+    # no node lies within 0.3 of 5.0: its ball takes the nearest node
+    "empty_ball": (hj.GridSpec(box=[(-1.0, 1.0)], num=[21]),
+                   [[0.0], [5.0], [-1.2]], 0.3, None, None),
+    # the first and last balls hold more than 4 nodes, the middle one not
+    "cap_hit": (hj.GridSpec(box=[(-1.0, 1.0)], num=[41]),
+                [[0.5], [-2.0], [-0.5]], 0.3, 4, None),
+    # 7 points in blocks of 2: one call spans 4 blocks
+    "blocks": (hj.GridSpec(box=[(-1.0, 1.0)] * 2, num=[5, 5]),
+               [[0.1 * k, -0.1 * k] for k in range(7)], 0.6, None, 50),
+}
+
+
+@pytest.mark.parametrize("case", list(_GATHER_CASES))
+def test_gather_matches_the_one_by_one_reference(case, monkeypatch):
+    spec, pts, radius, cap, block = _GATHER_CASES[case]
+    u = spec.build(lambda X: np.sin(3.0 * X.sum(axis=-1)))
+    pts = np.array(pts)
+    if cap is not None:
+        monkeypatch.setattr(hj.laxoleinik, "_CANDIDATE_CAP", cap)
+    if block is not None:
+        monkeypatch.setattr(hj.laxoleinik, "_GATHER_BLOCK", block)
+    notes = []
+    got = hj.laxoleinik._grid_candidates(u, u.nodes(), pts, radius, notes)
+    want, want_notes = _gather_one_by_one(u, pts, radius,
+                                          hj.laxoleinik._CANDIDATE_CAP)
+    for a, b in zip(got, want):
+        assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b)
+    assert notes == want_notes
+    if case == "periodic_seam":
+        assert np.abs(got[0]).max() > 1.0
+    if case == "empty_ball":
+        assert np.sum(got[3] == 1) == 1
+    if case == "cap_hit":
+        assert [n.split(":")[0] for n in notes] == [
+            "candidate cap 4 hit at [0.5]", "candidate cap 4 hit at [-0.5]"]
+
+
+@pytest.fixture
+def entries(monkeypatch):
+    """Calls of each of the pass's gather, clustering and selection."""
+    calls = dict.fromkeys(("_grid_candidates", "_near_clusters", "_select"), 0)
+    for name in calls:
+        real = getattr(hj.laxoleinik, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(hj.laxoleinik, name, counting)
+    return calls
+
+
+def test_single_maximizer_pass_clusters_in_array_form(free1, entries):
+    u = hj.GridSpec(box=[(-3.0, 3.0)], num=[201]).build(
+        lambda X: -np.abs(X[..., 0] - 0.12))
+    res = hj.lax_plus(free1, u, 0.0, 0.2)
+    # one pass (no ball expanded) of 201 x 201 (point, node) pairs: one block
+    assert not res.notes
+    assert u.values.size ** 2 <= hj.laxoleinik._GATHER_BLOCK
+    assert entries == {"_grid_candidates": 1, "_near_clusters": 0,
+                       "_select": 0}
+
+
 def test_kappa0_bound_reads_every_node(pendulum):
     # L(., ., 0) = cos peaks at node 100 (x = 0); a stride of
     # 200 // 64 = 3 nodes would skip it
@@ -203,11 +290,14 @@ def test_kappa0_bound_reads_every_node(pendulum):
     assert res.kappa0_ratio == est["kappa0"]
 
 
-def test_condition_m_flags_symmetric_double_maximizer(free1):
+def test_condition_m_flags_symmetric_double_maximizer(free1, entries):
     uV = hj.GridSpec(box=[(-6.0, 6.0)], num=[241]).build(
         lambda X: np.abs(X[..., 0]) - 1.0)
     res = hj.lax_plus(free1, uV, 0.0, 0.4, points=np.array([[0.0], [2.0]]))
     assert [rec.multiplicity for rec in res.records] == [2, 1]
+    # only the point at 0 has two clusters and goes through them one by one
+    assert entries == {"_grid_candidates": 1, "_near_clusters": 1,
+                       "_select": 1}
     with pytest.raises(NonUniqueMaximizer):
         hj.require_unique_maximizer(res.records[0])
 
